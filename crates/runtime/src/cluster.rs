@@ -18,8 +18,15 @@
 //! retained, timers consumed), and its sends are gated in
 //! [`crate::net::NetHandle::send`]; recovery just clears the flag
 //! without re-running `on_start`.
+//!
+//! A reactor *turn* is: sleep until the inbox, the timer wheel or an
+//! outbound frame needs attention → drain the inbox → run the node →
+//! fire timers → route the commands under one clock stamp → flush what
+//! is due, one write per peer. The reactor is the only thread that
+//! touches its node's outbound sockets ([`crate::net`] has the thread
+//! model and why its blocking writes cannot deadlock).
 
-use crate::frame::encode_frame_traced;
+use crate::frame::{decode_msg_traced, encode_frame_traced, FRAME_HEADER};
 use crate::net::{spawn_acceptor, Event, InboxStats, NetHandle, Shared};
 use crate::ops::{self, OpsConfig, OpsHandle};
 use crate::wheel::TimerWheel;
@@ -38,12 +45,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Max time a reactor sleeps in `recv_timeout` before re-checking the
 /// wheel and the shutdown flag.
 const REACTOR_POLL_US: u64 = 20_000;
-/// Messages drained per node-lock acquisition.
+/// Inbox events (each one read's worth of messages) drained per turn.
 const DRAIN_BATCH: usize = 64;
 
 /// Which part of the cluster this OS process hosts (multi-process
@@ -149,7 +157,8 @@ struct LocalNode {
     node: Arc<Mutex<Node>>,
     tx: Sender<Event>,
     inbox: Arc<InboxStats>,
-    reactor: Option<std::thread::JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 /// A running wall-clock cluster experiment. The API mirrors
@@ -186,8 +195,9 @@ fn build_topology(cfg: &ClusterConfig) -> Topology {
 impl Cluster {
     /// Builds and starts the cluster: binds one loopback listener per
     /// node, then spawns acceptor and reactor threads. By the time this
-    /// returns, every node has run `on_start` (or is about to; peers
-    /// retry connects, so ordering is not load-bearing).
+    /// returns, every node has run `on_start` (or is about to; every
+    /// listener is already bound, so a reactor's first connect to any
+    /// in-process peer succeeds whichever of them runs first).
     pub fn new(cfg: ClusterConfig) -> Self {
         Self::new_hosted(cfg, None)
     }
@@ -245,7 +255,7 @@ impl Cluster {
             debug_assert_eq!(lid, id);
             let (tx, rx) = mpsc::channel::<Event>();
             let inbox = Arc::new(InboxStats::default());
-            spawn_acceptor(
+            let acceptor = spawn_acceptor(
                 Arc::clone(&shared),
                 id,
                 listener,
@@ -257,22 +267,28 @@ impl Cluster {
                 cfg.params.clone(),
                 registry.clone(),
             )));
-            let reactor = {
-                let shared = Arc::clone(&shared);
-                let node = Arc::clone(&node);
-                let self_tx = tx.clone();
-                let inbox = Arc::clone(&inbox);
-                std::thread::Builder::new()
-                    .name(format!("reactor-{id}"))
-                    .spawn(move || reactor_loop(shared, id, node, rx, self_tx, inbox))
-                    .expect("spawn reactor")
+            let reactor = Reactor {
+                net: NetHandle::new(id, Arc::clone(&shared)),
+                wheel: TimerWheel::new(shared.now_us()),
+                ctx: Ctx::new_driver(shared.now_us(), id),
+                hops: TraceHops::new(),
+                shared: Arc::clone(&shared),
+                id,
+                node: Arc::clone(&node),
+                self_tx: tx.clone(),
+                inbox: Arc::clone(&inbox),
             };
+            let reactor = std::thread::Builder::new()
+                .name(format!("reactor-{id}"))
+                .spawn(move || reactor.run(rx))
+                .expect("spawn reactor");
             nodes.push(LocalNode {
                 id,
                 node,
                 tx,
                 inbox,
                 reactor: Some(reactor),
+                acceptor: Some(acceptor),
             });
         }
 
@@ -582,265 +598,226 @@ impl Cluster {
 }
 
 impl Drop for Cluster {
+    /// Deterministic teardown: when this returns, every thread the
+    /// cluster spawned has been joined and every socket is closed.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Unblock acceptors stuck in accept(2) with a throwaway connect
-        // to each hosted listener.
-        for n in &self.nodes {
-            let addr = self.shared.addrs[self.shared.idx(n.id)];
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(50));
-        }
         if let Some(h) = self.ops.take() {
             let _ = TcpStream::connect_timeout(&h.addr, Duration::from_millis(50));
             h.join();
         }
-        // Reactors poll the flag at REACTOR_POLL_US; join them so node
-        // state can't be touched after drop. Writer/reader threads exit
-        // on the flag or on the EOF cascade from dropped connections.
+        // Reactors first, so node state can't be touched after drop;
+        // each closes its outbound sockets as it exits.
         for n in &mut self.nodes {
-            let _ = n.tx.send(Event::Msg {
-                // Self-addressed wakeup; the reactor sees shutdown first.
+            let wake = Event {
                 from: n.id,
-                msg: Msg::EpochClose { group: 0, epoch: 0 },
-                ctx: None,
-            });
+                msgs: Vec::new(),
+            };
+            let _ = n.tx.send(wake);
             if let Some(h) = n.reactor.take() {
+                let _ = h.join();
+            }
+        }
+        // Then the receive side: a throwaway connect unblocks each
+        // acceptor's accept(2); it shuts its accepted sockets down and
+        // joins its readers before it exits (`spawn_acceptor`).
+        for n in &mut self.nodes {
+            let addr = self.shared.addrs[self.shared.idx(n.id)];
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(50));
+            if let Some(h) = n.acceptor.take() {
                 let _ = h.join();
             }
         }
     }
 }
 
-fn reactor_loop(
+/// One node's event loop and everything only it touches.
+struct Reactor {
     shared: Arc<Shared>,
     id: NodeId,
     node: Arc<Mutex<Node>>,
-    rx: Receiver<Event>,
     self_tx: Sender<Event>,
     inbox: Arc<InboxStats>,
-) {
-    let mut net = NetHandle::new(id, Arc::clone(&shared));
-    let mut wheel: TimerWheel<Pending> = TimerWheel::new(shared.now_us());
-    let mut ctx: Ctx<Msg> = Ctx::new_driver(shared.now_us(), id);
-    let mut fired: Vec<Pending> = Vec::new();
-    let mut hops = TraceHops::new();
-
-    // on_start (the sim skips it for nodes crashed at t=0; schedules
-    // rarely do that, but mirror it anyway).
-    if !shared.is_crashed(id) {
-        let mut n = node.lock().expect("node lock");
-        ctx.set_now(shared.now_us());
-        n.on_start(&mut ctx);
-    }
-    apply_commands(
-        &shared, id, &mut ctx, &mut net, &mut wheel, &self_tx, &mut hops, &inbox,
-    );
-
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // Fire due timers and delayed sends.
-        let now = shared.now_us();
-        fired.clear();
-        wheel.advance(now, &mut fired);
-        if !fired.is_empty() {
-            let crashed = shared.is_crashed(id);
-            for p in fired.drain(..) {
-                match p {
-                    Pending::Timer(token) => {
-                        // Crashed: the timer is consumed silently, like
-                        // the sim dropping Timer events.
-                        if crashed {
-                            continue;
-                        }
-                        {
-                            let mut n = node.lock().expect("node lock");
-                            ctx.set_now(shared.now_us());
-                            n.on_timer(&mut ctx, token);
-                        }
-                        apply_commands(
-                            &shared, id, &mut ctx, &mut net, &mut wheel, &self_tx, &mut hops,
-                            &inbox,
-                        );
-                    }
-                    Pending::Send(dst, frame) => {
-                        // Route-time crash gating happens inside send.
-                        if dst == id {
-                            deliver_local(&shared, id, &frame, &self_tx, &inbox);
-                        } else {
-                            net.send(dst, frame);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Sleep until the next deadline or an inbound message.
-        let now = shared.now_us();
-        let wait = wheel
-            .next_deadline()
-            .map(|d| d.saturating_sub(now))
-            .unwrap_or(REACTOR_POLL_US)
-            .clamp(100, REACTOR_POLL_US);
-        match rx.recv_timeout(Duration::from_micros(wait)) {
-            Ok(ev) => {
-                let mut batch = vec![ev];
-                while batch.len() < DRAIN_BATCH {
-                    match rx.try_recv() {
-                        Ok(ev) => batch.push(ev),
-                        Err(_) => break,
-                    }
-                }
-                inbox
-                    .processed
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if shared.is_crashed(id) {
-                    // Crashed receivers drop deliveries on the floor.
-                    continue;
-                }
-                {
-                    let mut n = node.lock().expect("node lock");
-                    for ev in batch {
-                        let Event::Msg {
-                            from,
-                            msg,
-                            ctx: tctx,
-                        } = ev;
-                        if let Some(c) = tctx {
-                            if from != id {
-                                hops.record(c);
-                                if telemetry::enabled() {
-                                    telemetry::emit(telemetry::Event {
-                                        at: shared.now_us(),
-                                        kind: telemetry::EventKind::HopRecv,
-                                        node: (id.group, id.node),
-                                        entry: (c.entry.gid, c.entry.seq),
-                                        value: telemetry::pack_hop_value(
-                                            c.hop,
-                                            c.origin_group,
-                                            c.origin_node,
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                        ctx.set_now(shared.now_us());
-                        n.on_message(&mut ctx, from, msg);
-                    }
-                }
-                apply_commands(
-                    &shared, id, &mut ctx, &mut net, &mut wheel, &self_tx, &mut hops, &inbox,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
+    net: NetHandle,
+    wheel: TimerWheel<Pending>,
+    ctx: Ctx<Msg>,
+    hops: TraceHops,
 }
 
-fn deliver_local(
-    shared: &Shared,
-    id: NodeId,
-    frame: &Bytes,
-    self_tx: &Sender<Event>,
-    inbox: &InboxStats,
-) {
-    if shared.is_crashed(id) {
-        return;
-    }
-    // Decode round-trips the frame; loopback traffic is rare (the
-    // protocol broadcasts exclude self) so the cost is negligible and
-    // the path stays uniform with remote delivery. The embedded trace
-    // context (if any) rides along; the reactor ignores self-hops.
-    if let Ok((msg, ctx)) =
-        crate::frame::decode_msg_traced(&frame.slice(crate::frame::FRAME_HEADER..))
-    {
-        inbox.enqueued.fetch_add(1, Ordering::Relaxed);
-        let _ = self_tx.send(Event::Msg { from: id, msg, ctx });
-    }
-}
-
-/// Encodes a message, embedding (and probing) a trace context when the
-/// message carries entry data and telemetry is on. The frame length is
-/// identical either way — the context lives in the zero pad.
-fn encode_with_trace(
-    shared: &Shared,
-    id: NodeId,
-    hops: &TraceHops,
-    msg: &Msg,
-) -> Result<Bytes, crate::frame::FrameError> {
-    let mut tctx = None;
-    if telemetry::enabled() {
-        if let Some(entry) = wire::trace_entry(msg) {
-            tctx = Some(hops.ctx_for(id, entry));
+impl Reactor {
+    fn run(mut self, rx: Receiver<Event>) {
+        // on_start (the sim skips it for nodes crashed at t=0; schedules
+        // rarely do that, but mirror it anyway).
+        if !self.shared.is_crashed(self.id) {
+            let mut n = self.node.lock().expect("node lock");
+            self.ctx.set_now(self.shared.now_us());
+            n.on_start(&mut self.ctx);
+        }
+        let mut events: Vec<Event> = Vec::new();
+        let mut fired: Vec<Pending> = Vec::new();
+        loop {
+            self.route_and_flush(&mut fired);
+            if self.shared.shutdown.load(Ordering::Relaxed) {
+                return;
+            }
+            // Sleep until the next timer, the next outbound frame coming
+            // due, or an inbound event. The wheel fires on tick
+            // boundaries, so its wait has a floor; a due frame does not.
+            let now = self.shared.now_us();
+            let mut wait = self
+                .wheel
+                .next_deadline()
+                .map(|d| d.saturating_sub(now))
+                .unwrap_or(REACTOR_POLL_US)
+                .clamp(100, REACTOR_POLL_US);
+            if let Some(due) = self.net.next_due() {
+                wait = wait.min(due.saturating_sub(now));
+            }
+            match rx.recv_timeout(Duration::from_micros(wait)) {
+                Ok(ev) => {
+                    events.push(ev);
+                    events.extend(rx.try_iter().take(DRAIN_BATCH - 1));
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            self.wheel.advance(self.shared.now_us(), &mut fired);
+            self.run_node(&mut events, &mut fired);
         }
     }
-    let frame = encode_frame_traced(msg, tctx)?;
-    if let Some(c) = tctx {
-        telemetry::emit(telemetry::Event {
-            at: shared.now_us(),
-            kind: telemetry::EventKind::HopSend,
-            node: (id.group, id.node),
-            entry: (c.entry.gid, c.entry.seq),
-            value: telemetry::pack_hop_value(c.hop, c.origin_group, c.origin_node),
-        });
-    }
-    Ok(frame)
-}
 
-#[allow(clippy::too_many_arguments)]
-fn apply_commands(
-    shared: &Arc<Shared>,
-    id: NodeId,
-    ctx: &mut Ctx<Msg>,
-    net: &mut NetHandle,
-    wheel: &mut TimerWheel<Pending>,
-    self_tx: &Sender<Event>,
-    hops: &mut TraceHops,
-    inbox: &InboxStats,
-) {
-    for cmd in ctx.take_commands() {
-        match cmd {
-            Command::Send { dst, msg } => match encode_with_trace(shared, id, hops, &msg) {
-                Ok(frame) => {
-                    if dst == id {
-                        deliver_local(shared, id, &frame, self_tx, inbox);
-                    } else {
-                        net.send(dst, frame);
+    /// Feeds the drained inbox, then the expired timers, to the node
+    /// under one lock acquisition. Leaves the delayed sends in `fired`.
+    fn run_node(&mut self, events: &mut Vec<Event>, fired: &mut Vec<Pending>) {
+        let msgs: usize = events.iter().map(|ev| ev.msgs.len()).sum();
+        self.inbox
+            .processed
+            .fetch_add(msgs as u64, Ordering::Relaxed);
+        let timers = fired.iter().any(|p| matches!(p, Pending::Timer(_)));
+        // Crashed: deliveries are dropped on the floor and timers
+        // consumed silently, like the sim dropping those events.
+        if (msgs > 0 || timers) && !self.shared.is_crashed(self.id) {
+            let mut n = self.node.lock().expect("node lock");
+            for Event { from, msgs } in events.drain(..) {
+                for (msg, tctx) in msgs {
+                    if let Some(c) = tctx.filter(|_| from != self.id) {
+                        self.hops.record(c);
+                        if telemetry::enabled() {
+                            telemetry::emit(telemetry::Event {
+                                at: self.shared.now_us(),
+                                kind: telemetry::EventKind::HopRecv,
+                                node: (self.id.group, self.id.node),
+                                entry: (c.entry.gid, c.entry.seq),
+                                value: telemetry::pack_hop_value(
+                                    c.hop,
+                                    c.origin_group,
+                                    c.origin_node,
+                                ),
+                            });
+                        }
+                    }
+                    self.ctx.set_now(self.shared.now_us());
+                    n.on_message(&mut self.ctx, from, msg);
+                }
+            }
+            for p in fired.iter() {
+                if let Pending::Timer(token) = *p {
+                    self.ctx.set_now(self.shared.now_us());
+                    n.on_timer(&mut self.ctx, token);
+                }
+            }
+        }
+        events.clear();
+        fired.retain(|p| matches!(p, Pending::Send(..)));
+    }
+
+    /// The send half of a turn: routes the delayed sends that fired and
+    /// the commands the handlers left behind — all under one clock
+    /// stamp, so a turn's frames to one peer come due together — then
+    /// writes out whatever is due by now.
+    fn route_and_flush(&mut self, fired: &mut Vec<Pending>) {
+        let stamp = self.shared.now_us();
+        for p in fired.drain(..) {
+            if let Pending::Send(dst, frame) = p {
+                // Route-time crash gating happens inside send.
+                self.send_frame(dst, frame, stamp);
+            }
+        }
+        for cmd in self.ctx.take_commands() {
+            match cmd {
+                Command::Send { dst, msg } => {
+                    if let Some(frame) = self.encode(&msg) {
+                        self.send_frame(dst, frame, stamp);
                     }
                 }
-                Err(_) => debug_assert!(false, "protocol produced unencodable message"),
-            },
-            Command::SendMany { dsts, msg } => match encode_with_trace(shared, id, hops, &msg) {
-                Ok(frame) => {
-                    for dst in dsts {
-                        if dst == id {
-                            deliver_local(shared, id, &frame, self_tx, inbox);
-                        } else {
-                            net.send(dst, frame.clone());
+                Command::SendMany { dsts, msg } => {
+                    if let Some(frame) = self.encode(&msg) {
+                        for dst in dsts {
+                            self.send_frame(dst, frame.clone(), stamp);
                         }
                     }
                 }
-                Err(_) => debug_assert!(false, "protocol produced unencodable message"),
-            },
-            Command::SetTimer { delay, token } => {
-                wheel.insert(shared.now_us().saturating_add(delay), Pending::Timer(token));
-            }
-            // Real CPU is spent by actually running the handlers; the
-            // virtual cost model would double-count it.
-            Command::SpendCpu(_) => {}
-            Command::SendAfter { delay, dst, msg } => {
-                match encode_with_trace(shared, id, hops, &msg) {
-                    Ok(frame) => {
-                        wheel.insert(
-                            shared.now_us().saturating_add(delay),
-                            Pending::Send(dst, frame),
-                        );
+                Command::SetTimer { delay, token } => {
+                    self.wheel
+                        .insert(stamp.saturating_add(delay), Pending::Timer(token));
+                }
+                // Real CPU is spent by actually running the handlers; the
+                // virtual cost model would double-count it.
+                Command::SpendCpu(_) => {}
+                Command::SendAfter { delay, dst, msg } => {
+                    if let Some(frame) = self.encode(&msg) {
+                        self.wheel
+                            .insert(stamp.saturating_add(delay), Pending::Send(dst, frame));
                     }
-                    Err(_) => debug_assert!(false, "protocol produced unencodable message"),
                 }
             }
         }
+        self.net.flush(self.shared.now_us());
+    }
+
+    fn send_frame(&mut self, dst: NodeId, frame: Bytes, stamp: Time) {
+        if dst != self.id {
+            self.net.send(dst, frame, stamp);
+        } else if !self.shared.is_crashed(self.id) {
+            // Decode round-trips the frame; loopback traffic is rare (the
+            // protocol broadcasts exclude self) so the cost is negligible
+            // and the path stays uniform with remote delivery. The
+            // embedded trace context (if any) rides along; the reactor
+            // ignores self-hops.
+            if let Ok(m) = decode_msg_traced(&frame.slice(FRAME_HEADER..)) {
+                self.inbox.enqueued.fetch_add(1, Ordering::Relaxed);
+                let _ = self.self_tx.send(Event {
+                    from: self.id,
+                    msgs: vec![m],
+                });
+            }
+        }
+    }
+
+    /// Encodes a message, embedding (and probing) a trace context when
+    /// the message carries entry data and telemetry is on. The frame
+    /// length is identical either way — the context lives in the zero
+    /// pad.
+    fn encode(&self, msg: &Msg) -> Option<Bytes> {
+        let mut tctx = None;
+        if telemetry::enabled() {
+            if let Some(entry) = wire::trace_entry(msg) {
+                tctx = Some(self.hops.ctx_for(self.id, entry));
+            }
+        }
+        let Ok(frame) = encode_frame_traced(msg, tctx) else {
+            debug_assert!(false, "protocol produced unencodable message");
+            return None;
+        };
+        if let Some(c) = tctx {
+            telemetry::emit(telemetry::Event {
+                at: self.shared.now_us(),
+                kind: telemetry::EventKind::HopSend,
+                node: (self.id.group, self.id.node),
+                entry: (c.entry.gid, c.entry.seq),
+                value: telemetry::pack_hop_value(c.hop, c.origin_group, c.origin_node),
+            });
+        }
+        Some(frame)
     }
 }

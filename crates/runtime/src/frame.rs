@@ -747,15 +747,27 @@ pub fn decode_msg_traced(body: &Bytes) -> Result<(Msg, Option<wire::TraceCtx>), 
 
 // ------------------------------------------------------------ reassembly
 
+/// Initial size of a [`FrameBuffer`]'s backing store, and the least it
+/// grows by.
+const READ_CHUNK: usize = 64 << 10;
+/// The least spare room [`FrameBuffer::fill_from`] offers a read.
+const MIN_READ: usize = 16 << 10;
+
 /// Incremental frame reassembly over arbitrary read boundaries: bytes go
 /// in via [`FrameBuffer::push`] (or [`FrameBuffer::fill_from`] straight
 /// off a socket), complete frame bodies come out of
 /// [`FrameBuffer::next_frame`]. Partial frames stay buffered; multiple
 /// frames arriving in one read drain one `next_frame` call at a time.
+///
+/// The backing store is initialised once, when it grows, and reused:
+/// `buf[start..end]` holds the unread bytes and `buf[end..]` is spare
+/// room a read lands in directly, so a read of a few hundred bytes
+/// touches a few hundred bytes.
 #[derive(Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -766,39 +778,64 @@ impl FrameBuffer {
 
     /// Appends raw bytes received from the transport.
     pub fn push(&mut self, chunk: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(chunk);
+        self.make_room(chunk.len());
+        self.buf[self.end..self.end + chunk.len()].copy_from_slice(chunk);
+        self.end += chunk.len();
     }
 
-    /// Reads once from `r` into the buffer tail (at most `max` bytes).
+    /// Reads once from `r` into the spare room (at most `max` bytes).
     /// Returns the number of bytes read (0 = EOF).
     pub fn fill_from<R: std::io::Read>(&mut self, r: &mut R, max: usize) -> std::io::Result<usize> {
-        self.compact();
-        let old = self.buf.len();
-        self.buf.resize(old + max, 0);
-        let n = r.read(&mut self.buf[old..]);
-        match n {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
-        }
+        // Offer all the spare room there is; insist on enough for the
+        // rest of the frame being reassembled, once its header says how
+        // much that is (`next_frame` rejects an absurd header first).
+        let missing = self.head_len().map_or(0, |len| {
+            len.saturating_add(FRAME_HEADER)
+                .saturating_sub(self.pending())
+        });
+        let room = self.make_room(missing.max(MIN_READ).min(max));
+        let n = r.read(&mut self.buf[self.end..self.end + room.min(max)])?;
+        self.end += n;
+        Ok(n)
     }
 
-    fn compact(&mut self) {
-        if self.start > 0 && (self.start == self.buf.len() || self.start > 4096) {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// The body length the frame at the head announces, once its
+    /// header is complete.
+    fn head_len(&self) -> Option<usize> {
+        if self.pending() < FRAME_HEADER {
+            return None;
         }
+        let header = &self.buf[self.start..self.start + FRAME_HEADER];
+        Some(u32::from_le_bytes(header.try_into().expect("len checked")) as usize)
+    }
+
+    /// Guarantees at least `need` bytes of initialised room after `end`
+    /// and returns how much there is. Only growth zero-fills, and only
+    /// the part that is new.
+    fn make_room(&mut self, need: usize) -> usize {
+        self.compact();
+        if self.buf.len() - self.end < need {
+            self.buf.resize(self.end + need.max(READ_CHUNK), 0);
+        }
+        self.buf.len() - self.end
+    }
+
+    /// Slides the unread remainder (always less than one frame once
+    /// `next_frame` has drained) to the front, so reads keep landing in
+    /// the same warm region. Returns the bytes moved.
+    fn compact(&mut self) -> usize {
+        if self.start == 0 {
+            return 0;
+        }
+        let unread = self.pending();
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, unread);
+        unread
     }
 
     /// Bytes currently buffered but not yet returned as frames.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Extracts the next complete frame body, if one is fully buffered.
@@ -806,34 +843,179 @@ impl FrameBuffer {
     /// [`Bytes`] allocation exactly once; all payload fields decoded
     /// from it are zero-copy slices of that allocation.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        let avail = self.buf.len() - self.start;
-        if avail < FRAME_HEADER {
+        let Some(len) = self.head_len() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(
-            self.buf[self.start..self.start + 4]
-                .try_into()
-                .expect("len checked"),
-        ) as usize;
+        };
         if len == 0 || len > MAX_FRAME {
             return Err(FrameError::BadLength(len));
         }
-        if avail < FRAME_HEADER + len {
+        if self.pending() < FRAME_HEADER + len {
             return Ok(None);
         }
-        let body = Bytes::copy_from_slice(
-            &self.buf[self.start + FRAME_HEADER..self.start + FRAME_HEADER + len],
-        );
-        self.start += FRAME_HEADER + len;
-        self.compact();
-        Ok(Some(body))
+        let body = self.start + FRAME_HEADER;
+        let frame = Bytes::copy_from_slice(&self.buf[body..body + len]);
+        self.start = body + len;
+        Ok(Some(frame))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stream of raw frames (`next_frame` does not decode bodies)
+    /// with body lengths in `1..=max_body`, plus the bodies.
+    fn raw_stream(frames: usize, max_body: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut stream = Vec::new();
+        let mut bodies = Vec::new();
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..frames {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let len = 1 + (s >> 33) as usize % max_body;
+            let body: Vec<u8> = (0..len).map(|j| (i + j) as u8).collect();
+            stream.extend_from_slice(&(len as u32).to_le_bytes());
+            stream.extend_from_slice(&body);
+            bodies.push(body);
+        }
+        (stream, bodies)
     }
 
-    /// Convenience: next complete frame, decoded.
-    pub fn next_msg(&mut self) -> Result<Option<Msg>, FrameError> {
-        match self.next_frame()? {
-            Some(body) => Ok(Some(decode_msg(&body)?)),
-            None => Ok(None),
+    /// Hands out the stream in reads of `1..=max_read` bytes.
+    struct Dribble<'a> {
+        data: &'a [u8],
+        max_read: usize,
+        seed: u64,
+    }
+
+    impl std::io::Read for Dribble<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.seed ^= self.seed << 13;
+            self.seed ^= self.seed >> 7;
+            self.seed ^= self.seed << 17;
+            let n = (1 + self.seed as usize % self.max_read)
+                .min(out.len())
+                .min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
         }
+    }
+
+    const POISON: u8 = 0xAA;
+
+    /// The regression the receive path had: a 256 KiB zero-fill before
+    /// every read. 10 000 small reads must neither reallocate the
+    /// backing store nor write anywhere past the bytes they deliver.
+    #[test]
+    fn small_reads_neither_reallocate_nor_touch_the_spare_room() {
+        let (stream, bodies) = raw_stream(9_000, 400);
+        let mut r = Dribble {
+            data: &stream,
+            max_read: 300,
+            seed: 0x9E37_79B9_7F4A_7C15,
+        };
+        let mut fb = FrameBuffer::new();
+        let mut got = 0usize;
+        let mut drain = |fb: &mut FrameBuffer| {
+            while let Some(body) = fb.next_frame().expect("valid stream") {
+                assert_eq!(body.as_slice(), &bodies[got][..]);
+                got += 1;
+            }
+        };
+        // The first read sizes the buffer; poison all the spare room.
+        assert!(fb.fill_from(&mut r, 256 << 10).expect("read") > 0);
+        drain(&mut fb);
+        let end = fb.end;
+        fb.buf[end..].fill(POISON);
+        let (ptr, len, cap) = (fb.buf.as_ptr(), fb.buf.len(), fb.buf.capacity());
+        let mut high_water = end;
+        for _ in 0..10_000 {
+            let before = fb.pending();
+            let n = fb.fill_from(&mut r, 256 << 10).expect("read");
+            assert!(
+                (1..=300).contains(&n),
+                "stream is long enough for every call"
+            );
+            assert_eq!(fb.pending(), before + n);
+            high_water = high_water.max(fb.end);
+            drain(&mut fb);
+        }
+        assert!(got > 5_000, "frames kept coming out: {got}");
+        assert_eq!(
+            (fb.buf.as_ptr(), fb.buf.len(), fb.buf.capacity()),
+            (ptr, len, cap),
+            "backing store was reallocated or resized"
+        );
+        // Reads always land at the front (the remainder is slid down
+        // first), so almost all of the buffer was never needed…
+        assert!(high_water < 4096, "reads crept up the buffer: {high_water}");
+        // …and none of it was written to.
+        assert!(
+            fb.buf[high_water..].iter().all(|&b| b == POISON),
+            "spare room past the delivered bytes was touched"
+        );
+    }
+
+    #[test]
+    fn compact_moves_only_the_unread_remainder() {
+        let (stream, bodies) = raw_stream(4, 300);
+        let mut fb = FrameBuffer::new();
+        // Three whole frames and all but the last 7 bytes of a fourth.
+        let cut = stream.len() - 7;
+        fb.push(&stream[..cut]);
+        assert_eq!(fb.compact(), 0, "nothing consumed yet, nothing to move");
+        for body in &bodies[..3] {
+            assert_eq!(fb.next_frame().unwrap().unwrap().as_slice(), &body[..]);
+        }
+        assert!(matches!(fb.next_frame(), Ok(None)));
+        let remainder = fb.pending();
+        assert_eq!(remainder, FRAME_HEADER + bodies[3].len() - 7);
+        assert_eq!(fb.compact(), remainder);
+        assert_eq!((fb.start, fb.end), (0, remainder));
+        assert_eq!(fb.compact(), 0, "already at the front");
+        fb.push(&stream[cut..]);
+        assert_eq!(fb.next_frame().unwrap().unwrap().as_slice(), &bodies[3][..]);
+        // Fully drained: the cursors reset without moving a byte.
+        assert_eq!((fb.pending(), fb.compact()), (0, 0));
+        assert_eq!((fb.start, fb.end), (0, 0));
+    }
+
+    /// A frame larger than the buffer grows it to fit (asking the
+    /// transport for the rest of the frame, up to `max` per read), and
+    /// small traffic after it reuses the grown store.
+    #[test]
+    fn large_frame_grows_the_buffer_once() {
+        let big: Vec<u8> = (0..(1usize << 20)).map(|i| (i % 253) as u8).collect();
+        let mut stream = (big.len() as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&big);
+        let (small, bodies) = raw_stream(50, 200);
+        stream.extend_from_slice(&small);
+        let mut r = &stream[..];
+        let mut fb = FrameBuffer::new();
+        let mut reads = 0;
+        let body = loop {
+            assert!(fb.fill_from(&mut r, 256 << 10).expect("read") > 0);
+            reads += 1;
+            if let Some(body) = fb.next_frame().expect("valid") {
+                break body;
+            }
+        };
+        assert_eq!(body.as_slice(), &big[..]);
+        assert!(reads <= 6, "asked for the rest of the frame: {reads} reads");
+        let cap = fb.buf.capacity();
+        let mut got = 0;
+        loop {
+            while let Some(body) = fb.next_frame().expect("valid") {
+                assert_eq!(body.as_slice(), &bodies[got][..]);
+                got += 1;
+            }
+            if fb.fill_from(&mut r, 256 << 10).expect("read") == 0 {
+                break;
+            }
+        }
+        assert_eq!((got, fb.pending()), (50, 0));
+        assert_eq!(fb.buf.capacity(), cap);
     }
 }

@@ -12,10 +12,12 @@
 //!   with zero-copy [`bytes::Bytes`] payload paths.
 //! - [`wheel`]: hierarchical timer wheel driving protocol timers and
 //!   delayed sends per reactor thread.
-//! - [`net`]: connection manager — lazy per-peer writer threads with
-//!   write coalescing and byte-bounded backpressure, per-node acceptor
-//!   plus per-connection reader threads, and netem-style injected
-//!   latency/fault state shared across the cluster.
+//! - [`net`]: connection manager — the reactor-owned outbound plane
+//!   (one due-time-gated FIFO per peer, one coalesced write per peer
+//!   per turn, no writer threads), per-node acceptor plus
+//!   per-connection reader threads batching a read's messages into one
+//!   inbox event, and netem-style injected latency/fault state shared
+//!   across the cluster.
 //! - [`cluster`]: thread-per-node reactors and a [`cluster::Cluster`]
 //!   facade mirroring `massbft_core::cluster::Cluster`, so experiments
 //!   and fault schedules run unchanged on either driver.

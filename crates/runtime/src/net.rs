@@ -1,17 +1,32 @@
-//! TCP connection manager: shared cluster state, per-peer outbound
-//! queues with write coalescing and backpressure, and inbound reader
-//! threads feeding decoded messages to the reactors.
+//! TCP connection manager: shared cluster state, the reactor-owned
+//! outbound plane (one due-time-gated FIFO per peer, flushed with one
+//! coalesced write per peer per reactor turn), and inbound reader
+//! threads handing every message of a read to the reactor as one batch.
 //!
 //! Latency injection happens at the *connection layer*, netem-style:
-//! every frame gets a due instant `now + topology latency (+ adversarial
-//! send delay + fault jitter)` when enqueued, and the peer's writer
-//! thread holds it back until then. Loopback TCP is effectively
+//! every frame gets a due instant `turn stamp + topology latency (+
+//! adversarial send delay + fault jitter)` when routed, and stays in
+//! its peer's FIFO until then. Loopback TCP is effectively
 //! instantaneous, so the injected delay dominates exactly like a WAN
 //! round trip would. Partitions, crashes, and link faults are gated at
-//! send time from a cluster-wide [`FaultState`], mirroring the
+//! route time from a cluster-wide [`FaultState`], mirroring the
 //! simulator's routing checks (`sim.rs::route`).
+//!
+//! Thread model: a node's reactor owns every outbound socket of that
+//! node and alone writes to them; each accepted inbound connection has
+//! one reader thread that only does `read` → decode → push to the
+//! reactor's unbounded inbox. Writes block, and that cannot deadlock:
+//! a reader never waits on its reactor, so a peer's receive buffer
+//! always drains, however busy, crashed or blocked that peer's reactor
+//! is — a slow reactor accumulates inbox depth (`/status`), not socket
+//! backpressure.
+//!
+//! The measured surface is unchanged by the I/O-plane rework: names and
+//! meanings of `net.syscalls_read`/`write`, `net.tcp_bytes_in`/`out`,
+//! `net.frames_in`/`out`, `net.coalesced_writes` (writes that carried
+//! >= 2 frames) and the per-link `net.queue.*` depth gauges.
 
-use crate::frame::FRAME_HEADER;
+use crate::frame::{decode_msg_traced, FrameBuffer, FRAME_HEADER};
 use bytes::Bytes;
 use massbft_core::protocol::Msg;
 use massbft_core::wire::TraceCtx;
@@ -19,55 +34,57 @@ use massbft_sim_net::{LinkFault, NodeId, Time, Topology};
 use massbft_telemetry::registry::{self, Counter, Gauge};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// Per-peer outbound queue limit; senders block (backpressure) above it.
-const MAX_QUEUE_BYTES: usize = 32 << 20;
-/// Coalescing buffer: consecutive due frames are packed into one write
-/// up to this size.
+/// Coalescing buffer: a flush packs a peer's due small frames into one
+/// write up to this size. Also the most a reader asks of one `read`.
 const COALESCE_BYTES: usize = 256 << 10;
 /// Frames at or above this size are written directly from their own
-/// buffer instead of being copied into the coalescing buffer.
+/// refcounted buffer instead of being copied into the coalescing buffer.
 const LARGE_FRAME: usize = 64 << 10;
-/// Reader/acceptor poll granularity for shutdown checks.
-const POLL: Duration = Duration::from_millis(200);
-/// Stack size for I/O threads; a 4×8 cluster runs a few hundred of
+/// Stack size for I/O threads; a 4x8 cluster runs a few hundred of
 /// them, so the default 8 MiB reservation would be wasteful.
 const IO_STACK: usize = 256 << 10;
+/// Connect attempts per peer, [`CONNECT_RETRY_US`] apart (~5 s): peers
+/// bind their listeners before any reactor runs in-process, but
+/// multi-process clusters start children at slightly different times.
+const CONNECT_ATTEMPTS: u32 = 50;
+/// Pause between connect attempts to one peer.
+const CONNECT_RETRY_US: Time = 100_000;
+/// Hard bound on one blocking write. Readers always drain (module
+/// docs), so only a peer *process* that is stopped or gone can hit it;
+/// its link is then closed like any other failed write.
+const WRITE_STALL: Duration = Duration::from_secs(5);
 
-/// What a reader thread delivers to a reactor.
-pub enum Event {
-    /// A decoded message from a peer (or a local loopback send).
-    Msg {
-        /// Sending node.
-        from: NodeId,
-        /// The message.
-        msg: Msg,
-        /// Cross-node trace context recovered from the frame padding,
-        /// when the sender embedded one (observability only; never
-        /// affects protocol behaviour).
-        ctx: Option<TraceCtx>,
-    },
+/// What a reactor finds in its inbox: every message decoded from one
+/// read of a peer's connection (or one loopback send), in stream order
+/// — one channel send and one wake-up per read, not per frame. An empty
+/// batch is the teardown wake-up.
+pub struct Event {
+    /// Sending node.
+    pub from: NodeId,
+    /// The messages, each with the trace context its frame padding
+    /// carried, if any (observability only).
+    pub msgs: Vec<(Msg, Option<TraceCtx>)>,
 }
 
-/// Inbox accounting for one reactor: events enqueued by readers (and
-/// loopback sends) minus events the reactor has consumed. The ops plane
-/// reports `depth()` as the reactor's backlog.
+/// Inbox accounting for one reactor: messages enqueued by readers (and
+/// loopback sends) minus messages the reactor has consumed. The ops
+/// plane reports `depth()` as the reactor's backlog.
 #[derive(Default)]
 pub struct InboxStats {
-    /// Events pushed into the reactor's channel.
+    /// Messages pushed into the reactor's channel.
     pub enqueued: AtomicU64,
-    /// Events the reactor has taken out (processed or dropped-as-crashed).
+    /// Messages the reactor has taken out (processed or dropped-as-crashed).
     pub processed: AtomicU64,
 }
 
 impl InboxStats {
-    /// Current queue depth (saturating: shutdown wakeups are consumed
-    /// without being counted as enqueued).
+    /// Current queue depth.
     pub fn depth(&self) -> u64 {
         self.enqueued
             .load(Ordering::Relaxed)
@@ -83,13 +100,13 @@ pub struct NetCounters {
     pub tcp_bytes_out: Counter,
     /// Complete frames decoded from peers.
     pub frames_in: Counter,
-    /// Frames enqueued for transmission.
+    /// Frames routed for transmission.
     pub frames_out: Counter,
     /// Writes that packed 2+ frames into one syscall.
     pub coalesced_writes: Counter,
     /// `read(2)` calls issued by reader threads.
     pub syscalls_read: Counter,
-    /// `write(2)` calls issued by writer threads.
+    /// `write(2)` calls issued by reactors flushing their peers.
     pub syscalls_write: Counter,
 }
 
@@ -126,15 +143,7 @@ pub struct FaultState {
     pub send_delay: HashMap<NodeId, Time>,
 }
 
-fn ordered(a: u32, b: u32) -> (u32, u32) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-fn ordered_nodes(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
     if a <= b {
         (a, b)
     } else {
@@ -149,7 +158,7 @@ impl FaultState {
                 .group_partitions
                 .contains(&ordered(src.group, dst.group)))
             || (!self.node_partitions.is_empty()
-                && self.node_partitions.contains(&ordered_nodes(src, dst)))
+                && self.node_partitions.contains(&ordered(src, dst)))
     }
 
     fn link_fault(&self, src: NodeId, dst: NodeId, is_wan: bool) -> Option<LinkFault> {
@@ -239,175 +248,113 @@ impl Shared {
     }
 }
 
-struct QueueInner {
+/// One outbound link, owned by the sending node's reactor: frames wait
+/// here until their due instant, then leave in one coalesced write.
+struct Peer {
+    addr: SocketAddr,
+    /// `None` until the first due frame opens the connection, and again
+    /// after the link is closed.
+    stream: Option<TcpStream>,
+    /// FIFO of `(due, frame)`. Only the head gates: under jitter a
+    /// later frame with an earlier due instant waits behind it, like the
+    /// sim's per-link FIFO.
     q: VecDeque<(Time, Bytes)>,
-    bytes: usize,
-    /// Set when the writer gave up (connect failure or peer gone);
-    /// senders then drop instead of blocking.
-    closed: bool,
-}
-
-/// One outbound connection: a due-time-ordered frame queue drained by a
-/// dedicated writer thread.
-pub struct PeerConn {
-    inner: Mutex<QueueInner>,
-    cond: Condvar,
+    /// Connect attempts left; 0 with no stream means the link is closed
+    /// (connect gave up or a write failed) and its frames are dropped.
+    attempts_left: u32,
+    /// Earliest instant of the next connect attempt.
+    retry_at: Time,
     depth: Gauge,
 }
 
-impl PeerConn {
-    fn enqueue(&self, due: Time, frame: Bytes) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        // Backpressure: block the sending reactor while the peer's
-        // queue is over budget (a slow or delayed peer throttles its
-        // producers instead of ballooning memory).
-        while inner.bytes > MAX_QUEUE_BYTES && !inner.closed {
-            inner = self.cond.wait(inner).expect("queue lock");
-        }
-        if inner.closed {
-            return;
-        }
-        inner.bytes += frame.len();
-        // Frames to one peer carry identical injected latency, so FIFO
-        // push keeps the queue due-ordered like the sim's link FIFO.
-        inner.q.push_back((due, frame));
-        self.depth.set(inner.q.len() as u64);
-        self.cond.notify_all();
-    }
-}
-
-/// Per-reactor handle for outbound traffic: owns the lazy map of peer
-/// connections and the sender-side fault RNG.
-pub struct NetHandle {
-    src: NodeId,
-    shared: Arc<Shared>,
-    peers: HashMap<NodeId, Arc<PeerConn>>,
-    rng: u64,
-}
-
-impl NetHandle {
-    /// A handle for node `src`. The RNG seed differs per node so fault
-    /// draws are independent streams.
-    pub fn new(src: NodeId, shared: Arc<Shared>) -> Self {
-        let seed = 0x9E37_79B9_7F4A_7C15u64
-            ^ ((src.group as u64) << 32 | src.node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        NetHandle {
-            src,
-            shared,
-            peers: HashMap::new(),
-            rng: seed | 1,
-        }
+impl Peer {
+    fn closed(&self) -> bool {
+        self.stream.is_none() && self.attempts_left == 0
     }
 
-    fn next_rng(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
+    fn close(&mut self) {
+        self.stream = None;
+        self.attempts_left = 0;
+        self.q.clear();
     }
 
-    fn rng_unit(&mut self) -> f64 {
-        (self.next_rng() >> 11) as f64 / (1u64 << 53) as f64
+    /// When this link next needs the reactor: its head frame coming due,
+    /// or the connect retry that frame is waiting for.
+    fn next_due(&self) -> Option<Time> {
+        self.q.front().map(|&(due, _)| due.max(self.retry_at))
     }
 
-    /// Sends an encoded frame to `dst`, applying crash/partition gating,
-    /// link-fault drop/dup/jitter, and injected latency. `dst` must not
-    /// be `src` (reactors loop local sends back through their own
-    /// channel, like the sim's immediate loopback delivery).
-    pub fn send(&mut self, dst: NodeId, frame: Bytes) {
-        debug_assert_ne!(dst, self.src, "loopback handled by the reactor");
-        let shared = Arc::clone(&self.shared);
-        if shared.shutting_down() {
-            return;
-        }
-        let is_wan = shared.topo.is_wan(self.src, dst);
-        let fault = {
-            let f = shared.faults.read().expect("faults lock");
-            if f.crashed.contains(&self.src) || f.blocked(self.src, dst) {
-                return;
+    /// One connect attempt plus the hello that names `src` to the
+    /// reader side. Loopback connects succeed or are refused at once.
+    fn connect(&mut self, src: NodeId, now: Time, c: &NetCounters) {
+        let mut hello = [0u8; 8];
+        hello[..4].copy_from_slice(&src.group.to_le_bytes());
+        hello[4..].copy_from_slice(&src.node.to_le_bytes());
+        self.attempts_left -= 1;
+        self.retry_at = now + CONNECT_RETRY_US;
+        let Ok(mut stream) = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500))
+        else {
+            if self.attempts_left == 0 {
+                self.close();
             }
-            let lf = f.link_fault(self.src, dst, is_wan);
-            let delay = f.send_delay.get(&self.src).copied().unwrap_or(0);
-            (lf, delay)
+            return;
         };
-        let (lf, delay) = fault;
-        let mut duplicate = false;
-        let mut jitter = 0;
-        if let Some(lf) = lf {
-            if lf.drop_prob > 0.0 && self.rng_unit() < lf.drop_prob {
-                return;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_STALL));
+        match write_counted(&mut stream, &hello, c) {
+            Ok(()) => {
+                self.stream = Some(stream);
+                self.retry_at = 0;
             }
-            duplicate = lf.dup_prob > 0.0 && self.rng_unit() < lf.dup_prob;
-            if lf.extra_jitter_us > 0 {
-                jitter = self.next_rng() % (lf.extra_jitter_us + 1);
-            }
+            Err(_) => self.close(),
         }
-        let now = shared.now_us();
-        let due = now + shared.topo.latency(self.src, dst) + jitter + delay;
-        // Byte accounting uses the modeled body size so wall-clock
-        // reports stay comparable with the simulator's `wan_bytes`.
-        let body = (frame.len() - FRAME_HEADER) as u64;
-        if is_wan {
-            shared.wan_bytes.fetch_add(body, Ordering::Relaxed);
-            shared.wan_out_per_node[shared.idx(self.src)].fetch_add(body, Ordering::Relaxed);
-        } else {
-            shared.lan_bytes.fetch_add(body, Ordering::Relaxed);
-        }
-        shared.counters.frames_out.inc();
-        let conn = self.peer(dst);
-        if duplicate {
-            shared.counters.frames_out.inc();
-            conn.enqueue(due, frame.clone());
-        }
-        conn.enqueue(due, frame);
     }
 
-    fn peer(&mut self, dst: NodeId) -> Arc<PeerConn> {
-        if let Some(c) = self.peers.get(&dst) {
-            return Arc::clone(c);
+    /// Pops every due frame off the head of the FIFO and writes them:
+    /// small frames packed into `coalesce` and sent in one write, a
+    /// large or lone frame streamed straight from its refcounted buffer.
+    fn write_due(
+        &mut self,
+        now: Time,
+        coalesce: &mut Vec<u8>,
+        c: &NetCounters,
+    ) -> std::io::Result<()> {
+        let stream = self.stream.as_mut().expect("flush connects first");
+        let mut packed = 0usize;
+        let head_due = |q: &VecDeque<(Time, Bytes)>| q.front().is_some_and(|&(due, _)| due <= now);
+        while head_due(&self.q) {
+            let (_, frame) = self.q.pop_front().expect("front checked");
+            let large = frame.len() >= LARGE_FRAME;
+            if packed > 0 && (large || coalesce.len() + frame.len() > COALESCE_BYTES) {
+                write_packed(stream, coalesce, &mut packed, c)?;
+            }
+            if large || (packed == 0 && !head_due(&self.q)) {
+                write_counted(stream, &frame, c)?;
+            } else {
+                coalesce.extend_from_slice(&frame);
+                packed += 1;
+            }
         }
-        let src = self.src;
-        let depth = registry::gauge(&format!(
-            "net.queue.g{}n{}-g{}n{}",
-            src.group, src.node, dst.group, dst.node
-        ));
-        let conn = Arc::new(PeerConn {
-            inner: Mutex::new(QueueInner {
-                q: VecDeque::new(),
-                bytes: 0,
-                closed: false,
-            }),
-            cond: Condvar::new(),
-            depth,
-        });
-        let shared = Arc::clone(&self.shared);
-        let writer_conn = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name(format!("w-{src}-{dst}"))
-            .stack_size(IO_STACK)
-            .spawn(move || writer_loop(shared, src, dst, writer_conn))
-            .expect("spawn writer");
-        self.peers.insert(dst, Arc::clone(&conn));
-        conn
+        if packed > 0 {
+            write_packed(stream, coalesce, &mut packed, c)?;
+        }
+        Ok(())
     }
 }
 
-fn connect_retry(shared: &Shared, addr: SocketAddr) -> Option<TcpStream> {
-    // Peers bind their listeners before reactors start in-process, but
-    // multi-process clusters start children at slightly different
-    // times; retry for ~5 s.
-    for _ in 0..50 {
-        if shared.shutting_down() {
-            return None;
-        }
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(s) => return Some(s),
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
+fn write_packed(
+    stream: &mut TcpStream,
+    coalesce: &mut Vec<u8>,
+    packed: &mut usize,
+    c: &NetCounters,
+) -> std::io::Result<()> {
+    if *packed >= 2 {
+        c.coalesced_writes.inc();
     }
-    None
+    *packed = 0;
+    let res = write_counted(stream, coalesce, c);
+    coalesce.clear();
+    res
 }
 
 fn write_counted(stream: &mut TcpStream, mut buf: &[u8], c: &NetCounters) -> std::io::Result<()> {
@@ -423,124 +370,158 @@ fn write_counted(stream: &mut TcpStream, mut buf: &[u8], c: &NetCounters) -> std
     Ok(())
 }
 
-fn close_queue(conn: &PeerConn) {
-    let mut inner = conn.inner.lock().expect("queue lock");
-    inner.closed = true;
-    inner.q.clear();
-    inner.bytes = 0;
-    conn.depth.set(0);
-    conn.cond.notify_all();
+/// A reactor's outbound plane: the per-peer FIFOs and sockets, and the
+/// sender-side fault RNG. Used by exactly one thread.
+pub struct NetHandle {
+    src: NodeId,
+    shared: Arc<Shared>,
+    /// Links opened so far, in first-use order.
+    peers: Vec<Peer>,
+    /// Dense node index → position in `peers` (`usize::MAX`: none yet).
+    slot: Vec<usize>,
+    rng: u64,
+    coalesce: Vec<u8>,
 }
 
-fn writer_loop(shared: Arc<Shared>, src: NodeId, dst: NodeId, conn: Arc<PeerConn>) {
-    let Some(mut stream) = connect_retry(&shared, shared.addrs[shared.idx(dst)]) else {
-        close_queue(&conn);
-        return;
-    };
-    let _ = stream.set_nodelay(true);
-    // Hello: identify the sending node to the reader side.
-    let mut hello = [0u8; 8];
-    hello[..4].copy_from_slice(&src.group.to_le_bytes());
-    hello[4..].copy_from_slice(&src.node.to_le_bytes());
-    if write_counted(&mut stream, &hello, &shared.counters).is_err() {
-        close_queue(&conn);
-        return;
+impl NetHandle {
+    /// A handle for node `src`. The RNG seed differs per node so fault
+    /// draws are independent streams.
+    pub fn new(src: NodeId, shared: Arc<Shared>) -> Self {
+        let seed = 0x9E37_79B9_7F4A_7C15u64
+            ^ ((src.group as u64) << 32 | src.node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        NetHandle {
+            src,
+            slot: vec![usize::MAX; shared.addrs.len()],
+            shared,
+            peers: Vec::new(),
+            rng: seed | 1,
+            coalesce: Vec::new(),
+        }
     }
-    let mut coalesce: Vec<u8> = Vec::with_capacity(COALESCE_BYTES);
-    let mut due_now: Vec<Bytes> = Vec::new();
-    loop {
-        // Wait for a due frame (or shutdown).
-        {
-            let mut inner = conn.inner.lock().expect("queue lock");
-            loop {
-                if shared.shutting_down() {
-                    drop(inner);
-                    close_queue(&conn);
-                    return;
-                }
-                match inner.q.front() {
-                    Some(&(due, _)) => {
-                        let now = shared.now_us();
-                        if due <= now {
-                            break;
-                        }
-                        let wait = Duration::from_micros((due - now).min(50_000));
-                        let (g, _) = conn.cond.wait_timeout(inner, wait).expect("queue lock");
-                        inner = g;
-                    }
-                    None => {
-                        let (g, _) = conn
-                            .cond
-                            .wait_timeout(inner, Duration::from_millis(100))
-                            .expect("queue lock");
-                        inner = g;
-                    }
-                }
-            }
-            let now = shared.now_us();
-            while let Some(&(due, _)) = inner.q.front() {
-                if due > now {
-                    break;
-                }
-                let (_, frame) = inner.q.pop_front().expect("front checked");
-                inner.bytes -= frame.len();
-                due_now.push(frame);
-            }
-            conn.depth.set(inner.q.len() as u64);
-            // Wake senders blocked on backpressure.
-            conn.cond.notify_all();
+
+    fn next_rng(&mut self) -> u64 {
+        let mut x = self.rng;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.rng = x;
+        x
+    }
+
+    /// Bernoulli draw (no draw at all for a zero probability).
+    fn chance(&mut self, p: f64) -> bool {
+        p > 0.0 && ((self.next_rng() >> 11) as f64 / (1u64 << 53) as f64) < p
+    }
+
+    /// Routes an encoded frame to `dst`, applying crash/partition gating,
+    /// link-fault drop/dup/jitter, and injected latency on top of
+    /// `sent_at` — the reactor passes one clock read per turn, taken
+    /// after the handlers ran, so latency is never under-applied and a
+    /// turn's frames to one peer come due together. The frame leaves
+    /// with the first [`NetHandle::flush`] at or after its due instant.
+    /// `dst` must not be `src` (reactors loop local sends back through
+    /// their own channel, like the sim's immediate loopback delivery).
+    pub fn send(&mut self, dst: NodeId, frame: Bytes, sent_at: Time) {
+        debug_assert_ne!(dst, self.src, "loopback handled by the reactor");
+        if self.shared.shutting_down() {
+            return;
         }
-        // Write outside the lock: coalesce small frames, stream large
-        // ones straight from their refcounted buffers.
-        let mut batched = 0usize;
-        for frame in due_now.drain(..) {
-            if frame.len() >= LARGE_FRAME {
-                if !coalesce.is_empty() {
-                    if batched >= 2 {
-                        shared.counters.coalesced_writes.inc();
-                    }
-                    if write_counted(&mut stream, &coalesce, &shared.counters).is_err() {
-                        close_queue(&conn);
-                        return;
-                    }
-                    coalesce.clear();
-                    batched = 0;
-                }
-                if write_counted(&mut stream, &frame, &shared.counters).is_err() {
-                    close_queue(&conn);
-                    return;
-                }
-            } else {
-                if coalesce.len() + frame.len() > COALESCE_BYTES && !coalesce.is_empty() {
-                    if batched >= 2 {
-                        shared.counters.coalesced_writes.inc();
-                    }
-                    if write_counted(&mut stream, &coalesce, &shared.counters).is_err() {
-                        close_queue(&conn);
-                        return;
-                    }
-                    coalesce.clear();
-                    batched = 0;
-                }
-                coalesce.extend_from_slice(&frame);
-                batched += 1;
-            }
-        }
-        if !coalesce.is_empty() {
-            if batched >= 2 {
-                shared.counters.coalesced_writes.inc();
-            }
-            if write_counted(&mut stream, &coalesce, &shared.counters).is_err() {
-                close_queue(&conn);
+        let is_wan = self.shared.topo.is_wan(self.src, dst);
+        let (lf, delay) = {
+            let f = self.shared.faults.read().expect("faults lock");
+            if f.crashed.contains(&self.src) || f.blocked(self.src, dst) {
                 return;
             }
-            coalesce.clear();
+            let lf = f.link_fault(self.src, dst, is_wan);
+            (lf, f.send_delay.get(&self.src).copied().unwrap_or(0))
+        };
+        let mut duplicate = false;
+        let mut jitter = 0;
+        if let Some(lf) = lf {
+            if self.chance(lf.drop_prob) {
+                return;
+            }
+            duplicate = self.chance(lf.dup_prob);
+            if lf.extra_jitter_us > 0 {
+                jitter = self.next_rng() % (lf.extra_jitter_us + 1);
+            }
+        }
+        let shared = &self.shared;
+        let due = sent_at + shared.topo.latency(self.src, dst) + jitter + delay;
+        // Byte accounting uses the modeled body size so wall-clock
+        // reports stay comparable with the simulator's `wan_bytes`.
+        let body = (frame.len() - FRAME_HEADER) as u64;
+        if is_wan {
+            shared.wan_bytes.fetch_add(body, Ordering::Relaxed);
+            shared.wan_out_per_node[shared.idx(self.src)].fetch_add(body, Ordering::Relaxed);
+        } else {
+            shared.lan_bytes.fetch_add(body, Ordering::Relaxed);
+        }
+        shared.counters.frames_out.add(1 + duplicate as u64);
+        let peer = self.peer(dst);
+        if peer.closed() {
+            return;
+        }
+        if duplicate {
+            peer.q.push_back((due, frame.clone()));
+        }
+        peer.q.push_back((due, frame));
+        peer.depth.set(peer.q.len() as u64);
+    }
+
+    fn peer(&mut self, dst: NodeId) -> &mut Peer {
+        let idx = self.shared.idx(dst);
+        if self.slot[idx] == usize::MAX {
+            self.slot[idx] = self.peers.len();
+            let src = self.src;
+            self.peers.push(Peer {
+                addr: self.shared.addrs[idx],
+                stream: None,
+                q: VecDeque::new(),
+                attempts_left: CONNECT_ATTEMPTS,
+                retry_at: 0,
+                depth: registry::gauge(&format!(
+                    "net.queue.g{}n{}-g{}n{}",
+                    src.group, src.node, dst.group, dst.node
+                )),
+            });
+        }
+        &mut self.peers[self.slot[idx]]
+    }
+
+    /// The earliest instant any link needs a [`NetHandle::flush`]; the
+    /// reactor folds it into its sleep deadline next to the timer wheel.
+    pub fn next_due(&self) -> Option<Time> {
+        self.peers.iter().filter_map(Peer::next_due).min()
+    }
+
+    /// Writes out everything that is due at `now`: at most one coalesced
+    /// write per peer (large frames apart). Blocking — see the module
+    /// docs for why that cannot deadlock. A link whose connect gave up
+    /// or whose write failed is closed and its frames dropped.
+    pub fn flush(&mut self, now: Time) {
+        let c = &self.shared.counters;
+        for p in &mut self.peers {
+            if p.next_due().is_none_or(|due| due > now) {
+                continue;
+            }
+            if p.stream.is_none() {
+                p.connect(self.src, now, c);
+            }
+            if p.stream.is_some() && p.write_due(now, &mut self.coalesce, c).is_err() {
+                p.close();
+            }
+            p.depth.set(p.q.len() as u64);
         }
     }
 }
 
 /// Spawns the acceptor thread for one node's listener. Each accepted
-/// connection gets its own reader thread feeding `tx`.
+/// connection gets its own reader thread feeding `tx`. The acceptor
+/// exits on the first accept after the shutdown flag is set (teardown
+/// pokes it with a throwaway connect); on the way out it shuts every
+/// accepted socket down, which ends the blocking `read` of its reader,
+/// and joins the readers — so joining the acceptor joins them all.
 pub fn spawn_acceptor(
     shared: Arc<Shared>,
     id: NodeId,
@@ -552,31 +533,44 @@ pub fn spawn_acceptor(
         .name(format!("acc-{id}"))
         .stack_size(IO_STACK)
         .spawn(move || {
+            let mut readers = Vec::new();
             for stream in listener.incoming() {
                 if shared.shutting_down() {
-                    return;
+                    break;
                 }
                 let Ok(stream) = stream else { continue };
-                let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                let inbox = Arc::clone(&inbox);
-                let _ = std::thread::Builder::new()
-                    .name(format!("r-{id}"))
-                    .stack_size(IO_STACK)
-                    .spawn(move || reader_loop(shared, stream, tx, inbox));
+                let stream = Arc::new(stream);
+                let reader = {
+                    let (shared, stream) = (Arc::clone(&shared), Arc::clone(&stream));
+                    let (tx, inbox) = (tx.clone(), Arc::clone(&inbox));
+                    std::thread::Builder::new()
+                        .name(format!("r-{id}"))
+                        .stack_size(IO_STACK)
+                        .spawn(move || reader_loop(&shared, &stream, &tx, &inbox))
+                };
+                if let Ok(reader) = reader {
+                    readers.push((stream, reader));
+                }
+            }
+            for (stream, reader) in readers {
+                let _ = stream.shutdown(Shutdown::Both);
+                let _ = reader.join();
             }
         })
         .expect("spawn acceptor")
 }
 
-fn reader_loop(
-    shared: Arc<Shared>,
-    mut stream: TcpStream,
-    tx: Sender<Event>,
-    inbox: Arc<InboxStats>,
-) {
+fn reader_loop(shared: &Shared, stream: &TcpStream, tx: &Sender<Event>, inbox: &InboxStats) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
+    read_frames(shared, stream, tx, inbox);
+    // The acceptor keeps the socket alive for teardown; with its reader
+    // gone nothing drains it, so refuse further bytes — the sender's
+    // next write fails and closes the link instead of blocking on a
+    // full buffer.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn read_frames(shared: &Shared, mut stream: &TcpStream, tx: &Sender<Event>, inbox: &InboxStats) {
     // Hello: who is talking.
     let mut hello = [0u8; 8];
     if stream.read_exact(&mut hello).is_err() {
@@ -588,45 +582,47 @@ fn reader_loop(
         u32::from_le_bytes(hello[..4].try_into().expect("len")),
         u32::from_le_bytes(hello[4..].try_into().expect("len")),
     );
-    let mut fb = crate::frame::FrameBuffer::new();
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
+    let mut fb = FrameBuffer::new();
+    // A mis-framed stream is unrecoverable: deliver what decoded before
+    // it, then drop the connection (the sim's equivalent is a dropped
+    // message; a Byzantine-garbage peer loses its link).
+    let mut intact = true;
+    while intact {
+        // Blocks until bytes arrive, the peer closes, or teardown shuts
+        // the socket down (both read as 0 or an error).
         match fb.fill_from(&mut stream, COALESCE_BYTES) {
-            Ok(0) => return, // peer closed
+            Ok(0) => return,
             Ok(n) => {
                 shared.counters.syscalls_read.inc();
                 shared.counters.tcp_bytes_in.add(n as u64);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
-        loop {
+        let mut msgs = Vec::new();
+        let mut frames = 0;
+        while intact {
             match fb.next_frame() {
                 Ok(Some(body)) => {
-                    shared.counters.frames_in.inc();
-                    let Ok((msg, ctx)) = crate::frame::decode_msg_traced(&body) else {
-                        // A mis-framed stream is unrecoverable: drop the
-                        // connection (the sim's equivalent is a dropped
-                        // message; a Byzantine-garbage peer loses its
-                        // link).
-                        return;
-                    };
-                    inbox.enqueued.fetch_add(1, Ordering::Relaxed);
-                    if tx.send(Event::Msg { from, msg, ctx }).is_err() {
-                        return;
+                    frames += 1;
+                    match decode_msg_traced(&body) {
+                        Ok(m) => msgs.push(m),
+                        Err(_) => intact = false,
                     }
                 }
                 Ok(None) => break,
-                Err(_) => return,
+                Err(_) => intact = false,
             }
+        }
+        shared.counters.frames_in.add(frames);
+        if msgs.is_empty() {
+            continue;
+        }
+        inbox
+            .enqueued
+            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        if tx.send(Event { from, msgs }).is_err() {
+            return;
         }
     }
 }

@@ -310,7 +310,8 @@ fn collect_statuses(state: &OpsState) -> Vec<(NodeStatus, u64, u64)> {
 }
 
 /// Sums this node's per-peer outbound queue-depth gauges
-/// (`net.queue.g{g}n{n}-*`, maintained by the writer threads).
+/// (`net.queue.g{g}n{n}-*`, maintained by the node's reactor as it
+/// routes and flushes frames).
 fn writer_queue_frames(id: NodeId) -> u64 {
     let prefix = format!("net.queue.g{}n{}-", id.group, id.node);
     registry::registry()

@@ -114,6 +114,13 @@ EOF
   [[ -s "${walldir}/BENCH_wallclock.json" ]]
   rm -rf "${walldir}"
 
+  # The repo's benchmark (BENCHMARK.json) at one tenth length: all four
+  # workloads, each in its own process, with every correctness check
+  # and the output schema — no numbers are compared. It builds its own
+  # package (benchmark/target/) and writes only under benchmark/out/.
+  echo "==> benchmark smoke (benchmark/run.sh --smoke)"
+  benchmark/run.sh --smoke
+
   # Ops-plane gate: an in-process cluster scraped through its real HTTP
   # endpoints — /metrics golden series, /status rows for every node,
   # /trace stitched into cross-node spans, and a forced flight-recorder
