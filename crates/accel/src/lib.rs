@@ -29,6 +29,17 @@
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
+/// Cores this process may run on, resolved once per process.
+///
+/// `std::thread::available_parallelism` re-reads the cgroup quota files on
+/// every call inside a container (~17 µs); the answer cannot change while
+/// the process runs, so every size-gated parallel path in the workspace
+/// asks here instead — and only after its size test passed.
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Compresses a run of whole 64-byte SHA-256 blocks into `state` using the
 /// SHA-NI instructions.
 ///

@@ -216,9 +216,7 @@ fn main() {
     }
     let quick = std::env::args().any(|a| a == "--quick");
     let (batch, batches) = if quick { (4096, 4) } else { (8192, 12) };
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_cores = massbft_accel::host_cores();
     let worker_sweep = [1usize, 2, 4, 8];
 
     println!(

@@ -140,9 +140,7 @@ fn main() {
 
     println!(
         "replication pipeline bench: 1 MiB entries, worst-case chunk loss, {} threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        massbft_accel::host_cores()
     );
 
     let mut rows = Vec::new();
@@ -185,12 +183,7 @@ fn main() {
         Obj::new()
             .set("bench", "replication_pipeline")
             .set("entry_bytes", ENTRY_BYTES)
-            .set(
-                "threads",
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
+            .set("threads", massbft_accel::host_cores())
             .set("quick", quick)
             .set("geometries", geometries)
             .set(

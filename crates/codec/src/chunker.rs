@@ -17,6 +17,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use bytes::Bytes;
+
 use crate::{
     rs::{CacheStats, ReedSolomon},
     CodecError,
@@ -112,14 +114,16 @@ impl EntryCodec {
     /// `chunks[i] = Some(bytes)` if chunk `i` arrived. The input is only
     /// read; use [`EntryCodec::decode_from`] directly when the chunks are
     /// borrowed from network buffers.
-    pub fn decode(&self, chunks: &mut [Option<Vec<u8>>]) -> Result<Vec<u8>, CodecError> {
+    pub fn decode(&self, chunks: &mut [Option<Vec<u8>>]) -> Result<Bytes, CodecError> {
         self.decode_from(chunks)
     }
 
     /// Borrow-based rebuild: accepts anything byte-slice-like so received
     /// chunks can stay in their network buffers (e.g. `Option<Bytes>`)
-    /// while the entry is reassembled.
-    pub fn decode_from<T: AsRef<[u8]>>(&self, chunks: &[Option<T>]) -> Result<Vec<u8>, CodecError> {
+    /// while the entry is reassembled. The entry comes back as a window
+    /// into the one buffer the shards were reassembled in — the frame
+    /// header and padding are stepped over, not copied away.
+    pub fn decode_from<T: AsRef<[u8]>>(&self, chunks: &[Option<T>]) -> Result<Bytes, CodecError> {
         let data = self.rs.reconstruct_data_from(chunks)?;
         let mut framed: Vec<u8> = Vec::with_capacity(data.len() * data[0].len());
         for shard in &data {
@@ -137,9 +141,7 @@ impl EntryCodec {
         if framed[FRAME_HEADER + len..].iter().any(|&b| b != 0) {
             return Err(CodecError::CorruptFrame);
         }
-        framed.truncate(FRAME_HEADER + len);
-        framed.drain(..FRAME_HEADER);
-        Ok(framed)
+        Ok(Bytes::from(framed).slice(FRAME_HEADER..FRAME_HEADER + len))
     }
 }
 

@@ -38,6 +38,16 @@ const DECODE_CACHE_CAP: usize = 32;
 /// overhead dominates; above it (≳256 KiB) the speedup is near-linear.
 pub const PARALLEL_MIN_BYTES: usize = 256 * 1024;
 
+#[cfg(test)]
+thread_local!(static CORE_LOOKUPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
+
+/// [`massbft_accel::host_cores`], counted per thread under test.
+fn host_cores() -> usize {
+    #[cfg(test)]
+    CORE_LOOKUPS.with(|c| c.set(c.get() + 1));
+    massbft_accel::host_cores()
+}
+
 static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -368,10 +378,13 @@ fn apply_matrix(
         out
     };
 
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(n_rows);
-    if workers < 2 || n_rows * shard_len < PARALLEL_MIN_BYTES {
+    // Size first: entries below the threshold never ask for the core count.
+    let workers = if n_rows * shard_len < PARALLEL_MIN_BYTES {
+        1
+    } else {
+        host_cores().min(n_rows)
+    };
+    if workers < 2 {
         return (0..n_rows).map(one_row).collect();
     }
 
@@ -625,6 +638,30 @@ mod tests {
         received[0] = None;
         received[2] = None;
         assert_eq!(rs.reconstruct_data(&mut received).unwrap(), data);
+    }
+
+    #[test]
+    fn below_threshold_never_resolves_the_core_count() {
+        // A 9.5 KB and a 100 KB entry over the 4-of-7-node geometry: both
+        // stay under PARALLEL_MIN_BYTES on encode and on reconstruction.
+        let rs = ReedSolomon::new(13, 28).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        let before = CORE_LOOKUPS.with(|c| c.get());
+        for shard_len in [9_500 / 13, 100_000 / 13] {
+            let data = random_shards(&mut rng, 13, shard_len);
+            let shards = rs.encode(&data).unwrap();
+            let received: Vec<Option<&[u8]>> = shards
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i >= 2).then_some(s.as_slice()))
+                .collect();
+            assert_eq!(rs.reconstruct_data_from(&received).unwrap(), data);
+        }
+        assert_eq!(CORE_LOOKUPS.with(|c| c.get()), before);
+        // Above it the count is asked for, once per matrix application.
+        let data = random_shards(&mut rng, 13, PARALLEL_MIN_BYTES / 13);
+        rs.encode(&data).unwrap();
+        assert_eq!(CORE_LOOKUPS.with(|c| c.get()), before + 1);
     }
 
     #[test]

@@ -633,19 +633,8 @@ impl<T: Clone> RaftNode<T> {
     /// from the current term (Raft §5.4.2 restriction).
     fn advance_commit(&mut self) -> Vec<RaftOutput<T>> {
         let mut out = Vec::new();
-        let mut candidate = self.commit_index;
-        for idx in (self.commit_index + 1)..=self.last_index() {
-            let replicas = self
-                .cfg
-                .members
-                .iter()
-                .filter(|&&m| self.match_index.get(&m).copied().unwrap_or(0) >= idx)
-                .count();
-            if replicas >= self.cfg.majority() && self.entry(idx).map(|e| e.term) == Some(self.term)
-            {
-                candidate = idx;
-            }
-        }
+        let candidate = self.commit_candidate();
+        debug_assert!(candidate >= self.commit_index);
         if candidate > self.commit_index {
             counters().committed.add(candidate - self.commit_index);
             self.commit_index = candidate;
@@ -655,6 +644,43 @@ impl<T: Clone> RaftNode<T> {
             out.extend(self.heartbeat());
         }
         out
+    }
+
+    /// The index `advance_commit` may commit up to: a majority holds an
+    /// index exactly when it is at most the majority-th largest
+    /// `match_index` (absent members count as 0); the first current-term
+    /// entry walking down from there, else the old `commit_index`.
+    fn commit_candidate(&self) -> u64 {
+        if self.last_index() == self.commit_index {
+            return self.commit_index; // a late ack: nothing is uncommitted
+        }
+        let mut matched: Vec<u64> = (self.cfg.members.iter())
+            .map(|m| self.match_index.get(m).copied().unwrap_or(0))
+            .collect();
+        matched.sort_unstable_by(|a, b| b.cmp(a));
+        let majority_th = matched.get(self.cfg.majority() - 1).copied().unwrap_or(0);
+        let top = majority_th.min(self.last_index());
+        ((self.commit_index + 1)..=top)
+            .rev()
+            .find(|&idx| self.entry(idx).map(|e| e.term) == Some(self.term))
+            .unwrap_or(self.commit_index)
+    }
+
+    /// The scan `commit_candidate` replaced — every index above the commit
+    /// point probed against every member — kept as the test oracle.
+    #[cfg(test)]
+    fn commit_candidate_by_scan(&self) -> u64 {
+        let mut candidate = self.commit_index;
+        for idx in (self.commit_index + 1)..=self.last_index() {
+            let replicas = (self.cfg.members.iter())
+                .filter(|&&m| self.match_index.get(&m).copied().unwrap_or(0) >= idx)
+                .count();
+            if replicas >= self.cfg.majority() && self.entry(idx).map(|e| e.term) == Some(self.term)
+            {
+                candidate = idx;
+            }
+        }
+        candidate
     }
 
     fn apply_committed(&mut self) -> Vec<RaftOutput<T>> {
@@ -1014,5 +1040,45 @@ mod tests {
         net.run();
         assert!(!net.nodes[&0].is_leader());
         assert_eq!(net.nodes[&0].term(), 3);
+    }
+
+    proptest::proptest! {
+        /// `commit_candidate` against the scan it replaced, on leader
+        /// states no message sequence is needed to reach: 3–16 members,
+        /// arbitrary `match_index` (the leader's own included, some members
+        /// absent), log terms rising across term changes or not at all
+        /// monotone, a compacted prefix, any commit point.
+        #[test]
+        fn commit_candidate_equals_the_scan(
+            members in 3usize..17,
+            terms in proptest::collection::vec(1u64..5, 0..40),
+            sorted in proptest::prelude::any::<bool>(),
+            matched in proptest::collection::vec(0u64..48, 16),
+            absent in proptest::prelude::any::<u16>(),
+            term in 1u64..6,
+            snapshot in 0u64..8,
+            committed in 0u64..40,
+        ) {
+            let mut terms = terms;
+            if sorted {
+                terms.sort_unstable();
+            }
+            let ids: Vec<MemberId> = (0..members as u32).collect();
+            let mut node: RaftNode<u64> = RaftNode::new(RaftConfig {
+                me: 0,
+                members: ids.clone(),
+                initial_leader: Some(0),
+            });
+            node.term = term;
+            node.snapshot_index = snapshot;
+            node.log = terms.iter().map(|&term| LogEntry { term, data: 0 }).collect();
+            node.commit_index = (snapshot + committed).min(node.last_index());
+            node.match_index = ids
+                .iter()
+                .filter(|&&m| absent & (1 << m) == 0)
+                .map(|&m| (m, matched[m as usize]))
+                .collect();
+            proptest::prop_assert_eq!(node.commit_candidate(), node.commit_candidate_by_scan());
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! `(gid, seq)` — the proposing group and its local sequence number —
 //! written `e_{i,m}` in the paper.
 
+use bytes::Bytes;
 use massbft_crypto::Digest;
 
 /// Identity of an entry: proposing group + local sequence number.
@@ -66,10 +67,10 @@ pub fn peek_entry_id(bytes: &[u8]) -> Option<EntryId> {
 }
 
 /// Inverse of [`encode_batch`]. Returns the id and the request byte
-/// strings, or `None` on malformed framing (tampered entries surface here
-/// after certificate validation has already failed — this is a belt-and-
-/// braces check).
-pub fn decode_batch(bytes: &[u8]) -> Option<(EntryId, Vec<Vec<u8>>)> {
+/// strings, borrowed from `bytes`, or `None` on malformed framing
+/// (tampered entries surface here after certificate validation has already
+/// failed — this is a belt-and-braces check).
+pub fn decode_batch(bytes: &[u8]) -> Option<(EntryId, Vec<&[u8]>)> {
     if bytes.len() < 16 {
         return None;
     }
@@ -87,7 +88,7 @@ pub fn decode_batch(bytes: &[u8]) -> Option<(EntryId, Vec<Vec<u8>>)> {
         if pos + len > bytes.len() {
             return None;
         }
-        requests.push(bytes[pos..pos + len].to_vec());
+        requests.push(&bytes[pos..pos + len]);
         pos += len;
     }
     if pos != bytes.len() {
@@ -99,6 +100,44 @@ pub fn decode_batch(bytes: &[u8]) -> Option<(EntryId, Vec<Vec<u8>>)> {
 /// Digest of entry bytes (what certificates sign).
 pub fn entry_digest(bytes: &[u8]) -> Digest {
     Digest::of(bytes)
+}
+
+/// An entry's content as this node holds it: the refcounted bytes with the
+/// id in their header and their digest, both derived once, when the content
+/// is first accepted. [`EntryRecord::hash`] is the only constructor, so the
+/// digest is always what *this node* hashed out of exactly these bytes; the
+/// protocol layer stores a record only once a quorum certificate validated
+/// for that digest (rebuild, entry copy) or local PBFT certified the bytes.
+#[derive(Debug, Clone)]
+pub struct EntryRecord {
+    id: EntryId,
+    bytes: Bytes,
+    digest: Digest,
+}
+
+impl EntryRecord {
+    /// Hashes `bytes` and reads the id from their header; `None` if they
+    /// are too short to have one.
+    pub fn hash(bytes: Bytes) -> Option<Self> {
+        let (id, digest) = (peek_entry_id(&bytes)?, entry_digest(&bytes));
+        Some(EntryRecord { id, bytes, digest })
+    }
+
+    /// The id in the header.
+    pub fn id(&self) -> EntryId {
+        self.id
+    }
+
+    /// The entry bytes.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// `entry_digest(self.bytes())`, computed once.
+    pub fn digest(&self) -> Digest {
+        debug_assert_eq!(self.digest, entry_digest(&self.bytes));
+        self.digest
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +162,17 @@ mod tests {
         assert_eq!(peek_entry_id(&bytes[..12]), None);
         // Peek agrees with the full decode on every well-formed batch.
         assert_eq!(peek_entry_id(&bytes), decode_batch(&bytes).map(|(i, _)| i));
+    }
+
+    #[test]
+    fn record_carries_id_and_digest_of_its_bytes() {
+        let id = EntryId::new(4, 8);
+        let bytes = encode_batch(id, &[b"payload".to_vec()]);
+        let rec = EntryRecord::hash(bytes.clone().into()).unwrap();
+        assert_eq!(rec.id(), id);
+        assert_eq!(rec.digest(), entry_digest(&bytes));
+        assert_eq!(rec.bytes(), &bytes);
+        assert!(EntryRecord::hash(bytes[..15].to_vec().into()).is_none());
     }
 
     #[test]

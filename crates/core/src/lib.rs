@@ -47,6 +47,7 @@ pub mod adversary;
 pub mod cluster;
 pub mod entry;
 pub mod exec;
+mod held;
 pub mod ledger;
 pub mod ordering;
 pub mod plan;

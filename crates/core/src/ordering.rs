@@ -23,7 +23,8 @@
 //! are decoupled — that is the point of the protocol).
 
 use crate::entry::EntryId;
-use std::collections::{HashMap, VecDeque};
+use massbft_db::hash::FastMap;
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Process-wide count of ordering decisions (`core.ordering.entries_ordered`
@@ -63,7 +64,7 @@ pub struct OrderingEngine {
     heads: Vec<EntryState>,
     /// Stamps received for entries beyond their group's head:
     /// `(stamper, value)` per entry.
-    future_stamps: HashMap<EntryId, Vec<(u32, u64)>>,
+    future_stamps: FastMap<EntryId, Vec<(u32, u64)>>,
     /// Latest timestamp seen from each stamping group's instance
     /// (non-decreasing), used for lower-bound inference. Entry commits also
     /// advance this: committing `e_{i,n}` advances `clk_i` to `n`
@@ -88,7 +89,7 @@ impl OrderingEngine {
         OrderingEngine {
             ng,
             heads,
-            future_stamps: HashMap::new(),
+            future_stamps: FastMap::default(),
             last_ts: vec![0; ng],
             committed: vec![0; ng],
             ready: VecDeque::new(),

@@ -34,8 +34,9 @@
 
 use crate::{
     adversary::{AdversarySpec, Strategy},
-    entry::{decode_batch, encode_batch, entry_digest, peek_entry_id, EntryId},
+    entry::{decode_batch, encode_batch, peek_entry_id, EntryId, EntryRecord},
     exec::{ExecutionPipeline, PreparedEntry},
+    held::HeldAppends,
     ledger::Ledger,
     ordering::OrderingEngine,
     plan::TransferPlan,
@@ -49,11 +50,11 @@ use massbft_consensus::{
     raft::{RaftConfig, RaftMsg, RaftNode, RaftOutput},
 };
 use massbft_crypto::{cert::quorum, Digest, KeyRegistry, QuorumCert};
-use massbft_db::WorkerPool;
+use massbft_db::{hash::FastMap, WorkerPool};
 use massbft_sim_net::{Actor, Ctx, NodeId, SimMessage, Time, MILLISECOND};
 use massbft_telemetry as telemetry;
 use massbft_workloads::{Request, WorkloadGen, WorkloadKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::OnceLock;
 
 /// Process-wide commit-latency histogram (`core.entry.commit_latency_us`):
@@ -360,7 +361,9 @@ const T_PBFT_HB: u64 = 8;
 /// State of one received-but-not-yet-executed entry.
 #[derive(Debug, Default)]
 struct EntryTracking {
-    bytes: Option<Bytes>,
+    /// The entry as this node accepted it (see [`EntryRecord`]); taken
+    /// when the entry executes.
+    content: Option<EntryRecord>,
     cert: Option<QuorumCert>,
     committed: bool,
     fed_to_round: bool,
@@ -382,19 +385,19 @@ pub struct Node {
     registry: KeyRegistry,
     pbft: PbftReplica,
     /// Rebuild state per origin group (chunked modes).
-    assemblers: HashMap<u32, ChunkAssembler>,
-    /// Entry bytes + commit flags per entry (all modes).
-    tracking: HashMap<EntryId, EntryTracking>,
+    assemblers: FastMap<u32, ChunkAssembler>,
+    /// Entry content + commit flags per entry (all modes).
+    tracking: FastMap<EntryId, EntryTracking>,
     /// Execution.
     ordering: OrderingState,
     exec_queue: VecDeque<EntryId>,
     pipeline: ExecutionPipeline,
     /// Raft appends carrying entries whose content has not arrived yet:
     /// the accept is withheld until the entry is held locally (paper
-    /// Lemma V.1), keyed by instance.
-    held_appends: HashMap<u32, Vec<(NodeId, RaftMsg<GlobalCmd>)>>,
+    /// Lemma V.1), indexed by the entries they wait on.
+    held_appends: HeldAppends<(NodeId, RaftMsg<GlobalCmd>)>,
     /// Recently executed entries kept for pull-based repair, FIFO-bounded.
-    archive: HashMap<EntryId, (Bytes, QuorumCert)>,
+    archive: FastMap<EntryId, (Bytes, QuorumCert)>,
     archive_order: VecDeque<EntryId>,
     /// The exec-queue front observed at the last repair tick; a repeat
     /// sighting with missing content triggers an EntryRequest.
@@ -431,7 +434,7 @@ pub struct Node {
     /// Only populated while telemetry spans are enabled (prepare/commit
     /// messages carry digests, not payloads, so attributing PBFT phase
     /// events to entries needs this map); GC'd on local commit.
-    pbft_entry_of_seq: HashMap<u64, EntryId>,
+    pbft_entry_of_seq: FastMap<u64, EntryId>,
 }
 
 /// Point-in-time node introspection snapshot, served by the runtime's
@@ -493,11 +496,11 @@ struct RepState {
     /// Entries proposed but not yet executed locally (pipeline window).
     in_flight: BTreeSet<EntryId>,
     /// Entry creation times for latency accounting.
-    created_at: HashMap<EntryId, Time>,
+    created_at: FastMap<EntryId, Time>,
     /// Phase marks per own entry (Fig. 11 latency breakdown).
-    certified_at: HashMap<EntryId, Time>,
-    committed_at: HashMap<EntryId, Time>,
-    ordered_at: HashMap<EntryId, Time>,
+    certified_at: FastMap<EntryId, Time>,
+    committed_at: FastMap<EntryId, Time>,
+    ordered_at: FastMap<EntryId, Time>,
     /// Global Raft instances this representative participates in.
     rafts: BTreeMap<u32, RaftNode<GlobalCmd>>,
     /// Stamps awaiting replication, keyed by the instance that will carry
@@ -523,7 +526,7 @@ struct RepState {
     committed_high: BTreeMap<u32, u64>,
     /// Direct-accept tallies per entry (§V-C): which groups are known to
     /// hold it. The proposing group counts implicitly.
-    accept_tally: HashMap<EntryId, BTreeSet<u32>>,
+    accept_tally: FastMap<EntryId, BTreeSet<u32>>,
     /// Foreign entries this representative re-proposed after taking over a
     /// crashed group's entry instance (dedup across content re-arrivals).
     proposed_foreign: BTreeSet<EntryId>,
@@ -557,7 +560,7 @@ impl Node {
             _ => OrderingState::Round(RoundOrdering::new(ng)),
         };
         // Chunk assemblers for every *other* origin group.
-        let mut assemblers = HashMap::new();
+        let mut assemblers = FastMap::default();
         if params.protocol.uses_chunks() {
             for origin in 0..ng as u32 {
                 if origin == id.group {
@@ -614,10 +617,10 @@ impl Node {
                 last_arrival_at: 0,
                 next_seq: 1,
                 in_flight: BTreeSet::new(),
-                created_at: HashMap::new(),
-                certified_at: HashMap::new(),
-                committed_at: HashMap::new(),
-                ordered_at: HashMap::new(),
+                created_at: FastMap::default(),
+                certified_at: FastMap::default(),
+                committed_at: FastMap::default(),
+                ordered_at: FastMap::default(),
                 rafts,
                 pending_stamps: BTreeMap::new(),
                 stamped: BTreeSet::new(),
@@ -628,7 +631,7 @@ impl Node {
                 epoch: 0,
                 epoch_seals: BTreeMap::new(),
                 committed_high: BTreeMap::new(),
-                accept_tally: HashMap::new(),
+                accept_tally: FastMap::default(),
                 proposed_foreign: BTreeSet::new(),
                 acting: false,
             }
@@ -638,9 +641,9 @@ impl Node {
             registry,
             pbft,
             assemblers,
-            tracking: HashMap::new(),
-            held_appends: HashMap::new(),
-            archive: HashMap::new(),
+            tracking: FastMap::default(),
+            held_appends: HeldAppends::new(),
+            archive: FastMap::default(),
             archive_order: VecDeque::new(),
             last_stalled: None,
             ordering,
@@ -659,7 +662,7 @@ impl Node {
             ledger: Ledger::new(),
             phase_sums: [0; 4],
             phase_count: 0,
-            pbft_entry_of_seq: HashMap::new(),
+            pbft_entry_of_seq: FastMap::default(),
             last_pbft_progress: 0,
             view_timeout_cur: params.view_timeout_us,
             own_seq_high: 0,
@@ -729,13 +732,12 @@ impl Node {
         let mut out = String::new();
         let _ = write!(out, "{}:", self.id);
         let _ = write!(out, " exec_q={}", self.exec_queue.len());
-        let held: usize = self.held_appends.values().map(|v| v.len()).sum();
-        let _ = write!(out, " held={held}");
+        let _ = write!(out, " held={}", self.held_appends.len());
         if let Some(front) = self.exec_queue.front() {
             let has = self
                 .tracking
                 .get(front)
-                .map(|t| t.bytes.is_some())
+                .map(|t| t.content.is_some())
                 .unwrap_or(false);
             let _ = write!(out, " front={front}(bytes={has})");
         }
@@ -847,7 +849,7 @@ impl Node {
             executed_txns: self.executed_txns,
             executed_by_group: self.executed_by_group.clone(),
             exec_queue: self.exec_queue.len(),
-            held_appends: self.held_appends.values().map(|v| v.len()).sum(),
+            held_appends: self.held_appends.len(),
             in_flight: self.rep.as_ref().map(|r| r.in_flight.len()).unwrap_or(0),
             clock: self.rep.as_ref().map(|r| r.clock).unwrap_or(0),
         }
@@ -1073,10 +1075,10 @@ impl Node {
             last_arrival_at: ctx.now(),
             next_seq: self.own_seq_high + 1,
             in_flight: BTreeSet::new(),
-            created_at: HashMap::new(),
-            certified_at: HashMap::new(),
-            committed_at: HashMap::new(),
-            ordered_at: HashMap::new(),
+            created_at: FastMap::default(),
+            certified_at: FastMap::default(),
+            committed_at: FastMap::default(),
+            ordered_at: FastMap::default(),
             rafts: BTreeMap::new(),
             pending_stamps: BTreeMap::new(),
             stamped: BTreeSet::new(),
@@ -1087,7 +1089,7 @@ impl Node {
             epoch: 0,
             epoch_seals: BTreeMap::new(),
             committed_high: BTreeMap::new(),
-            accept_tally: HashMap::new(),
+            accept_tally: FastMap::default(),
             proposed_foreign: BTreeSet::new(),
             acting: true,
         });
@@ -1125,28 +1127,23 @@ impl Node {
 
     /// A local entry finished PBFT: start global replication.
     fn on_local_entry_certified(&mut self, ctx: &mut Ctx<Msg>, bytes: Bytes, cert: QuorumCert) {
-        let Some((id, reqs)) = decode_batch(&bytes) else {
+        let Some((id, txns)) = decode_batch(&bytes).map(|(id, reqs)| (id, reqs.len())) else {
             return;
         };
         debug_assert_eq!(id.gid, self.id.group);
         self.own_seq_high = self.own_seq_high.max(id.seq);
         // Charge verification of every client transaction's signature —
         // the local-consensus CPU cost the paper identifies (§VI-B).
-        ctx.spend_cpu(reqs.len() as Time * self.params.sig_verify_us);
-        {
-            let t = self.tracking.entry(id).or_default();
-            t.bytes = Some(bytes.clone());
-            t.cert = Some(cert.clone());
-        }
+        ctx.spend_cpu(txns as Time * self.params.sig_verify_us);
+        // The one hash of a local entry at this node: proposal, ledger and
+        // archive all read the record.
+        let rec = EntryRecord::hash(bytes.clone()).expect("decoded above");
+        self.tracking.entry(id).or_default().cert = Some(cert.clone());
+        self.hold_content(rec);
         if let Some(rep) = self.rep.as_mut() {
             rep.certified_at.insert(id, ctx.now());
         }
-        self.span(
-            ctx.now(),
-            telemetry::EventKind::Certified,
-            id,
-            reqs.len() as u64,
-        );
+        self.span(ctx.now(), telemetry::EventKind::Certified, id, txns as u64);
 
         // A withholding adversary certifies but never ships its WAN
         // shares; erasure-coded parity (or the remaining copy senders)
@@ -1219,8 +1216,7 @@ impl Node {
         // Destination groups of equal size share one encoding geometry;
         // encode once per geometry and slice per transfer plan (a real
         // implementation caches exactly the same way).
-        let mut encoded: HashMap<(usize, usize), Vec<crate::replication::ChunkMsg>> =
-            HashMap::new();
+        let mut encoded: BTreeMap<(usize, usize), Vec<ChunkMsg>> = BTreeMap::new();
         let mut wan_bytes: u64 = 0;
         for dst_group in 0..self.ng() as u32 {
             if dst_group == self.id.group {
@@ -1342,15 +1338,10 @@ impl Node {
     /// group; after a crash takeover the elected cross-group leader
     /// re-proposes rebuilt foreign entries here too (§V-C).
     fn propose_global(&mut self, ctx: &mut Ctx<Msg>, id: EntryId) {
-        let digest = {
-            let Some(t) = self.tracking.get(&id) else {
-                return;
-            };
-            let Some(bytes) = t.bytes.as_ref() else {
-                return;
-            };
-            entry_digest(bytes)
+        let Some(rec) = self.tracking.get(&id).and_then(|t| t.content.as_ref()) else {
+            return;
         };
+        let digest = rec.digest();
         let instance = id.gid;
         let my_group = self.id.group;
         let stream = self.params.ng() as u32 + my_group;
@@ -1405,7 +1396,7 @@ impl Node {
             .tracking
             .iter()
             .filter(|(eid, t)| {
-                eid.gid == instance && t.bytes.is_some() && !t.committed && !t.executed
+                eid.gid == instance && t.content.is_some() && !t.committed && !t.executed
             })
             .map(|(&eid, _)| eid)
             .collect();
@@ -1416,10 +1407,8 @@ impl Node {
     }
 
     fn steward_propose(&mut self, ctx: &mut Ctx<Msg>, id: EntryId) {
-        let digest = {
-            let t = self.tracking.get(&id).expect("known entry");
-            entry_digest(t.bytes.as_ref().expect("bytes present"))
-        };
+        let t = self.tracking.get(&id).expect("known entry");
+        let digest = t.content.as_ref().expect("content present").digest();
         let outputs = {
             let Some(rep) = self.rep.as_mut() else { return };
             let Some(raft) = rep.rafts.get_mut(&0) else {
@@ -1734,6 +1723,7 @@ impl Node {
             return;
         }
         t.committed = true;
+        self.held_appends.note_safe(id);
         // An acting representative drains its pipeline window on commit:
         // it cannot count on ever executing (stamps fed out while the
         // group had no representative are unrecoverable), and the window
@@ -1759,7 +1749,7 @@ impl Node {
         let Some(t) = self.tracking.get_mut(&id) else {
             return;
         };
-        if t.committed && t.bytes.is_some() && !t.fed_to_round {
+        if t.committed && t.content.is_some() && !t.fed_to_round {
             t.fed_to_round = true;
             r.on_entry(id);
         }
@@ -1794,12 +1784,12 @@ impl Node {
     /// pipeline in a single batched call. The drain stops at the first
     /// entry whose content hasn't arrived — order must be preserved.
     fn try_execute(&mut self, ctx: &mut Ctx<Msg>) {
-        let mut ready: Vec<(EntryId, Bytes)> = Vec::new();
+        let mut ready: Vec<EntryRecord> = Vec::new();
         while let Some(&id) = self.exec_queue.front() {
             let runnable = self
                 .tracking
                 .get(&id)
-                .is_some_and(|t| t.bytes.is_some() && !t.executed);
+                .is_some_and(|t| t.content.is_some() && !t.executed);
             if !runnable {
                 // Already-executed duplicates are dropped; missing content
                 // stalls the queue (order must be preserved).
@@ -1810,12 +1800,12 @@ impl Node {
                 break;
             }
             self.exec_queue.pop_front();
-            let bytes = self
+            let rec = self
                 .tracking
                 .get_mut(&id)
-                .and_then(|t| t.bytes.take())
+                .and_then(|t| t.content.take())
                 .expect("checked above");
-            ready.push((id, bytes));
+            ready.push(rec);
         }
         if !ready.is_empty() {
             self.execute_ready(ctx, ready);
@@ -1827,20 +1817,22 @@ impl Node {
     /// archive bookkeeping. Replication-state cleanup that used to
     /// rescan per entry (`stamped.retain`) now does a single pass over
     /// the whole executed set.
-    fn execute_ready(&mut self, ctx: &mut Ctx<Msg>, ready: Vec<(EntryId, Bytes)>) {
+    fn execute_ready(&mut self, ctx: &mut Ctx<Msg>, ready: Vec<EntryRecord>) {
         let mut prepared: Vec<PreparedEntry> = Vec::with_capacity(ready.len());
-        let mut contents: Vec<(EntryId, Bytes)> = Vec::with_capacity(ready.len());
-        for (id, bytes) in ready {
-            let Some((decoded_id, requests)) = decode_batch(&bytes) else {
+        let mut contents: Vec<EntryRecord> = Vec::with_capacity(ready.len());
+        for rec in ready {
+            // The one decode of the batch: requests are parsed straight
+            // out of the entry's buffer.
+            let Some((id, requests)) = decode_batch(rec.bytes()) else {
                 continue;
             };
-            debug_assert_eq!(decoded_id, id);
+            debug_assert_eq!(id, rec.id());
             let txns: Vec<Request> = requests
                 .iter()
                 .filter_map(|r| Request::decode(r).ok())
                 .collect();
             prepared.push(PreparedEntry { id, txns });
-            contents.push((id, bytes));
+            contents.push(rec);
         }
         if prepared.is_empty() {
             return;
@@ -1849,21 +1841,21 @@ impl Node {
 
         // Replication-state cleanup, one pass for the whole run.
         if let Some(rep) = self.rep.as_mut() {
-            for (id, _) in &contents {
-                rep.unexecuted.remove(id);
-                rep.accept_tally.remove(id);
+            for rec in &contents {
+                rep.unexecuted.remove(&rec.id());
+                rep.accept_tally.remove(&rec.id());
             }
             if contents.len() == 1 {
-                let id = contents[0].0;
+                let id = contents[0].id();
                 rep.stamped.retain(|&(_, e)| e != id);
             } else {
-                let executed: BTreeSet<EntryId> = contents.iter().map(|(id, _)| *id).collect();
+                let executed: BTreeSet<EntryId> = contents.iter().map(|rec| rec.id()).collect();
                 rep.stamped.retain(|&(_, e)| !executed.contains(&e));
             }
         }
 
-        for (result, (id, bytes)) in results.into_iter().zip(&contents) {
-            self.record_executed(ctx, *id, bytes, result);
+        for (result, rec) in results.into_iter().zip(contents) {
+            self.record_executed(ctx, rec, result);
         }
     }
 
@@ -1871,10 +1863,10 @@ impl Node {
     fn record_executed(
         &mut self,
         ctx: &mut Ctx<Msg>,
-        id: EntryId,
-        bytes: &Bytes,
+        rec: EntryRecord,
         result: crate::exec::EntryResult,
     ) {
+        let id = rec.id();
         ctx.spend_cpu(result.executed as Time * self.params.exec_us);
         self.executed_txns += result.committed as u64;
         self.executed_entries += 1;
@@ -1882,7 +1874,7 @@ impl Node {
         self.executed_by_group[id.gid as usize] += result.committed as u64;
         self.exec_log.push(id);
         self.ledger
-            .append(id, entry_digest(bytes), result.state_fingerprint);
+            .append(id, rec.digest(), result.state_fingerprint);
         self.span(
             ctx.now(),
             telemetry::EventKind::Executed,
@@ -1933,7 +1925,7 @@ impl Node {
         let cert = {
             let t = self.tracking.entry(id).or_default();
             let cert = t.cert.take();
-            t.bytes = None;
+            t.content = None;
             t.committed = true;
             t.fed_to_round = true;
             t.executed = true;
@@ -1944,7 +1936,7 @@ impl Node {
         // mid-replication) fetches it from a peer that executed it.
         if let Some(cert) = cert {
             const ARCHIVE_DEPTH: usize = 2048;
-            self.archive.insert(id, (bytes.clone(), cert));
+            self.archive.insert(id, (rec.bytes().clone(), cert));
             self.archive_order.push_back(id);
             while self.archive_order.len() > ARCHIVE_DEPTH {
                 if let Some(old) = self.archive_order.pop_front() {
@@ -1965,7 +1957,7 @@ impl Node {
         if self
             .tracking
             .get(&chunk.entry)
-            .is_some_and(|t| t.bytes.is_some() || t.executed)
+            .is_some_and(|t| t.content.is_some() || t.executed)
         {
             return; // already have it / executed
         }
@@ -1988,7 +1980,7 @@ impl Node {
                     ctx.send_many(peers, Msg::Chunk { chunk, cert });
                 }
             }
-            ChunkOutcome::Rebuilt(bytes) => {
+            ChunkOutcome::Rebuilt(rec) => {
                 if from_wan && !byzantine {
                     let peers = self.other_group_members();
                     ctx.send_many(
@@ -2000,19 +1992,20 @@ impl Node {
                     );
                 }
                 self.tracking.entry(origin_entry).or_default().cert = Some(cert);
+                let len = rec.bytes().len() as u64;
                 self.span(
                     ctx.now(),
                     telemetry::EventKind::WanTransferDone,
                     origin_entry,
-                    bytes.len() as u64,
+                    len,
                 );
                 self.span(
                     ctx.now(),
                     telemetry::EventKind::ChunkRebuilt,
                     origin_entry,
-                    bytes.len() as u64,
+                    len,
                 );
-                self.on_entry_content(ctx, bytes.into());
+                self.on_entry_content(ctx, rec);
             }
             ChunkOutcome::Rejected(_) => {}
         }
@@ -2026,92 +2019,78 @@ impl Node {
         bytes: Bytes,
         cert: QuorumCert,
     ) {
-        // Steward master: a forwarded entry from another group's leader.
-        if self.params.protocol.single_master()
-            && self.id == self.params.leader_of(0)
-            && id.gid != 0
-            && from == self.params.leader_of(id.gid)
-        {
-            let fresh = {
-                let t = self.tracking.entry(id).or_default();
-                let fresh = t.bytes.is_none() && !t.executed;
-                if fresh {
-                    t.bytes = Some(bytes.clone());
-                }
-                fresh
-            };
-            if fresh {
-                self.send_leader_copies(ctx, id, &bytes, &cert);
-                // The master's own group also needs the content.
-                let peers = self.other_group_members();
-                ctx.send_many(
-                    peers,
-                    Msg::Entry {
-                        id,
-                        bytes: bytes.clone(),
-                        cert: cert.clone(),
-                    },
-                );
-                self.steward_propose(ctx, id);
-                self.try_execute(ctx);
-            }
-            return;
-        }
         if id.gid == self.id.group {
             return; // own-group entries arrive via local PBFT
         }
-        if cert
-            .validate_for(&entry_digest(&bytes), &self.registry)
-            .is_err()
-        {
+        let t = self.tracking.get(&id);
+        if t.is_some_and(|t| t.content.is_some() || t.executed) {
+            return; // a duplicate is dropped before it is hashed
+        }
+        let Some(rec) = EntryRecord::hash(bytes).filter(|rec| rec.id() == id) else {
+            return; // not the entry it claims to be
+        };
+        if cert.validate_for(&rec.digest(), &self.registry).is_err() {
             return; // tampered copy
         }
-        let already = {
-            let t = self.tracking.entry(id).or_default();
-            let had = t.bytes.is_some() || t.executed;
-            if !had {
-                t.bytes = Some(bytes.clone());
-            }
-            if t.cert.is_none() {
-                t.cert = Some(cert.clone());
-            }
-            had
-        };
-        if already {
+        // Steward master: a forwarded entry from another group's leader.
+        if self.params.protocol.single_master()
+            && self.id == self.params.leader_of(0)
+            && from == self.params.leader_of(id.gid)
+        {
+            self.send_leader_copies(ctx, id, rec.bytes(), &cert);
+            // The master's own group also needs the content.
+            let peers = self.other_group_members();
+            ctx.send_many(
+                peers,
+                Msg::Entry {
+                    id,
+                    bytes: rec.bytes().clone(),
+                    cert,
+                },
+            );
+            self.hold_content(rec);
+            self.steward_propose(ctx, id);
+            self.try_execute(ctx);
             return;
         }
+        let t = self.tracking.entry(id).or_default();
+        t.cert.get_or_insert_with(|| cert.clone());
         // First receipt from WAN: forward over LAN to the whole group.
         if from.group != self.id.group {
             self.span(
                 ctx.now(),
                 telemetry::EventKind::WanTransferDone,
                 id,
-                bytes.len() as u64,
+                rec.bytes().len() as u64,
             );
             let peers = self.other_group_members();
             ctx.send_many(
                 peers,
                 Msg::Entry {
                     id,
-                    bytes: bytes.clone(),
+                    bytes: rec.bytes().clone(),
                     cert,
                 },
             );
         }
-        self.on_entry_content(ctx, bytes);
+        self.on_entry_content(ctx, rec);
+    }
+
+    /// Stores a validated entry in `tracking` — the single place content
+    /// enters it — and counts the entry off the appends held for it.
+    fn hold_content(&mut self, rec: EntryRecord) {
+        let id = rec.id();
+        let t = self.tracking.entry(id).or_default();
+        if t.content.is_none() && !t.executed {
+            t.content = Some(rec);
+        }
+        self.held_appends.note_safe(id);
     }
 
     /// Entry content became available (rebuilt or copied).
-    fn on_entry_content(&mut self, ctx: &mut Ctx<Msg>, bytes: Bytes) {
-        let Some((id, _)) = decode_batch(&bytes) else {
-            return;
-        };
-        {
-            let t = self.tracking.entry(id).or_default();
-            if t.bytes.is_none() && !t.executed {
-                t.bytes = Some(bytes);
-            }
-        }
+    fn on_entry_content(&mut self, ctx: &mut Ctx<Msg>, rec: EntryRecord) {
+        let id = rec.id();
+        self.hold_content(rec);
         // Replay Raft appends that were held awaiting this content.
         self.replay_held_appends(ctx);
         // If we lead this group's entry instance (crash takeover), the
@@ -2160,12 +2139,11 @@ impl Node {
             // replay when content or the tally arrives; holding the whole
             // append (not just the accept) also keeps stamps from
             // committing ahead of an unsafe entry in the same log.
-            let missing = appended.iter().any(|id| !self.entry_safely_replicated(*id));
-            if missing {
-                self.held_appends
-                    .entry(instance)
-                    .or_default()
-                    .push((from, rmsg));
+            let blockers: Vec<EntryId> = (appended.iter().copied())
+                .filter(|id| !self.entry_safely_replicated(*id))
+                .collect();
+            if !blockers.is_empty() {
+                self.held_appends.hold(instance, blockers, (from, rmsg));
                 return;
             }
         }
@@ -2206,7 +2184,7 @@ impl Node {
         }
         self.tracking
             .get(&id)
-            .is_some_and(|t| t.bytes.is_some() || t.executed || t.committed)
+            .is_some_and(|t| t.content.is_some() || t.executed || t.committed)
     }
 
     /// Tallies a direct accept notice; at `f_g + 1` holders (counting the
@@ -2272,15 +2250,15 @@ impl Node {
         self.flush_stamps(ctx);
     }
 
-    /// Re-dispatches every held append whose carried entries are all safe
-    /// now; still-unsafe ones re-hold themselves.
+    /// Re-dispatches the held appends whose carried entries have all
+    /// become safe, by instance and then arrival. The others are not
+    /// looked at.
     fn replay_held_appends(&mut self, ctx: &mut Ctx<Msg>) {
-        let held: Vec<_> = self.held_appends.drain().collect();
-        for (instance, msgs) in held {
-            for (from, rmsg) in msgs {
-                self.on_raft_msg(ctx, from, instance, rmsg);
-            }
+        let mut pass = self.held_appends.begin_replay();
+        while let Some((instance, (from, rmsg))) = self.held_appends.next_ready(&mut pass) {
+            self.on_raft_msg(ctx, from, instance, rmsg);
         }
+        self.held_appends.end_replay(pass);
     }
 
     /// Serves a repair request from our archive or live tracking state.
@@ -2291,7 +2269,7 @@ impl Node {
             .map(|(b, c)| (b.clone(), c.clone()))
             .or_else(|| {
                 let t = self.tracking.get(&id)?;
-                Some((t.bytes.clone()?, t.cert.clone()?))
+                Some((t.content.as_ref()?.bytes().clone(), t.cert.clone()?))
             });
         if let Some((bytes, cert)) = reply {
             ctx.send(from, Msg::Entry { id, bytes, cert });
@@ -2305,7 +2283,7 @@ impl Node {
             !self
                 .tracking
                 .get(id)
-                .is_some_and(|t| t.bytes.is_some() || t.executed)
+                .is_some_and(|t| t.content.is_some() || t.executed)
         });
         if let Some(id) = stalled {
             if self.last_stalled == Some(id) {
@@ -2560,6 +2538,7 @@ impl Actor for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::entry_digest;
 
     #[test]
     fn protocol_names_and_capabilities() {

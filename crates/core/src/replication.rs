@@ -16,15 +16,16 @@
 //! every group member can rebuild.
 
 use crate::{
-    entry::{entry_digest, EntryId},
+    entry::{EntryId, EntryRecord},
     plan::TransferPlan,
     stats,
 };
 use bytes::Bytes;
 use massbft_codec::chunker::EntryCodec;
 use massbft_crypto::{Digest, KeyRegistry, MerkleProof, MerkleTree, QuorumCert};
+use massbft_db::hash::FastMap;
 use massbft_telemetry::registry::{counter, Counter};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide chunk-path counters, registered once in the telemetry
@@ -172,8 +173,9 @@ pub enum ChunkReject {
 pub enum ChunkOutcome {
     /// Chunk accepted; entry not yet rebuildable.
     Accepted,
-    /// Chunk accepted and the entry rebuilt + certificate-validated.
-    Rebuilt(Vec<u8>),
+    /// Chunk accepted and the entry rebuilt + certificate-validated: the
+    /// rebuilt bytes with the digest the certificate was checked against.
+    Rebuilt(EntryRecord),
     /// Chunk rejected.
     Rejected(ChunkReject),
 }
@@ -201,7 +203,7 @@ const MAX_CERT_MEMO: usize = 1024;
 struct EntryAssembly {
     /// Buckets keyed by Merkle root: chunk id → data. Chunk payloads stay
     /// in their received [`Bytes`] buffers; bucketing never copies them.
-    buckets: HashMap<Digest, BTreeMap<u32, Bytes>>,
+    buckets: FastMap<Digest, BTreeMap<u32, Bytes>>,
     /// Chunk ids condemned by failed rebuilds.
     blacklist: BTreeSet<u32>,
     rebuilt: bool,
@@ -216,9 +218,10 @@ pub struct ChunkAssembler {
     /// same `(n_data, n_total)`.
     codec: Arc<EntryCodec>,
     registry: KeyRegistry,
-    entries: HashMap<EntryId, EntryAssembly>,
-    /// Completed entries, kept until taken by the protocol layer.
-    completed: HashMap<EntryId, Vec<u8>>,
+    entries: FastMap<EntryId, EntryAssembly>,
+    /// Completed entries (a handle on the buffer `Rebuilt` handed out),
+    /// kept until taken or `gc`'d.
+    completed: FastMap<EntryId, Bytes>,
     /// Digests whose quorum certificate already validated once, with
     /// FIFO eviction order. A LAN re-shared chunk arriving after the
     /// entry was rebuilt and `gc`'d recreates assembly state and would
@@ -241,8 +244,8 @@ impl ChunkAssembler {
             plan,
             codec,
             registry,
-            entries: HashMap::new(),
-            completed: HashMap::new(),
+            entries: FastMap::default(),
+            completed: FastMap::default(),
             cert_memo: BTreeSet::new(),
             cert_memo_order: std::collections::VecDeque::new(),
         }
@@ -259,7 +262,7 @@ impl ChunkAssembler {
     }
 
     /// Takes the rebuilt bytes of `entry`, if available.
-    pub fn take_rebuilt(&mut self, entry: EntryId) -> Option<Vec<u8>> {
+    pub fn take_rebuilt(&mut self, entry: EntryId) -> Option<Bytes> {
         self.completed.remove(&entry)
     }
 
@@ -286,7 +289,7 @@ impl ChunkAssembler {
             .entries
             .entry(msg.entry)
             .or_insert_with(|| EntryAssembly {
-                buckets: HashMap::new(),
+                buckets: FastMap::default(),
                 blacklist: BTreeSet::new(),
                 rebuilt: false,
             });
@@ -333,14 +336,16 @@ impl ChunkAssembler {
             for (&cid, data) in bucket.iter() {
                 shards[cid as usize] = Some(data.as_ref());
             }
-            let rebuilt = self.codec.decode_from(&shards);
+            // Hashed once, here: the record carries the digest on to every
+            // later stage.
+            let rebuilt = (self.codec.decode_from(&shards).ok()).and_then(EntryRecord::hash);
             let valid = match &rebuilt {
-                Ok(bytes) => {
+                Some(rec) => {
                     // Memoized by entry digest: a rebuild whose bytes hash
                     // to an already-certified digest (e.g. a late LAN
                     // re-share after the first rebuild was consumed and
                     // gc'd) skips the batched-HMAC pass entirely.
-                    let digest = entry_digest(bytes);
+                    let digest = rec.digest();
                     if self.cert_memo.contains(&digest) {
                         counters().cert_memo_hits.inc();
                         true
@@ -359,18 +364,18 @@ impl ChunkAssembler {
                         ok
                     }
                 }
-                Err(_) => false,
+                None => false,
             };
             if valid {
-                let bytes = rebuilt.expect("checked");
-                // Two copies survive on the rebuild path: reassembling the
-                // framed entry out of the shards, and retaining it for
-                // take_rebuilt while handing one to the caller.
-                stats::record_copied_bytes(bytes.len() * 2);
+                let rec = rebuilt.expect("checked");
+                // Reassembling the framed entry out of the shards is the
+                // copy this path still makes; `completed` and the caller
+                // share the result.
+                stats::record_copied_bytes(rec.bytes().len());
                 asm.rebuilt = true;
                 asm.buckets.clear();
-                self.completed.insert(msg.entry, bytes.clone());
-                return ChunkOutcome::Rebuilt(bytes);
+                self.completed.insert(msg.entry, rec.bytes().clone());
+                return ChunkOutcome::Rebuilt(rec);
             }
             // The whole bucket is fake (same root ⇒ same encoding):
             // condemn its chunk ids and drop it (paper §IV-C).
@@ -409,6 +414,7 @@ impl ChunkAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::entry_digest;
     use massbft_crypto::keys::NodeId;
 
     fn setup(
@@ -439,8 +445,8 @@ mod tests {
             assert_eq!(outgoing.len(), plan.per_sender);
             for (_, msg) in outgoing {
                 match asm.on_chunk(msg, &cert) {
-                    ChunkOutcome::Rebuilt(bytes) => {
-                        rebuilt = Some(bytes);
+                    ChunkOutcome::Rebuilt(rec) => {
+                        rebuilt = Some(rec);
                         break 'outer;
                     }
                     ChunkOutcome::Accepted => {}
@@ -448,7 +454,9 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rebuilt.unwrap(), entry);
+        let rec = rebuilt.unwrap();
+        assert_eq!(rec.bytes(), &entry);
+        assert_eq!((rec.id(), rec.digest()), (id, entry_digest(&entry)));
         assert!(asm.is_rebuilt(id));
         assert_eq!(asm.take_rebuilt(id).unwrap(), entry);
     }
@@ -472,8 +480,8 @@ mod tests {
             if lost.contains(&msg.chunk_id) {
                 continue;
             }
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                got = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                got = Some(rec.bytes().clone());
                 break;
             }
         }
@@ -517,8 +525,8 @@ mod tests {
         // suffice.
         let mut got = None;
         for msg in honest.into_iter().skip(plan.n_data) {
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                got = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                got = Some(rec.bytes().clone());
                 break;
             }
         }
@@ -559,8 +567,8 @@ mod tests {
         // decode matrix (and therefore the decode-plan cache).
         let mut got = None;
         for msg in all.into_iter().skip(1) {
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                got = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                got = Some(rec.bytes().clone());
                 break;
             }
         }
@@ -568,8 +576,8 @@ mod tests {
 
         let after = crate::stats::data_plane_stats();
         assert!(
-            after.bytes_copied >= after_encode.bytes_copied + 2 * entry.len() as u64,
-            "rebuild reassembles and retains the entry"
+            after.bytes_copied >= after_encode.bytes_copied + entry.len() as u64,
+            "rebuild reassembles the entry"
         );
         let decodes_before = before.decode_cache_hits + before.decode_cache_misses;
         let decodes_after = after.decode_cache_hits + after.decode_cache_misses;
@@ -672,8 +680,8 @@ mod tests {
         let honest = ChunkSender::encode_all(&plan, id, &entry).unwrap();
         let mut got = None;
         for msg in honest {
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                got = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                got = Some(rec.bytes().clone());
                 break;
             }
             assert!(asm.bucket_count(id) <= MAX_BUCKETS_PER_ENTRY);
@@ -704,8 +712,8 @@ mod tests {
         assert!(asm.bucket_count(id) <= MAX_BUCKETS_PER_ENTRY);
         let mut got = None;
         for msg in honest.into_iter().skip(2) {
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                got = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                got = Some(rec.bytes().clone());
                 break;
             }
         }

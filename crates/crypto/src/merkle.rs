@@ -28,6 +28,16 @@ pub const PARALLEL_LEAF_COUNT: usize = 4;
 /// the win even when the leaf count clears [`PARALLEL_LEAF_COUNT`].
 const PARALLEL_LEAF_BYTES: usize = 256 * 1024;
 
+#[cfg(test)]
+thread_local!(static CORE_LOOKUPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
+
+/// [`massbft_accel::host_cores`], counted per thread under test.
+fn host_cores() -> usize {
+    #[cfg(test)]
+    CORE_LOOKUPS.with(|c| c.set(c.get() + 1));
+    massbft_accel::host_cores()
+}
+
 fn hash_leaf(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(&[LEAF_PREFIX]);
@@ -85,8 +95,12 @@ impl MerkleTree {
     pub fn build<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
         assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
         let total_bytes: usize = leaves.iter().map(|l| l.as_ref().len()).sum();
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if leaves.len() < PARALLEL_LEAF_COUNT || total_bytes < PARALLEL_LEAF_BYTES || workers < 2 {
+        // Size first: small leaf sets never ask for the core count.
+        if leaves.len() < PARALLEL_LEAF_COUNT || total_bytes < PARALLEL_LEAF_BYTES {
+            return Self::build_sequential(leaves);
+        }
+        let workers = host_cores();
+        if workers < 2 {
             return Self::build_sequential(leaves);
         }
 
@@ -291,6 +305,25 @@ mod tests {
             MerkleTree::build(odd).root(),
             MerkleTree::build_sequential(odd).root()
         );
+    }
+
+    #[test]
+    fn small_trees_never_resolve_the_core_count() {
+        // Protocol-sized leaf sets (28 chunks of ~0.4 KB and of ~8 KB) sit
+        // below the byte threshold: the size test answers on its own.
+        let before = CORE_LOOKUPS.with(|c| c.get());
+        for len in [400usize, 8 * 1024] {
+            let ls: Vec<Vec<u8>> = (0..28).map(|i| vec![i as u8; len]).collect();
+            assert_eq!(
+                MerkleTree::build(&ls).root(),
+                MerkleTree::build_sequential(&ls).root()
+            );
+        }
+        assert_eq!(CORE_LOOKUPS.with(|c| c.get()), before);
+        // Above it the count is asked for, once per build.
+        let big: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 32 * 1024]).collect();
+        MerkleTree::build(&big);
+        assert_eq!(CORE_LOOKUPS.with(|c| c.get()), before + 1);
     }
 
     #[test]

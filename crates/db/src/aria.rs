@@ -69,11 +69,11 @@
 //! [`TxnOutcome::LogicAborted`]. With the fallback on, a batch leaves no
 //! conflict-aborted residue for the caller to retry.
 
+use crate::hash::{key_hash, FastMap};
 use crate::pool::WorkerPool;
 use crate::stats::{record_batch, BatchSample};
 use crate::store::{self, KvStore};
 use crate::{DetTransaction, Key, Value};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Environment variable toggling the deterministic abort fallback for
@@ -85,16 +85,16 @@ pub const FALLBACK_ENV: &str = "MASSBFT_EXEC_FALLBACK";
 /// count so reservation lanes stay balanced at 16 workers.
 const RSV_SHARDS: usize = 64;
 
-/// Reservation-table stripe for a key. Uses the high half of the shared
-/// FNV hash so reservation striping is not correlated with the store's
-/// shard selection (which masks the low bits of the same hash).
+/// Reservation-table stripe for a key: bits 40.. of the shared key hash,
+/// so striping is not correlated with the store's shard selection (bits
+/// 32..37 of the same hash).
 #[inline]
 fn rsv_shard_of(key: &[u8]) -> usize {
-    (store::fnv64(key).rotate_right(32) as usize) & (RSV_SHARDS - 1)
+    ((key_hash(key) >> 40) as usize) & (RSV_SHARDS - 1)
 }
 
 /// Write-reservation map: key → lowest transaction id writing it.
-type ReserveMap<'e> = HashMap<&'e [u8], usize>;
+type ReserveMap<'e> = FastMap<&'e [u8], usize>;
 /// One worker-lane task producing the reservation maps for its contiguous
 /// shard range.
 type ReserveTask<'e, 's> = Box<dyn FnOnce() -> Vec<ReserveMap<'e>> + Send + 's>;
@@ -407,7 +407,7 @@ impl AriaExecutor {
     /// lowest-id-wins merge over every reserved key.
     fn reserve<'e>(&self, effects: &'e [TxnEffects], lanes: usize) -> ReservationTable<'e> {
         if lanes <= 1 {
-            let mut shards: Vec<ReserveMap> = vec![HashMap::new(); RSV_SHARDS];
+            let mut shards: Vec<ReserveMap> = vec![FastMap::default(); RSV_SHARDS];
             for (i, eff) in effects.iter().enumerate() {
                 if eff.abort {
                     continue;
@@ -425,7 +425,7 @@ impl AriaExecutor {
                 let lo = gi * group;
                 let hi = (lo + group).min(RSV_SHARDS);
                 Box::new(move || {
-                    let mut maps: Vec<ReserveMap> = vec![HashMap::new(); hi - lo];
+                    let mut maps: Vec<ReserveMap> = vec![FastMap::default(); hi - lo];
                     for (i, eff) in effects.iter().enumerate() {
                         if eff.abort {
                             continue;

@@ -12,6 +12,8 @@
 //!   snapshot, write/read reservations detect conflicts, and aborts are
 //!   *deterministic* — every replica aborts exactly the same transactions,
 //!   so no cross-replica coordination is needed during execution,
+//! - [`hash`] — the one cheap keyed hash behind the store's shards and
+//!   tables (and the node's other in-memory maps),
 //! - [`pool`] — a scoped fork-join worker pool (no rayon in the offline
 //!   toolchain) that the executor uses to run each Aria phase multi-core,
 //! - [`stats`] — process-wide execution counters: per-phase timings,
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod aria;
+pub mod hash;
 pub mod pool;
 pub mod stats;
 pub mod store;

@@ -1,15 +1,16 @@
 //! In-memory key-value store with batch versioning, striped into shards.
 //!
-//! The table is split into [`SHARDS`] independent hash maps keyed by an
-//! FNV-1a hash of the key. Reads and single-key writes behave exactly as
+//! The table is split into [`SHARDS`] independent hash maps; a key's shard
+//! and its slot inside the shard both come from [`crate::hash`]'s one cheap
+//! function. Reads and single-key writes behave exactly as
 //! a flat map would; the striping exists so the Aria commit phase can
 //! apply a batch's write set with one worker per shard group — the WAW
 //! rule guarantees at most one committed writer per key per batch, so
 //! per-shard apply order cannot affect the result.
 
+use crate::hash::{key_hash, FastMap};
 use crate::pool::WorkerPool;
 use crate::{Key, Value};
-use std::collections::HashMap;
 
 /// Number of stripes. A power of two well above any realistic worker
 /// count, so shard groups stay balanced.
@@ -23,7 +24,7 @@ pub const SHARDS: usize = 32;
 /// same content hash ⇒ same state).
 #[derive(Debug, Clone)]
 pub struct KvStore {
-    shards: Vec<HashMap<Key, Value>>,
+    shards: Vec<FastMap<Key, Value>>,
     version: u64,
     /// Incrementally maintained XOR of per-pair hashes; see
     /// [`KvStore::content_hash`]. XOR is self-inverting, so every mutation
@@ -36,7 +37,7 @@ pub struct KvStore {
 impl Default for KvStore {
     fn default() -> Self {
         KvStore {
-            shards: vec![HashMap::new(); SHARDS],
+            shards: vec![FastMap::default(); SHARDS],
             version: 0,
             content_acc: 0,
         }
@@ -56,23 +57,12 @@ fn pair_hash(k: &[u8], v: &[u8]) -> u64 {
     h.finish()
 }
 
-/// FNV-1a over the key bytes — the shared key hash for both the store's
-/// shard selection and the executor's reservation-table sharding (the two
-/// mask different bit counts off the same hash).
-#[inline]
-pub(crate) fn fnv64(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Shard index for a key: FNV-1a masked to [`SHARDS`].
+/// Shard index for a key: bits 32.. of [`key_hash`], which the shard's own
+/// table (low bits for the slot, top seven for the tag) never reads. The
+/// executor's reservation stripes take bits 40.. of the same hash.
 #[inline]
 pub(crate) fn shard_of(key: &[u8]) -> usize {
-    (fnv64(key) as usize) & (SHARDS - 1)
+    ((key_hash(key) >> 32) as usize) & (SHARDS - 1)
 }
 
 impl KvStore {
@@ -117,12 +107,12 @@ impl KvStore {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.shards.iter().map(FastMap::len).sum()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashMap::is_empty)
+        self.shards.iter().all(FastMap::is_empty)
     }
 
     /// The number of batches applied so far.

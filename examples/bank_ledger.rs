@@ -69,8 +69,8 @@ fn main() {
             if receiver == 5 || receiver == 6 {
                 continue;
             }
-            if let ChunkOutcome::Rebuilt(bytes) = assembler.on_chunk(chunk, &cert) {
-                rebuilt = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = assembler.on_chunk(chunk, &cert) {
+                rebuilt = Some(rec.bytes().clone());
                 break 'send;
             }
         }

@@ -13,6 +13,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A cgroup file walk per call (~17 us in a container): the core count is
+# resolved once per process, in massbft_accel::host_cores().
+echo "==> available_parallelism only inside host_cores()"
+if grep -rn "available_parallelism" crates/*/src | grep -v "^crates/accel/src/lib.rs:"; then
+  echo "error: ask massbft_accel::host_cores() for the core count" >&2
+  exit 1
+fi
+
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release (tier-1)"
   cargo build --release --workspace

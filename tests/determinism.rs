@@ -3,9 +3,10 @@
 //! reproducible. Deterministic simulation is what makes every figure in
 //! EXPERIMENTS.md re-derivable bit-for-bit.
 
+use massbft::core::adversary::FaultEvent;
 use massbft::core::cluster::{Cluster, ClusterConfig};
 use massbft::core::protocol::Protocol;
-use massbft::sim_net::{NodeId, SECOND};
+use massbft::sim_net::{NodeId, Time, MILLISECOND, SECOND};
 use massbft::workloads::WorkloadKind;
 
 fn fingerprint(protocol: Protocol, seed: u64) -> (u64, u64, u64, u64) {
@@ -201,4 +202,113 @@ fn virtual_time_decouples_from_wall_clock() {
     let b = fingerprint(Protocol::MassBft, 99);
     assert_eq!(a, b);
     let _ = first_duration;
+}
+
+/// Held Raft appends used to sit in a `RandomState` map that every replay
+/// drained, so per-process hash order reached the simulator's message
+/// sequence numbers. Two clusters built in one process get different
+/// `RandomState`s; while several appends are held at once at one
+/// representative, both must still produce the same ledgers at the same
+/// virtual instant.
+#[test]
+fn held_append_replay_order_is_not_hash_order() {
+    let run = || {
+        let cfg = ClusterConfig::nationwide(&[4; 6], Protocol::MassBft)
+            .workload(WorkloadKind::YcsbA)
+            .seed(7)
+            .arrival_tps(2_000.0)
+            .max_batch(100);
+        let mut c = Cluster::new(cfg);
+        let mut peak_held = 0;
+        for step in 1..=80 {
+            c.run_until(step * 10 * MILLISECOND);
+            for g in 0..6u32 {
+                peak_held = peak_held.max(c.node(NodeId::new(g, 0)).status().held_appends);
+            }
+        }
+        let final_vtime = c.sim_mut().now();
+        let heads: Vec<(u64, [u8; 32])> = (0..6u32)
+            .flat_map(|g| (0..4u32).map(move |i| NodeId::new(g, i)))
+            .map(|id| {
+                (
+                    c.node(id).ledger().height(),
+                    c.node(id).ledger().head_hash().0,
+                )
+            })
+            .collect();
+        (peak_held, final_vtime, heads)
+    };
+    let (held_a, vtime_a, heads_a) = run();
+    let (held_b, vtime_b, heads_b) = run();
+    assert!(
+        held_a >= 3,
+        "only {held_a} appends held at once: nothing to order"
+    );
+    assert_eq!(held_a, held_b);
+    assert_eq!(vtime_a, vtime_b, "final virtual time diverged");
+    assert_eq!(heads_a, heads_b, "ledger heads diverged");
+    assert!(heads_a.iter().all(|(h, _)| *h > 50), "run too short");
+}
+
+/// Runs one benchmark shape (seed 7) for `until` of virtual time and
+/// compares the observer's ledger head (first eight bytes, hex), ledger
+/// height and committed transactions with what 4e9a4ab — the parent of
+/// ISSUE 15 — produced.
+fn assert_recorded(label: &str, cfg: ClusterConfig, until: Time, recorded: (&str, u64, u64)) {
+    // The fallback is pinned so `MASSBFT_EXEC_FALLBACK` cannot move the
+    // recorded heads; worker width never shows in results.
+    let mut c = Cluster::new(cfg.seed(7).exec_fallback(false));
+    c.run_until(until);
+    let n = c.node(c.observer());
+    let head: String = n.ledger().head_hash().0[..8]
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        (head.as_str(), n.ledger().height(), n.executed_txns()),
+        recorded,
+        "{label}"
+    );
+}
+
+/// The three protocol shapes `BENCHMARK.json` runs on the simulator, cut
+/// short. A host-CPU optimisation must leave every one of them where it
+/// was.
+#[test]
+fn benchmark_shapes_match_recorded_ledger_heads() {
+    let peak = ClusterConfig::nationwide(&[7, 7, 7], Protocol::MassBft)
+        .workload(WorkloadKind::YcsbA)
+        .arrival_tps(100_000.0)
+        .max_batch(500);
+    assert_recorded(
+        "3x7 YCSB-A zipf",
+        peak,
+        SECOND,
+        ("f392c7e36e8de3c5", 31, 14458),
+    );
+    let scale = ClusterConfig::nationwide(&[4; 12], Protocol::MassBft)
+        .workload(WorkloadKind::YcsbA)
+        .arrival_tps(2_000.0)
+        .max_batch(100);
+    assert_recorded(
+        "12x4 YCSB-A",
+        scale,
+        500 * MILLISECOND,
+        ("95784b6e2d57dd31", 236, 9473),
+    );
+    let victim = NodeId::new(1, 0);
+    let faults = ClusterConfig::nationwide(&[4, 4, 4], Protocol::MassBft)
+        .workload(WorkloadKind::SmallBank)
+        .arrival_tps(3_000.0)
+        .max_batch(60)
+        .fault_at(600 * MILLISECOND, FaultEvent::Crash(victim))
+        .fault_at(1_400 * MILLISECOND, FaultEvent::Recover(victim))
+        .fault_at(1_700 * MILLISECOND, FaultEvent::PartitionGroups(0, 2))
+        .fault_at(2_100 * MILLISECOND, FaultEvent::HealGroups(0, 2));
+    assert_recorded(
+        "3x4 SmallBank, crash + partition",
+        faults,
+        2_600 * MILLISECOND,
+        ("0979fd3a6639a864", 178, 10676),
+    );
 }

@@ -68,8 +68,8 @@ fn worst_case_faults_never_block_rebuild_across_geometries() {
             if lost.contains(&msg.chunk_id) {
                 continue;
             }
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                rebuilt = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                rebuilt = Some(rec.bytes().clone());
                 break;
             }
         }
@@ -95,8 +95,8 @@ fn tampered_and_honest_chunk_streams_interleave_safely() {
     for (h, e) in honest.into_iter().zip(evil) {
         for msg in [e, h] {
             match asm.on_chunk(msg, &cert) {
-                ChunkOutcome::Rebuilt(bytes) => {
-                    got = Some(bytes);
+                ChunkOutcome::Rebuilt(rec) => {
+                    got = Some(rec.bytes().clone());
                 }
                 ChunkOutcome::Accepted | ChunkOutcome::Rejected(_) => {}
             }
@@ -155,8 +155,8 @@ proptest! {
             if lost.contains(&msg.chunk_id) {
                 continue;
             }
-            if let ChunkOutcome::Rebuilt(bytes) = asm.on_chunk(msg, &cert) {
-                rebuilt = Some(bytes);
+            if let ChunkOutcome::Rebuilt(rec) = asm.on_chunk(msg, &cert) {
+                rebuilt = Some(rec.bytes().clone());
                 break;
             }
         }
