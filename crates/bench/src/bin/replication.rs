@@ -1,6 +1,6 @@
 //! Emits `BENCH_replication.json`: encode→Merkle→rebuild pipeline
-//! throughput for the data-plane fast path versus the vendored seed
-//! baseline ([`massbft_bench::seed_codec`]).
+//! throughput for the data-plane fast path versus the seed baseline's
+//! recorded throughput ([`SEED_MIB_S`]).
 //!
 //! ```text
 //! cargo run -p massbft-bench --release --bin replication
@@ -8,12 +8,9 @@
 //! ```
 //!
 //! Each pipeline run erasure-codes a 1 MiB entry, builds the Merkle tree
-//! over the chunks, "transfers" every chunk (refcounted [`bytes::Bytes`]
-//! clone on the fast path, deep `Vec` clone on the seed path, matching
-//! what each revision's `ChunkSender`/`ChunkAssembler` did), drops the
-//! worst-case admissible chunk subset, and rebuilds the entry. The seed
-//! path constructs a fresh codec per encode and per rebuild — exactly
-//! what the seed replication engine did on every entry.
+//! over the chunks, "transfers" every chunk (a refcounted [`bytes::Bytes`]
+//! clone), drops the worst-case admissible chunk subset, and rebuilds the
+//! entry.
 //!
 //! Geometries: same-size sender/receiver groups of 4–32 nodes via
 //! Algorithm 1 transfer plans, plus the raw `(n_data=8, n_total=16)`
@@ -21,7 +18,6 @@
 //! trajectory is recorded in-tree.
 
 use massbft_bench::report::{self, Json, Obj};
-use massbft_bench::seed_codec;
 use massbft_codec::chunker::EntryCodec;
 use massbft_core::plan::TransferPlan;
 use massbft_crypto::MerkleTree;
@@ -58,22 +54,20 @@ fn fast_pipeline(codec: &EntryCodec, n_data: usize, n_total: usize, entry: &[u8]
     codec.decode_from(&shards).expect("rebuild").len()
 }
 
-/// One full seed-baseline pipeline pass (fresh codec per encode and per
-/// rebuild, deep-copied chunk payloads, the seed's scalar SHA-256 and
-/// sequential Merkle build).
-fn seed_pipeline(n_data: usize, n_total: usize, entry: &[u8]) -> usize {
-    let codec = seed_codec::chunker::EntryCodec::new(n_data, n_total).expect("codec");
-    let chunks = codec.encode(entry).expect("encode");
-    let tree = seed_codec::merkle::MerkleTree::build(&chunks);
-    black_box(tree.root());
-    let received: Vec<Vec<u8>> = chunks.to_vec();
-    let rebuild_codec = seed_codec::chunker::EntryCodec::new(n_data, n_total).expect("codec");
-    let mut shards: Vec<Option<Vec<u8>>> = received.into_iter().map(Some).collect();
-    for s in shards.iter_mut().take(n_total - n_data) {
-        *s = None;
-    }
-    rebuild_codec.decode(&mut shards).expect("rebuild").len()
-}
+/// The seed revision's throughput on the same pipeline, MiB/s per
+/// `(n_data, n_total)`: its own scalar GF(256) / Reed-Solomon / SHA-256 /
+/// Merkle code, a fresh codec per encode and per rebuild, deep-copied
+/// chunk payloads. Recorded with this binary (full budget) while that
+/// code was still vendored here as `seed_codec`; used only for the
+/// printed and recorded speedup, which therefore compares across hosts
+/// when this one differs from the recording one.
+const SEED_MIB_S: &[((usize, usize), f64)] = &[
+    ((2, 4), 83.9),
+    ((4, 8), 71.0),
+    ((6, 16), 46.9),
+    ((12, 32), 35.8),
+    ((8, 16), 54.4),
+];
 
 /// Times `f` with a calibration pass: runs until ~`budget_ms` of wall time
 /// is spent (at least 3 iterations) and returns MiB/s of entry payload.
@@ -115,9 +109,11 @@ fn bench_geometry(label: &str, n_data: usize, n_total: usize, budget_ms: u64) ->
     let (fast_mib_s, fast_iters) = measure(data.len(), budget_ms, || {
         fast_pipeline(&codec, n_data, n_total, &data)
     });
-    let (seed_mib_s, seed_iters) = measure(data.len(), budget_ms, || {
-        seed_pipeline(n_data, n_total, &data)
-    });
+    let seed_mib_s = SEED_MIB_S
+        .iter()
+        .find(|(geometry, _)| *geometry == (n_data, n_total))
+        .expect("a recorded seed figure per benched geometry")
+        .1;
     let row = Row {
         label: label.to_string(),
         n_data,
@@ -127,7 +123,7 @@ fn bench_geometry(label: &str, n_data: usize, n_total: usize, budget_ms: u64) ->
     };
     println!(
         "{label:>16}  ({n_data:>2}+{:>2})  fast {fast_mib_s:>8.1} MiB/s ({fast_iters} iters)  \
-         seed {seed_mib_s:>8.1} MiB/s ({seed_iters} iters)  speedup {:>5.2}x",
+         seed {seed_mib_s:>8.1} MiB/s (recorded)  speedup {:>5.2}x",
         n_total - n_data,
         row.speedup(),
     );

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod seed_codec;
 
 use massbft_core::cluster::{Cluster, ClusterConfig, Report};
 use massbft_core::protocol::{PhaseBreakdown, Protocol};

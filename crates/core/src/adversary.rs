@@ -6,7 +6,9 @@
 //! each node can be assigned a [`Strategy`] with an activation window
 //! ([`AdversarySpec`]), and whole scenarios — crashes, recoveries,
 //! partitions, link faults — become data via [`FaultSchedule`], applied
-//! deterministically by `Cluster` at scripted virtual times.
+//! by the cluster harness at scripted instants on either driver's clock
+//! (the event types live beside the fault model in `massbft_sim_net::fault`
+//! and are re-exported here).
 //!
 //! Strategies are interpreted by the protocol layer (`protocol.rs`):
 //!
@@ -25,10 +27,11 @@
 //!   redundancy and pull repair).
 //! - [`Strategy::DelayAll`] — every message the node sends is delayed by
 //!   a fixed amount (gray failure / overloaded NIC). Implemented at the
-//!   simulator level via `Simulation::set_send_delay`, scheduled by the
-//!   cluster when the spec activates and deactivates.
+//!   driver level as [`FaultEvent::SetSendDelay`], scheduled by the
+//!   cluster harness when the spec activates and deactivates.
 
-use massbft_sim_net::{LinkFault, NodeId, Time};
+pub use massbft_sim_net::fault::{FaultEvent, FaultSchedule, ScheduledFault};
+use massbft_sim_net::{NodeId, Time};
 
 /// One adversarial behavior a node can exhibit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,85 +95,6 @@ impl AdversarySpec {
     }
 }
 
-/// One scripted fault action, applied to the simulation at a scheduled
-/// virtual time. Node/group crash–recover, partitions at both
-/// granularities, link-level fault models, and adversarial send delays.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// Crash a node (stops sending/receiving; state retained).
-    Crash(NodeId),
-    /// Recover a crashed node.
-    Recover(NodeId),
-    /// Crash every node of a group (data-center outage, §VI-E).
-    CrashGroup(u32),
-    /// Recover every node of a group.
-    RecoverGroup(u32),
-    /// Sever all WAN links between two groups.
-    PartitionGroups(u32, u32),
-    /// Heal a group partition.
-    HealGroups(u32, u32),
-    /// Sever the link between two individual nodes (WAN or LAN).
-    PartitionNodes(NodeId, NodeId),
-    /// Heal a node-pair partition.
-    HealNodes(NodeId, NodeId),
-    /// Set (`Some`) or clear (`None`) the fault model on a directed link.
-    SetLinkFault(NodeId, NodeId, Option<LinkFault>),
-    /// Set (`Some`) or clear (`None`) the WAN-wide default fault model.
-    SetWanFault(Option<LinkFault>),
-    /// Add a fixed delay to everything a node sends (0 clears it).
-    SetSendDelay(NodeId, Time),
-}
-
-/// A [`FaultEvent`] with its activation instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduledFault {
-    /// Virtual time the event fires.
-    pub at: Time,
-    /// What happens.
-    pub event: FaultEvent,
-}
-
-/// A deterministic script of fault events, kept sorted by time (stable
-/// for equal times, so same-instant events apply in insertion order).
-#[derive(Debug, Clone, Default)]
-pub struct FaultSchedule {
-    events: Vec<ScheduledFault>,
-}
-
-impl FaultSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder-style: adds `event` at `at` and returns the schedule.
-    pub fn at(mut self, at: Time, event: FaultEvent) -> Self {
-        self.push(at, event);
-        self
-    }
-
-    /// Adds `event` at `at`, keeping the script sorted (stable).
-    pub fn push(&mut self, at: Time, event: FaultEvent) {
-        let pos = self.events.partition_point(|e| e.at <= at);
-        self.events.insert(pos, ScheduledFault { at, event });
-    }
-
-    /// The full script, sorted by time.
-    pub fn events(&self) -> &[ScheduledFault] {
-        &self.events
-    }
-
-    /// Whether the script is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,21 +111,5 @@ mod tests {
         let forever = AdversarySpec::new(NodeId::new(0, 1), Strategy::TamperChunks);
         assert!(forever.active_at(0));
         assert!(forever.active_at(u64::MAX));
-    }
-
-    #[test]
-    fn schedule_sorts_stably() {
-        let s = FaultSchedule::new()
-            .at(50, FaultEvent::Crash(NodeId::new(0, 0)))
-            .at(10, FaultEvent::PartitionGroups(0, 1))
-            .at(50, FaultEvent::Recover(NodeId::new(0, 0)))
-            .at(20, FaultEvent::HealGroups(0, 1));
-        let ats: Vec<Time> = s.events().iter().map(|e| e.at).collect();
-        assert_eq!(ats, vec![10, 20, 50, 50]);
-        // Same-instant events keep insertion order: Crash before Recover.
-        assert!(matches!(s.events()[2].event, FaultEvent::Crash(_)));
-        assert!(matches!(s.events()[3].event, FaultEvent::Recover(_)));
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
     }
 }

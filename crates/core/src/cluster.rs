@@ -2,9 +2,11 @@
 //! faults, and measure — the programmatic equivalent of the paper's Aliyun
 //! deployments (§VI).
 //!
-//! A [`Cluster`] owns a [`Simulation`] of [`Node`] actors over a
-//! [`Topology`]. Throughput and latency are measured in virtual time, so
-//! every number is deterministic given the seed.
+//! A [`Harness`] runs an experiment over whatever [`Driver`] supplies the
+//! clock and the transport. [`Cluster`] is the harness over a
+//! [`Simulation`] of [`Node`] actors: throughput and latency are measured
+//! in virtual time, so every number is deterministic given the seed.
+//! `massbft_runtime::Cluster` is the same harness over loopback TCP.
 
 use crate::{
     adversary::{AdversarySpec, FaultEvent, FaultSchedule, ScheduledFault, Strategy},
@@ -35,8 +37,8 @@ pub struct ClusterConfig {
     pub wan_mbps: u64,
     /// Per-node WAN overrides, Mbps (Fig. 14).
     pub node_wan_mbps: Vec<(NodeId, u64)>,
-    /// Scripted fault events, applied at their virtual times by
-    /// [`Cluster::run_until`].
+    /// Scripted fault events, applied at their instants by
+    /// [`Harness::run_until`].
     pub faults: FaultSchedule,
 }
 
@@ -104,8 +106,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Forces Aria's deterministic same-batch abort fallback on or off,
-    /// overriding the `MASSBFT_EXEC_FALLBACK` environment default.
+    /// Turns Aria's deterministic same-batch abort fallback on or off
+    /// (off by default).
     pub fn exec_fallback(mut self, on: bool) -> Self {
         self.params.exec_fallback = on;
         self
@@ -201,36 +203,90 @@ pub struct Report {
     pub max_node_wan_bytes: u64,
     /// Total LAN bytes during the window.
     pub lan_bytes: u64,
-    /// Whether all nodes' execution logs are prefix-consistent and their
-    /// stores agree at equal prefixes.
+    /// Whether all live nodes' ledgers are prefix-consistent
+    /// ([`Harness::check_consistency`]).
     pub all_nodes_consistent: bool,
     /// Entries executed at the observer.
     pub entries_executed: u64,
 }
 
-/// A running cluster experiment.
-pub struct Cluster {
-    sim: Simulation<Node>,
+/// What a window's traffic counters read: bytes routed since the driver's
+/// [`Driver::open_window`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// WAN bytes, all senders.
+    pub wan_bytes: u64,
+    /// WAN bytes of the heaviest single sender.
+    pub max_node_wan_bytes: u64,
+    /// LAN bytes, all senders.
+    pub lan_bytes: u64,
+}
+
+/// What runs the nodes: a clock and a transport. The simulator advances a
+/// virtual clock over an event heap, the TCP runtime sleeps on the wall
+/// clock while reactor threads move frames; everything else an experiment
+/// does — schedules, windows, reports, the consistency check — is the
+/// [`Harness`] on top and exists once.
+pub trait Driver {
+    /// Microseconds on the driver's clock since the cluster started.
+    fn now(&self) -> Time;
+
+    /// Lets the cluster run until instant `t` on that clock; returns at
+    /// once when `t` has passed.
+    fn advance_to(&mut self, t: Time);
+
+    /// Installs or clears a fault now (`FaultState::apply` on the
+    /// driver's fault state).
+    fn apply_fault(&mut self, event: FaultEvent);
+
+    /// Whether a node is currently crashed.
+    fn is_crashed(&self, id: NodeId) -> bool;
+
+    /// Whether this driver holds the node's state (a multi-process TCP
+    /// cluster hosts only some groups in each process).
+    fn hosts(&self, _id: NodeId) -> bool {
+        true
+    }
+
+    /// Runs `f` against a hosted node's state.
+    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R;
+
+    /// Starts a traffic window at the current instant.
+    fn open_window(&mut self);
+
+    /// Bytes routed since [`Driver::open_window`].
+    fn traffic(&self) -> Traffic;
+
+    /// Hook: a window's [`Report`] has been assembled.
+    fn window_closed(&self) {}
+
+    /// Hook: the consistency check found two live ledgers that disagree.
+    fn diverged(&self) {}
+}
+
+/// A running cluster experiment over either driver: the scripted fault
+/// schedule, measurement windows and the consistency check.
+pub struct Harness<D: Driver> {
+    driver: D,
     cfg: ClusterConfig,
+    /// Every node of the topology, hosted by this driver or not.
+    nodes: Vec<NodeId>,
     /// Scripted fault events sorted by time, with the apply cursor.
-    schedule: Vec<ScheduledFault>,
+    schedule: FaultSchedule,
     next_fault: usize,
     /// Snapshot of executed txns at the start of the current window.
     window_start_txns: u64,
     window_start_time: Time,
 }
 
-impl Cluster {
-    /// Builds the cluster (nodes start idle; time starts at 0).
-    pub fn new(cfg: ClusterConfig) -> Self {
+impl<D: Driver> Harness<D> {
+    /// Builds the topology `cfg` describes, has `start` stand a driver up
+    /// on it, and compiles the fault script.
+    pub fn start(cfg: ClusterConfig, start: impl FnOnce(&ClusterConfig, Topology) -> D) -> Self {
         let topology = cfg.build_topology();
-        let registry = KeyRegistry::generate(cfg.params.seed, &cfg.params.group_sizes);
-        let params = cfg.params.clone();
-        let mut sim = Simulation::new(topology, move |id| {
-            Node::new(id, params.clone(), registry.clone())
-        });
-        sim.set_fault_seed(cfg.params.seed);
-        // `DelayAll` is a simulator-level behavior: translate each spec's
+        let nodes = topology.nodes().collect();
+        let driver = start(&cfg, topology);
+        // `DelayAll` is a driver-level behavior: translate each spec's
         // activation window into scheduled send-delay events.
         let mut schedule = cfg.faults.clone();
         for spec in &cfg.params.adversaries {
@@ -241,35 +297,25 @@ impl Cluster {
                 }
             }
         }
-        Cluster {
-            sim,
+        Harness {
+            driver,
             cfg,
-            schedule: schedule.events().to_vec(),
+            nodes,
+            schedule,
             next_fault: 0,
             window_start_txns: 0,
             window_start_time: 0,
         }
     }
 
-    /// Applies one scripted fault to the simulation.
-    fn apply_fault(&mut self, event: FaultEvent) {
-        match event {
-            FaultEvent::Crash(n) => self.sim.crash(n),
-            FaultEvent::Recover(n) => self.sim.recover(n),
-            FaultEvent::CrashGroup(g) => self.sim.crash_group(g),
-            FaultEvent::RecoverGroup(g) => {
-                for i in 0..self.cfg.params.group_sizes[g as usize] as u32 {
-                    self.sim.recover(NodeId::new(g, i));
-                }
-            }
-            FaultEvent::PartitionGroups(a, b) => self.sim.partition(a, b),
-            FaultEvent::HealGroups(a, b) => self.sim.heal(a, b),
-            FaultEvent::PartitionNodes(a, b) => self.sim.partition_nodes(a, b),
-            FaultEvent::HealNodes(a, b) => self.sim.heal_nodes(a, b),
-            FaultEvent::SetLinkFault(src, dst, f) => self.sim.set_link_fault(src, dst, f),
-            FaultEvent::SetWanFault(f) => self.sim.set_wan_fault(f),
-            FaultEvent::SetSendDelay(n, d) => self.sim.set_send_delay(n, d),
-        }
+    /// The driver underneath (its transport state, its counters).
+    pub fn driver(&self) -> &D {
+        &self.driver
+    }
+
+    /// Mutable access to the driver underneath.
+    pub fn driver_mut(&mut self) -> &mut D {
+        &mut self.driver
     }
 
     /// The observer node used for throughput accounting: a non-
@@ -283,150 +329,467 @@ impl Cluster {
         }
     }
 
-    /// Direct access to the simulation (fault injection, metrics).
-    pub fn sim_mut(&mut self) -> &mut Simulation<Node> {
-        &mut self.sim
+    /// Microseconds on the driver's clock since the cluster started.
+    pub fn now(&self) -> Time {
+        self.driver.now()
     }
 
-    /// Reference to a node.
-    pub fn node(&self, id: NodeId) -> &Node {
-        self.sim.actor(id)
+    /// Runs `f` against a hosted node's state.
+    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
+        self.driver.with_node(id, f)
     }
 
-    /// Advances virtual time to `t` (absolute), applying every scripted
-    /// fault whose instant falls inside the interval, in schedule order.
-    pub fn run_until(&mut self, t: Time) {
-        while self.next_fault < self.schedule.len() && self.schedule[self.next_fault].at <= t {
-            let ScheduledFault { at, event } = self.schedule[self.next_fault];
-            self.next_fault += 1;
-            self.sim.run_until(at.max(self.sim.now()));
-            self.apply_fault(event);
-        }
-        self.sim.run_until(t);
+    /// Installs or clears a fault now (also available via the schedule).
+    pub fn apply_fault(&mut self, event: FaultEvent) {
+        self.driver.apply_fault(event);
     }
 
     /// Crashes every node of group `g` (paper §VI-E).
     pub fn crash_group(&mut self, g: u32) {
-        self.sim.crash_group(g);
+        self.apply_fault(FaultEvent::CrashGroup(g));
     }
 
-    /// Opens a measurement window at the current instant: traffic counters
-    /// reset, the observer's executed-transaction count is snapshotted.
+    /// Lets the cluster run until instant `t` (absolute, on the driver's
+    /// clock), applying every scripted fault whose instant falls inside
+    /// the interval, in schedule order.
+    pub fn run_until(&mut self, t: Time) {
+        while let Some(&ScheduledFault { at, event }) = self.schedule.events().get(self.next_fault)
+        {
+            if at > t {
+                break;
+            }
+            self.next_fault += 1;
+            self.driver.advance_to(at);
+            self.driver.apply_fault(event);
+        }
+        self.driver.advance_to(t);
+    }
+
+    /// Opens a measurement window at the current instant: the driver's
+    /// traffic window restarts, the observer's executed-transaction count
+    /// is snapshotted.
     pub fn open_window(&mut self) {
-        self.sim.metrics_mut().reset_traffic();
-        self.window_start_txns = self.node(self.observer()).executed_txns();
-        self.window_start_time = self.sim.now();
+        self.driver.open_window();
+        self.window_start_txns = self.driver.with_node(self.observer(), Node::executed_txns);
+        self.window_start_time = self.driver.now();
     }
 
-    /// Closes the window and produces a [`Report`].
+    /// Closes the window and produces a [`Report`]. Latency fields cover
+    /// the representatives this driver hosts.
     pub fn close_window(&mut self) -> Report {
-        let now = self.sim.now();
-        let window_us = now - self.window_start_time;
-        let obs = self.observer();
-        let txns = self.node(obs).executed_txns() - self.window_start_txns;
-        let throughput = Throughput { txns, window_us };
+        let window_us = self.driver.now() - self.window_start_time;
+        let (txns_now, per_group_tps, entries_executed) =
+            self.driver.with_node(self.observer(), |n| {
+                let per_group = n
+                    .executed_by_group()
+                    .iter()
+                    .map(|&t| t as f64 * 1_000_000.0 / window_us.max(1) as f64)
+                    .collect();
+                (n.executed_txns(), per_group, n.executed_entries())
+            });
+        let txns = txns_now - self.window_start_txns;
 
         // Latency from every representative's samples (origin latency).
-        let ng = self.cfg.params.ng();
-        let mut all_lat: Vec<Time> = Vec::new();
-        for g in 0..ng as u32 {
-            let rep = self.cfg.params.leader_of(g);
-            // Skip crashed reps (their samples froze).
-            if self.sim.is_crashed(rep) {
-                continue;
-            }
-            // Cheap clone of samples via percentile API is awkward; gather
-            // through the public latency() accessor.
-            let l = self.node(rep).latency();
-            // mean over all samples so far — acceptable because windows in
-            // the harness start after a warmup reset is not supported for
-            // latency; experiments use fresh clusters per data point.
-            if l.count() > 0 {
-                all_lat.push(l.mean_us() as Time);
-            }
-        }
-        let mean_latency_ms = if all_lat.is_empty() {
+        // Crashed reps are skipped: their samples froze.
+        let params = &self.cfg.params;
+        let d = &self.driver;
+        let readable = |rep: NodeId| d.hosts(rep) && !d.is_crashed(rep);
+        let rep_means: Vec<Time> = (0..params.ng() as u32)
+            .map(|g| params.leader_of(g))
+            .filter(|&rep| readable(rep))
+            // Mean over all samples so far, not only the window's:
+            // experiments use a fresh cluster per data point.
+            .filter_map(|rep| {
+                d.with_node(rep, |n| {
+                    let l = n.latency();
+                    (l.count() > 0).then(|| l.mean_us() as Time)
+                })
+            })
+            .collect();
+        let mean_latency_ms = if rep_means.is_empty() {
             0.0
         } else {
-            all_lat.iter().sum::<u64>() as f64 / all_lat.len() as f64 / 1000.0
+            rep_means.iter().sum::<Time>() as f64 / rep_means.len() as f64 / 1000.0
         };
-        // p99 from group 0's representative (needs mutable access to
-        // sort the sample reservoir).
-        let mut p99 = 0u64;
-        let obs_rep = self.cfg.params.leader_of(0);
-        if !self.sim.is_crashed(obs_rep) {
-            p99 = self
-                .sim
-                .actor_mut(obs_rep)
-                .latency_mut()
-                .percentile_us(99.0);
-        }
-
-        let metrics = self.sim.metrics();
-        // Mirror the run's network totals into the telemetry registry so a
-        // single snapshot carries them alongside the core.* / db.* series.
-        metrics.publish();
-        let wan_bytes = metrics.total_wan_bytes();
-        let max_node_wan_bytes = metrics.max_wan_sender().map(|(_, b)| b).unwrap_or(0);
-        let lan_bytes = metrics.total_lan_bytes();
-
-        let per_group_tps: Vec<f64> = {
-            let by_group = self.node(obs).executed_by_group();
-            by_group
-                .iter()
-                .map(|&t| t as f64 * 1_000_000.0 / window_us.max(1) as f64)
-                .collect()
+        // p99 from group 0's representative.
+        let obs_rep = params.leader_of(0);
+        let p99 = if readable(obs_rep) {
+            d.with_node(obs_rep, |n| n.latency().percentile_us(99.0))
+        } else {
+            0
         };
 
-        Report {
+        let traffic = self.driver.traffic();
+        let report = Report {
             protocol: self.cfg.params.protocol,
             workload: self.cfg.params.workload,
-            throughput,
+            throughput: Throughput { txns, window_us },
             per_group_tps,
             mean_latency_ms,
             p99_latency_ms: p99 as f64 / 1000.0,
-            wan_bytes,
-            max_node_wan_bytes,
-            lan_bytes,
+            wan_bytes: traffic.wan_bytes,
+            max_node_wan_bytes: traffic.max_node_wan_bytes,
+            lan_bytes: traffic.lan_bytes,
             all_nodes_consistent: self.check_consistency(),
-            entries_executed: self.node(obs).executed_entries(),
-        }
+            entries_executed,
+        };
+        self.driver.window_closed();
+        report
     }
 
     /// Convenience: 1 s warmup, then measure for `secs` seconds.
     pub fn run_secs(&mut self, secs: u64) -> Report {
         self.run_until(SECOND);
         self.open_window();
-        let end = self.sim.now() + secs * SECOND;
+        let end = self.driver.now() + secs * SECOND;
         self.run_until(end);
         self.close_window()
     }
 
-    /// Prefix-consistency across every pair of nodes: one execution log
-    /// must be a prefix of the other (Agreement, Theorem V.6).
+    /// Agreement (Theorem V.6) across the hosted, non-crashed nodes: every
+    /// ledger is a prefix of the longest one or equal to it — entry ids,
+    /// entry digests and post-execution state fingerprints, block by
+    /// block. A wall-clock cluster keeps running meanwhile, bar the two
+    /// nodes being compared; ledgers only grow, which keeps the
+    /// comparison sound.
     pub fn check_consistency(&self) -> bool {
-        let logs: Vec<&[crate::entry::EntryId]> = self
-            .sim
-            .actors()
-            .filter(|(id, _)| !self.sim.is_crashed(**id))
-            .map(|(_, n)| n.exec_log())
-            .collect();
-        for i in 0..logs.len() {
-            for j in (i + 1)..logs.len() {
-                let (a, b) = (logs[i], logs[j]);
-                let k = a.len().min(b.len());
-                if a[..k] != b[..k] {
-                    return false;
-                }
-            }
+        let d = &self.driver;
+        let is_live = |id: &NodeId| d.hosts(*id) && !d.is_crashed(*id);
+        let live = || self.nodes.iter().copied().filter(is_live);
+        let height = |id: NodeId| d.with_node(id, |n| n.ledger().height());
+        let Some(longest) = live().max_by_key(|&id| height(id)) else {
+            return true;
+        };
+        // The longest is held while each other node is read in turn
+        // (never itself: a TCP node sits behind a plain mutex).
+        let consistent = d.with_node(longest, |reference| {
+            live()
+                .filter(|&id| id != longest)
+                .all(|id| d.with_node(id, |n| n.ledger().prefix_consistent(reference.ledger())))
+        });
+        if !consistent {
+            d.diverged();
         }
-        true
+        consistent
+    }
+}
+
+impl Driver for Simulation<Node> {
+    fn now(&self) -> Time {
+        Simulation::now(self)
+    }
+
+    fn advance_to(&mut self, t: Time) {
+        self.run_until(t);
+    }
+
+    fn apply_fault(&mut self, event: FaultEvent) {
+        Simulation::apply_fault(self, event);
+    }
+
+    fn is_crashed(&self, id: NodeId) -> bool {
+        Simulation::is_crashed(self, id)
+    }
+
+    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
+        f(self.actor(id))
+    }
+
+    fn open_window(&mut self) {
+        self.metrics_mut().reset_traffic();
+    }
+
+    fn traffic(&self) -> Traffic {
+        let metrics = self.metrics();
+        Traffic {
+            wan_bytes: metrics.total_wan_bytes(),
+            max_node_wan_bytes: metrics.max_wan_sender().map(|(_, b)| b).unwrap_or(0),
+            lan_bytes: metrics.total_lan_bytes(),
+        }
+    }
+
+    /// Mirrors the run's network totals into the telemetry registry so a
+    /// single snapshot carries them alongside the core.* / db.* series.
+    fn window_closed(&self) {
+        self.metrics().publish();
+    }
+}
+
+/// A cluster experiment on the simulator: a [`Simulation`] of [`Node`]
+/// actors under the [`Harness`].
+pub type Cluster = Harness<Simulation<Node>>;
+
+impl Cluster {
+    /// Builds the cluster (nodes start idle; time starts at 0).
+    pub fn new(cfg: ClusterConfig) -> Self {
+        Harness::start(cfg, |cfg, topology| {
+            let registry = KeyRegistry::generate(cfg.params.seed, &cfg.params.group_sizes);
+            let params = cfg.params.clone();
+            let mut sim = Simulation::new(topology, move |id| {
+                Node::new(id, params.clone(), registry.clone())
+            });
+            sim.set_fault_seed(cfg.params.seed);
+            sim
+        })
+    }
+
+    /// Direct access to the simulation (fault injection, metrics).
+    pub fn sim_mut(&mut self) -> &mut Simulation<Node> {
+        &mut self.driver
+    }
+
+    /// Reference to a node.
+    pub fn node(&self, id: NodeId) -> &Node {
+        self.driver.actor(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::EntryId;
+    use massbft_crypto::Digest;
+    use massbft_sim_net::FaultState;
+    use std::cell::RefCell;
+
+    /// What the harness asked of the [`Fake`] driver, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Call {
+        Advance(Time),
+        Fault(FaultEvent),
+        OpenWindow,
+        WindowClosed,
+        Diverged,
+    }
+
+    /// An in-memory driver: a clock that jumps, real nodes that nobody
+    /// runs (tests write their measurement fields), a log of calls.
+    struct Fake {
+        now: Time,
+        nodes: Vec<(NodeId, Node)>,
+        faults: FaultState,
+        traffic: Traffic,
+        log: RefCell<Vec<Call>>,
+    }
+
+    impl Fake {
+        fn node_mut(&mut self, id: NodeId) -> &mut Node {
+            let slot = self.nodes.iter_mut().find(|(n, _)| *n == id);
+            &mut slot.expect("node in the fake").1
+        }
+
+        fn take_log(&self) -> Vec<Call> {
+            self.log.take()
+        }
+    }
+
+    impl Driver for Fake {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn advance_to(&mut self, t: Time) {
+            self.log.borrow_mut().push(Call::Advance(t));
+            self.now = self.now.max(t);
+        }
+        fn apply_fault(&mut self, event: FaultEvent) {
+            self.log.borrow_mut().push(Call::Fault(event));
+            self.faults.apply(event);
+        }
+        fn is_crashed(&self, id: NodeId) -> bool {
+            self.faults.is_crashed(id)
+        }
+        fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
+            let slot = self.nodes.iter().find(|(n, _)| *n == id);
+            f(&slot.expect("node in the fake").1)
+        }
+        fn open_window(&mut self) {
+            self.log.borrow_mut().push(Call::OpenWindow);
+        }
+        fn traffic(&self) -> Traffic {
+            self.traffic
+        }
+        fn window_closed(&self) {
+            self.log.borrow_mut().push(Call::WindowClosed);
+        }
+        fn diverged(&self) {
+            self.log.borrow_mut().push(Call::Diverged);
+        }
+    }
+
+    const REP0: NodeId = NodeId { group: 0, node: 0 };
+    const OBSERVER: NodeId = NodeId { group: 0, node: 1 };
+    const REP1: NodeId = NodeId { group: 1, node: 0 };
+
+    /// A 2×2 cluster on the fake driver.
+    fn fake(configure: impl FnOnce(ClusterConfig) -> ClusterConfig) -> Harness<Fake> {
+        let cfg = configure(ClusterConfig::nationwide(&[2, 2], Protocol::MassBft));
+        Harness::start(cfg, |cfg, topology| {
+            let sizes = &cfg.params.group_sizes;
+            let registry = KeyRegistry::generate(cfg.params.seed, sizes);
+            Fake {
+                now: 0,
+                nodes: topology
+                    .nodes()
+                    .map(|id| (id, Node::new(id, cfg.params.clone(), registry.clone())))
+                    .collect(),
+                faults: FaultState::new(sizes),
+                traffic: Traffic::default(),
+                log: RefCell::default(),
+            }
+        })
+    }
+
+    #[test]
+    fn schedule_applies_by_instant_then_insertion_order() {
+        use Call::{Advance, Fault};
+        let (crash, recover) = (FaultEvent::Crash(REP1), FaultEvent::Recover(REP1));
+        let (cut, outage) = (FaultEvent::PartitionGroups(0, 1), FaultEvent::CrashGroup(1));
+        let mut h = fake(|cfg| {
+            cfg.fault_at(50, crash)
+                .fault_at(70, outage)
+                .fault_at(10, cut)
+                .fault_at(50, recover)
+        });
+        // Every event at or before the target fires at its own instant,
+        // same-instant events in insertion order; later ones wait.
+        h.run_until(60);
+        assert_eq!(
+            h.driver().take_log(),
+            [
+                Advance(10),
+                Fault(cut),
+                Advance(50),
+                Fault(crash),
+                Advance(50),
+                Fault(recover),
+                Advance(60)
+            ]
+        );
+        assert!(!h.driver().is_crashed(REP1));
+        // Nothing fires twice, and an event exactly at the target fires
+        // before the call returns.
+        h.run_until(60);
+        assert_eq!(h.driver().take_log(), [Advance(60)]);
+        h.run_until(70);
+        assert_eq!(
+            h.driver().take_log(),
+            [Advance(70), Fault(outage), Advance(70)]
+        );
+        assert_eq!(h.now(), 70);
+    }
+
+    #[test]
+    fn delay_all_desugars_into_a_set_and_clear_pair() {
+        let delay = |delay_us| Strategy::DelayAll { delay_us };
+        let mut h = fake(|cfg| {
+            cfg.adversary(
+                AdversarySpec::new(REP0, delay(300))
+                    .from_us(20)
+                    .until_us(40),
+            )
+            .adversary(AdversarySpec::new(REP1, delay(7)).from_us(30))
+            .adversary(AdversarySpec::new(OBSERVER, Strategy::WithholdChunks).from_us(25))
+        });
+        h.run_until(100);
+        let faults: Vec<Call> = h.driver().take_log();
+        let faults: Vec<&Call> = faults
+            .iter()
+            .filter(|c| matches!(c, Call::Fault(_)))
+            .collect();
+        // A bounded spec sets and clears; an open-ended one only sets;
+        // other strategies are the node's business, not the driver's.
+        assert_eq!(
+            faults,
+            [
+                &Call::Fault(FaultEvent::SetSendDelay(REP0, 300)),
+                &Call::Fault(FaultEvent::SetSendDelay(REP1, 7)),
+                &Call::Fault(FaultEvent::SetSendDelay(REP0, 0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn window_figures_subtract_the_opening_snapshot() {
+        let mut h = fake(|cfg| cfg);
+        h.run_until(SECOND);
+        h.driver_mut().node_mut(OBSERVER).executed_txns = 100;
+        h.open_window();
+        h.run_until(3 * SECOND);
+        let d = h.driver_mut();
+        d.node_mut(OBSERVER).executed_txns = 350;
+        d.node_mut(OBSERVER).executed_entries = 9;
+        d.traffic = Traffic {
+            wan_bytes: 5_000,
+            max_node_wan_bytes: 3_000,
+            lan_bytes: 70,
+        };
+        d.take_log();
+        let r = h.close_window();
+        assert_eq!(
+            (r.throughput.txns, r.throughput.window_us),
+            (250, 2 * SECOND)
+        );
+        assert_eq!(r.throughput.tps(), 125.0);
+        assert_eq!(r.entries_executed, 9);
+        assert_eq!(
+            (r.wan_bytes, r.max_node_wan_bytes, r.lan_bytes),
+            (5_000, 3_000, 70)
+        );
+        assert!(r.all_nodes_consistent);
+        assert_eq!(h.driver().take_log(), [Call::WindowClosed]);
+        // A second window starts from the new watermark.
+        h.open_window();
+        assert_eq!(h.driver().take_log(), [Call::OpenWindow]);
+        assert_eq!(h.close_window().throughput.txns, 0);
+    }
+
+    #[test]
+    fn a_crashed_representative_is_left_out_of_the_latency_figures() {
+        let mut h = fake(|cfg| cfg);
+        for sample in [1_000, 3_000] {
+            h.driver_mut().node_mut(REP0).latency.record(sample);
+        }
+        h.driver_mut().node_mut(REP1).latency.record(10_000);
+        let r = h.close_window();
+        assert_eq!((r.mean_latency_ms, r.p99_latency_ms), (6.0, 3.0));
+        // Its samples froze at the crash: the mean is the live reps'.
+        h.apply_fault(FaultEvent::Crash(REP1));
+        assert_eq!(h.close_window().mean_latency_ms, 2.0);
+        // The p99 is group 0's representative's, or nothing.
+        h.apply_fault(FaultEvent::Crash(REP0));
+        let r = h.close_window();
+        assert_eq!((r.mean_latency_ms, r.p99_latency_ms), (0.0, 0.0));
+    }
+
+    #[test]
+    fn consistency_compares_every_live_ledger_with_the_longest() {
+        let mut h = fake(|cfg| cfg);
+        let mut append = |id: NodeId, heights: std::ops::RangeInclusive<u64>, state: u64| {
+            for seq in heights {
+                let entry = EntryId::new(0, seq);
+                let digest = Digest::of(&seq.to_le_bytes());
+                h.driver_mut()
+                    .node_mut(id)
+                    .ledger
+                    .append(entry, digest, state);
+            }
+        };
+        // A prefix of the longest ledger agrees with it; so does a node
+        // that executed nothing.
+        append(REP0, 1..=5, 0);
+        append(OBSERVER, 1..=3, 0);
+        // Same entries, same digests, another state after block 2.
+        append(REP1, 1..=1, 0);
+        append(REP1, 2..=2, 0xBAD);
+        assert!(!h.check_consistency());
+        assert_eq!(h.driver().take_log(), [Call::Diverged]);
+        assert!(!h.close_window().all_nodes_consistent);
+        // A crashed node's ledger is not the cluster's problem.
+        h.apply_fault(FaultEvent::Crash(REP1));
+        h.driver().take_log();
+        assert!(h.check_consistency());
+        assert_eq!(h.driver().take_log(), []);
+    }
 
     fn small(protocol: Protocol) -> ClusterConfig {
         ClusterConfig::nationwide(&[4, 4, 4], protocol)

@@ -112,17 +112,6 @@ impl OrderingEngine {
         self.heads[g as usize].id.seq
     }
 
-    /// Diagnostic view of group `g`'s head: `(seq, vts, set, committed)`.
-    pub fn head_state(&self, g: u32) -> (u64, Vec<u64>, Vec<bool>, bool) {
-        let h = &self.heads[g as usize];
-        (
-            h.id.seq,
-            h.vts.clone(),
-            h.set.clone(),
-            h.id.seq <= self.committed[g as usize],
-        )
-    }
-
     /// Records that entry `id` achieved global Raft consensus, unlocking
     /// its emission.
     ///

@@ -50,7 +50,7 @@ use massbft_consensus::{
     raft::{RaftConfig, RaftMsg, RaftNode, RaftOutput},
 };
 use massbft_crypto::{cert::quorum, Digest, KeyRegistry, QuorumCert};
-use massbft_db::{hash::FastMap, WorkerPool};
+use massbft_db::hash::FastMap;
 use massbft_sim_net::{Actor, Ctx, NodeId, SimMessage, Time, MILLISECOND};
 use massbft_telemetry as telemetry;
 use massbft_workloads::{Request, WorkloadGen, WorkloadKind};
@@ -176,8 +176,7 @@ pub struct ProtocolParams {
     pub retry_aborts: bool,
     /// Aria's deterministic abort fallback: re-run conflict-aborted
     /// transactions serially, in txn-id order, within the same batch.
-    /// Deterministic at any worker width. Defaults to the
-    /// `MASSBFT_EXEC_FALLBACK` environment knob (off when unset).
+    /// Deterministic at any worker width. Off by default.
     pub exec_fallback: bool,
 }
 
@@ -216,13 +215,9 @@ impl ProtocolParams {
             view_timeout_max_us: 2000 * MILLISECOND,
             repair_interval_us: 500 * MILLISECOND,
             seed: 1,
-            // `MASSBFT_EXEC_WORKERS` lets check.sh force the whole test
-            // suite through the parallel executor.
-            exec_workers: WorkerPool::from_env().workers(),
+            exec_workers: 1,
             retry_aborts: false,
-            // `MASSBFT_EXEC_FALLBACK=1` likewise forces the deterministic
-            // abort fallback on for the whole suite.
-            exec_fallback: massbft_db::fallback_from_env(),
+            exec_fallback: false,
         }
     }
 
@@ -421,11 +416,9 @@ pub struct Node {
     pub(crate) latency: LatencyStats,
     /// Per-origin-group executed txns (Fig. 12 per-group throughput).
     pub(crate) executed_by_group: Vec<u64>,
-    /// Executed entry ids in execution order (consistency checks).
-    pub(crate) exec_log: Vec<EntryId>,
     /// The node's hash-chained ledger over executed entries (§VI: "a
     /// single, globally ordered, ledger").
-    ledger: Ledger,
+    pub(crate) ledger: Ledger,
     /// Phase-time accumulators over own executed entries (microseconds):
     /// local consensus, global replication, ordering wait, execution wait.
     phase_sums: [u64; 4],
@@ -538,6 +531,40 @@ struct RepState {
     acting: bool,
 }
 
+impl RepState {
+    /// A representative of `group` with nothing proposed yet and no Raft
+    /// endpoints: arrivals accrue from `now`, own entries are numbered
+    /// from `next_seq`. Every representative of a group draws the same
+    /// deterministic client stream (the workload seed is per group).
+    fn new(params: &ProtocolParams, group: u32, now: Time, next_seq: u64) -> Self {
+        RepState {
+            workload: WorkloadGen::new(params.workload, params.seed ^ ((group as u64) << 32)),
+            pending: VecDeque::new(),
+            arrival_carry: 0.0,
+            last_arrival_at: now,
+            next_seq,
+            in_flight: BTreeSet::new(),
+            created_at: FastMap::default(),
+            certified_at: FastMap::default(),
+            committed_at: FastMap::default(),
+            ordered_at: FastMap::default(),
+            rafts: BTreeMap::new(),
+            pending_stamps: BTreeMap::new(),
+            stamped: BTreeSet::new(),
+            clock: 0,
+            frozen_clocks: BTreeMap::new(),
+            last_append: BTreeMap::new(),
+            unexecuted: BTreeSet::new(),
+            epoch: 0,
+            epoch_seals: BTreeMap::new(),
+            committed_high: BTreeMap::new(),
+            accept_tally: FastMap::default(),
+            proposed_foreign: BTreeSet::new(),
+            acting: false,
+        }
+    }
+}
+
 impl Node {
     /// Creates the node for `id` under `params`. The same `KeyRegistry`
     /// must be shared by all nodes (derived from `params.seed`).
@@ -608,32 +635,8 @@ impl Node {
                 }
             }
             RepState {
-                workload: WorkloadGen::new(
-                    params.workload,
-                    params.seed ^ ((id.group as u64) << 32),
-                ),
-                pending: VecDeque::new(),
-                arrival_carry: 0.0,
-                last_arrival_at: 0,
-                next_seq: 1,
-                in_flight: BTreeSet::new(),
-                created_at: FastMap::default(),
-                certified_at: FastMap::default(),
-                committed_at: FastMap::default(),
-                ordered_at: FastMap::default(),
                 rafts,
-                pending_stamps: BTreeMap::new(),
-                stamped: BTreeSet::new(),
-                clock: 0,
-                frozen_clocks: BTreeMap::new(),
-                last_append: BTreeMap::new(),
-                unexecuted: BTreeSet::new(),
-                epoch: 0,
-                epoch_seals: BTreeMap::new(),
-                committed_high: BTreeMap::new(),
-                accept_tally: FastMap::default(),
-                proposed_foreign: BTreeSet::new(),
-                acting: false,
+                ..RepState::new(&params, id.group, 0, 1)
             }
         });
         Node {
@@ -658,7 +661,6 @@ impl Node {
             executed_entries: 0,
             latency: LatencyStats::new(),
             executed_by_group: vec![0; ng],
-            exec_log: Vec::new(),
             ledger: Ledger::new(),
             phase_sums: [0; 4],
             phase_count: 0,
@@ -701,11 +703,6 @@ impl Node {
         &self.latency
     }
 
-    /// Mutable latency access (percentiles sort lazily).
-    pub fn latency_mut(&mut self) -> &mut LatencyStats {
-        &mut self.latency
-    }
-
     /// Per-origin-group executed transaction counts.
     pub fn executed_by_group(&self) -> &[u64] {
         &self.executed_by_group
@@ -716,82 +713,9 @@ impl Node {
         self.pipeline.store().content_hash()
     }
 
-    /// The executed entry ids, in execution order.
-    pub fn exec_log(&self) -> &[EntryId] {
-        &self.exec_log
-    }
-
     /// The node's hash-chained ledger (block per executed entry).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
-    }
-
-    /// One-line diagnostic snapshot (test/debug use).
-    pub fn debug_state(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(out, "{}:", self.id);
-        let _ = write!(out, " exec_q={}", self.exec_queue.len());
-        let _ = write!(out, " held={}", self.held_appends.len());
-        if let Some(front) = self.exec_queue.front() {
-            let has = self
-                .tracking
-                .get(front)
-                .map(|t| t.content.is_some())
-                .unwrap_or(false);
-            let _ = write!(out, " front={front}(bytes={has})");
-        }
-        if let OrderingState::Vts(eng) = &self.ordering {
-            let heads: Vec<String> = (0..self.ng() as u32)
-                .map(|g| {
-                    let (seq, vts, set, committed) = eng.head_state(g);
-                    let elems: Vec<String> = vts
-                        .iter()
-                        .zip(&set)
-                        .map(|(v, s)| format!("{v}{}", if *s { "" } else { "?" }))
-                        .collect();
-                    format!(
-                        "e{g},{seq}<{}>{}",
-                        elems.join(","),
-                        if committed { "C" } else { "" }
-                    )
-                })
-                .collect();
-            let _ = write!(out, " heads={heads:?} ordered={}", eng.ordered_count());
-        }
-        if let Some(rep) = &self.rep {
-            let leads: Vec<u32> = rep
-                .rafts
-                .iter()
-                .filter(|(_, r)| r.is_leader())
-                .map(|(&i, _)| i)
-                .collect();
-            let pend: Vec<(u32, usize)> = rep
-                .pending_stamps
-                .iter()
-                .map(|(&i, v)| (i, v.len()))
-                .collect();
-            let rafts: Vec<String> = rep
-                .rafts
-                .iter()
-                .map(|(&i, r)| {
-                    format!(
-                        "i{}:{:?}@t{} la={}",
-                        i,
-                        r.role(),
-                        r.term(),
-                        rep.last_append.get(&i).copied().unwrap_or(0) / 1_000_000
-                    )
-                })
-                .collect();
-            let _ = write!(out, " rafts={rafts:?}");
-            let _ = write!(
-                out,
-                " leads={leads:?} clock={} frozen={:?} pending_stamps={pend:?} inflight={} unexec={}",
-                rep.clock, rep.frozen_clocks, rep.in_flight.len(), rep.unexecuted.len()
-            );
-        }
-        out
     }
 
     /// Mean latency breakdown over this representative's own entries
@@ -1064,34 +988,14 @@ impl Node {
     /// original representative (or its cross-group takeover); the acting
     /// rep only batches, proposes, and certifies.
     fn become_acting_rep(&mut self, ctx: &mut Ctx<Msg>) {
-        let params = &self.params;
         self.rep = Some(RepState {
-            workload: WorkloadGen::new(
-                params.workload,
-                params.seed ^ ((self.id.group as u64) << 32),
-            ),
-            pending: VecDeque::new(),
-            arrival_carry: 0.0,
-            last_arrival_at: ctx.now(),
-            next_seq: self.own_seq_high + 1,
-            in_flight: BTreeSet::new(),
-            created_at: FastMap::default(),
-            certified_at: FastMap::default(),
-            committed_at: FastMap::default(),
-            ordered_at: FastMap::default(),
-            rafts: BTreeMap::new(),
-            pending_stamps: BTreeMap::new(),
-            stamped: BTreeSet::new(),
-            clock: 0,
-            frozen_clocks: BTreeMap::new(),
-            last_append: BTreeMap::new(),
-            unexecuted: BTreeSet::new(),
-            epoch: 0,
-            epoch_seals: BTreeMap::new(),
-            committed_high: BTreeMap::new(),
-            accept_tally: FastMap::default(),
-            proposed_foreign: BTreeSet::new(),
             acting: true,
+            ..RepState::new(
+                &self.params,
+                self.id.group,
+                ctx.now(),
+                self.own_seq_high + 1,
+            )
         });
         ctx.set_timer(self.params.batch_timeout_us, T_BATCH);
     }
@@ -1872,7 +1776,6 @@ impl Node {
         self.executed_entries += 1;
         executed_txns_counter().add(result.committed as u64);
         self.executed_by_group[id.gid as usize] += result.committed as u64;
-        self.exec_log.push(id);
         self.ledger
             .append(id, rec.digest(), result.state_fingerprint);
         self.span(
@@ -2650,7 +2553,6 @@ mod tests {
         let rep = Node::new(NodeId::new(0, 0), params.clone(), registry.clone());
         assert!(rep.is_rep());
         assert_eq!(rep.executed_txns(), 0);
-        assert_eq!(rep.exec_log().len(), 0);
         assert_eq!(rep.ledger().height(), 0);
         // Chunk assembler exists exactly for the other group.
         assert_eq!(rep.assemblers.len(), 1);

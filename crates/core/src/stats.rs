@@ -15,14 +15,6 @@ use std::sync::OnceLock;
 
 pub use massbft_db::stats::{exec_stats, BatchSample, ExecStats};
 
-/// Snapshot of the process-wide execution-pipeline counters: batch and
-/// transaction totals, commit/abort splits, execute/reserve/commit phase
-/// wall time, and busy-vs-capacity worker utilization. Monotonic;
-/// callers measure deltas via [`ExecStats::since`].
-pub fn execution_stats() -> ExecStats {
-    exec_stats()
-}
-
 /// Bytes the replication data plane still copies after the zero-copy work
 /// (entry framing on encode, framed reassembly + retained copy on rebuild).
 /// Lives in the telemetry registry as `core.data_plane.bytes_copied`.
@@ -77,13 +69,10 @@ pub fn data_plane_stats() -> DataPlaneStats {
 ///
 /// Samples are kept in insertion order: [`LatencyStats::mean_from`]
 /// windows stay valid no matter how the accumulator is queried.
-/// Percentiles work on a lazily maintained sorted copy.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     /// Insertion-ordered samples — never reordered.
     samples: Vec<Time>,
-    /// Sorted copy for percentile queries; rebuilt after new records.
-    sorted: Vec<Time>,
 }
 
 impl LatencyStats {
@@ -95,7 +84,6 @@ impl LatencyStats {
     /// Records one latency sample (microseconds).
     pub fn record(&mut self, latency: Time) {
         self.samples.push(latency);
-        self.sorted.clear();
     }
 
     /// Number of samples.
@@ -129,17 +117,14 @@ impl LatencyStats {
 
     /// The `p`-th percentile (0–100), microseconds. Sorts a copy, so the
     /// insertion-order timeline is preserved.
-    pub fn percentile_us(&mut self, p: f64) -> Time {
+    pub fn percentile_us(&self, p: f64) -> Time {
         if self.samples.is_empty() {
             return 0;
         }
-        if self.sorted.len() != self.samples.len() {
-            self.sorted.clear();
-            self.sorted.extend_from_slice(&self.samples);
-            self.sorted.sort_unstable();
-        }
-        let rank = ((p / 100.0) * (self.sorted.len() - 1) as f64).round() as usize;
-        self.sorted[rank.min(self.sorted.len() - 1)]
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+        sorted[rank.min(sorted.len() - 1)]
     }
 }
 

@@ -56,9 +56,9 @@
 //!
 //! ## Deterministic fallback
 //!
-//! Aria's fallback pass (enabled with [`AriaExecutor::with_fallback`] or
-//! [`FALLBACK_ENV`]): after the batch's committed writes apply, the
-//! conflict-aborted transactions re-execute **serially, in ascending
+//! Aria's fallback pass (enabled with [`AriaExecutor::with_fallback`]):
+//! after the batch's committed writes apply, the conflict-aborted
+//! transactions re-execute **serially, in ascending
 //! transaction id**, each against the store as left by everything before
 //! it (the batch's committed writes plus earlier rescued transactions).
 //! The re-run order is a pure function of the batch, so replicas still
@@ -75,11 +75,6 @@ use crate::stats::{record_batch, BatchSample};
 use crate::store::{self, KvStore};
 use crate::{DetTransaction, Key, Value};
 use std::time::Instant;
-
-/// Environment variable toggling the deterministic abort fallback for
-/// executors built with [`AriaExecutor::from_env`] (`1`/`true`/`on`/`yes`
-/// enable it; `0`/`false`/`off`/`no` and unset disable it).
-pub const FALLBACK_ENV: &str = "MASSBFT_EXEC_FALLBACK";
 
 /// Stripes in the write-reservation table. Wider than the store's shard
 /// count so reservation lanes stay balanced at 16 workers.
@@ -196,23 +191,6 @@ pub struct AriaExecutor {
     fallback: bool,
 }
 
-/// Reads [`FALLBACK_ENV`]; unset and recognized "off" spellings mean
-/// disabled, anything unrecognized warns (stderr + telemetry ring) and
-/// stays disabled.
-pub fn fallback_from_env() -> bool {
-    match std::env::var(FALLBACK_ENV) {
-        Err(_) => false,
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => true,
-            "" | "0" | "false" | "off" | "no" => false,
-            _ => {
-                crate::stats::warn_invalid_env(FALLBACK_ENV, &v, crate::stats::ENV_CODE_FALLBACK);
-                false
-            }
-        },
-    }
-}
-
 impl AriaExecutor {
     /// Creates a serial executor (one lane, no thread overhead).
     pub fn new() -> Self {
@@ -228,15 +206,6 @@ impl AriaExecutor {
         AriaExecutor {
             pool: WorkerPool::new(workers),
             fallback: false,
-        }
-    }
-
-    /// Worker count from [`crate::pool::WORKERS_ENV`] and fallback policy
-    /// from [`FALLBACK_ENV`], defaulting to serial with no fallback.
-    pub fn from_env() -> Self {
-        AriaExecutor {
-            pool: WorkerPool::from_env(),
-            fallback: fallback_from_env(),
         }
     }
 

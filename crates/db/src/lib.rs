@@ -34,9 +34,7 @@ pub mod pool;
 pub mod stats;
 pub mod store;
 
-pub use aria::{
-    fallback_from_env, AriaExecutor, BatchOutcome, TxnEffects, TxnOutcome, FALLBACK_ENV,
-};
+pub use aria::{AriaExecutor, BatchOutcome, TxnEffects, TxnOutcome};
 pub use pool::WorkerPool;
 pub use stats::{exec_stats, ExecStats};
 pub use store::KvStore;

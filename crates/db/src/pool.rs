@@ -18,11 +18,6 @@ use std::time::Instant;
 /// fork-join overhead dominates and the caller runs serially.
 pub const MIN_CHUNK: usize = 16;
 
-/// Environment variable that forces the worker count for pools built with
-/// [`WorkerPool::from_env`] (used by `scripts/check.sh` to run the whole
-/// test suite under real parallelism).
-pub const WORKERS_ENV: &str = "MASSBFT_EXEC_WORKERS";
-
 /// A fixed-width fork-join pool. Cheap to clone (it is only a width); the
 /// threads themselves live only for the duration of each call.
 #[derive(Debug, Clone)]
@@ -42,25 +37,6 @@ impl WorkerPool {
         WorkerPool {
             workers: workers.max(1),
         }
-    }
-
-    /// Reads the width from [`WORKERS_ENV`], defaulting to 1 (serial).
-    /// An unparsable value still defaults to serial, but loudly: one
-    /// stderr line plus an `exec_config_invalid` telemetry event, so a
-    /// typo'd `MASSBFT_EXEC_WORKERS=eight` can't silently serialize a
-    /// benchmark.
-    pub fn from_env() -> Self {
-        let workers = match std::env::var(WORKERS_ENV) {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    crate::stats::warn_invalid_env(WORKERS_ENV, &v, crate::stats::ENV_CODE_WORKERS);
-                    1
-                }
-            },
-            Err(_) => 1,
-        };
-        Self::new(workers)
     }
 
     /// Configured width.
@@ -207,28 +183,5 @@ mod tests {
     #[test]
     fn zero_width_clamps_to_one() {
         assert_eq!(WorkerPool::new(0).workers(), 1);
-    }
-
-    #[test]
-    fn from_env_warns_on_unparsable_width() {
-        let saved = std::env::var(WORKERS_ENV).ok();
-        std::env::set_var(WORKERS_ENV, "eight");
-        massbft_telemetry::set_enabled(true);
-        let _ = massbft_telemetry::drain();
-        let pool = WorkerPool::from_env();
-        let drained = massbft_telemetry::drain();
-        massbft_telemetry::set_enabled(false);
-        match saved {
-            Some(v) => std::env::set_var(WORKERS_ENV, v),
-            None => std::env::remove_var(WORKERS_ENV),
-        }
-        assert_eq!(pool.workers(), 1, "unparsable width falls back to serial");
-        assert!(
-            drained.events.iter().any(|e| {
-                e.kind == massbft_telemetry::EventKind::ExecConfigInvalid
-                    && e.value == crate::stats::ENV_CODE_WORKERS
-            }),
-            "expected an exec_config_invalid event in the ring"
-        );
     }
 }

@@ -10,29 +10,7 @@
 //! wall of work), so workers=1 honestly reports ~1.0 instead of 0.
 
 use massbft_telemetry::registry::{counter, Counter};
-use massbft_telemetry::{emit, Event, EventKind};
 use std::sync::OnceLock;
-
-/// `value` payload of an [`EventKind::ExecConfigInvalid`] event: which
-/// environment knob held the unparsable value.
-pub const ENV_CODE_WORKERS: u64 = 0;
-/// See [`ENV_CODE_WORKERS`].
-pub const ENV_CODE_FALLBACK: u64 = 1;
-
-/// Reports an unparsable execution-config environment variable: one line
-/// on stderr (always) plus an [`EventKind::ExecConfigInvalid`] event in
-/// the telemetry ring (when telemetry is enabled), so headless runs that
-/// only collect the ring still see the misconfiguration.
-pub(crate) fn warn_invalid_env(var: &str, value: &str, code: u64) {
-    eprintln!("massbft-db: ignoring unparsable {var}={value:?}; using the default");
-    emit(Event {
-        at: 0,
-        kind: EventKind::ExecConfigInvalid,
-        node: (0, 0),
-        entry: (0, 0),
-        value: code,
-    });
-}
 
 /// The registry handles, resolved once per process.
 struct Counters {

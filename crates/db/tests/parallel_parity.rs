@@ -7,16 +7,9 @@
 //! with a deterministic hotspot workload and a proptest over arbitrary
 //! batches that mix WAW conflicts, RAW conflicts, duplicate in-txn
 //! writes, read-only txns, blind writes, and data-dependent logic
-//! aborts.
-//!
-//! `scripts/check.sh` re-runs this suite with `MASSBFT_EXEC_WORKERS`
-//! forced to 2 and 8 so nondeterminism that only shows up under real
-//! thread interleaving is caught by the gate, and once more with
-//! `MASSBFT_EXEC_FALLBACK=1` so the deterministic abort fallback is
-//! exercised under real parallelism too (the env-driven tests below
-//! mirror the executor's fallback setting into their serial reference).
+//! aborts. Every width and both fallback settings are explicit inputs
+//! here; nothing reads the environment.
 
-use massbft_db::pool::WORKERS_ENV;
 use massbft_db::{AriaExecutor, DetTransaction, KvStore, TxnEffects};
 
 /// Small hot keyspace so arbitrary batches conflict constantly.
@@ -141,16 +134,24 @@ fn lcg_bytes(seed: u64, n: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Chained hot batches, as `(stream seed, txns, batch size, store seed)`:
+/// several batches each, so later ones run on parallel-applied state.
+const HOT_INPUTS: [(u64, usize, usize, u64); 2] = [(42, 1024, 400, 9), (1234, 2000, 500, 11)];
+
+fn hot_batches(stream_seed: u64, txns: usize, batch: usize) -> Vec<Vec<TestTxn>> {
+    let txns = decode_txns(&lcg_bytes(stream_seed, 6 * txns));
+    txns.chunks(batch).map(|c| c.to_vec()).collect()
+}
+
 #[test]
 fn hot_batch_parity_at_many_widths() {
-    let raw = lcg_bytes(42, 6 * 1024);
-    let txns = decode_txns(&raw);
-    // Three chained batches so later batches run on parallel-applied state.
-    let batches: Vec<Vec<TestTxn>> = txns.chunks(400).map(|c| c.to_vec()).collect();
-    let serial = run(&AriaExecutor::new(), 9, &batches);
-    for workers in [2, 3, 4, 5, 8, 16] {
-        let par = run(&AriaExecutor::parallel(workers), 9, &batches);
-        assert_eq!(par, serial, "divergence at workers={workers}");
+    for (stream_seed, txns, batch, store_seed) in HOT_INPUTS {
+        let batches = hot_batches(stream_seed, txns, batch);
+        let serial = run(&AriaExecutor::new(), store_seed, &batches);
+        for workers in [2, 3, 4, 5, 8, 16] {
+            let par = run(&AriaExecutor::parallel(workers), store_seed, &batches);
+            assert_eq!(par, serial, "divergence at workers={workers} batch={batch}");
+        }
     }
 }
 
@@ -170,52 +171,31 @@ fn conflict_heavy_small_batches_parity() {
 }
 
 #[test]
-fn env_forced_width_matches_serial() {
-    let prev = std::env::var(WORKERS_ENV).ok();
-    std::env::set_var(WORKERS_ENV, "5");
-    let exec = AriaExecutor::from_env();
-    assert_eq!(exec.workers(), 5);
-    match prev {
-        Some(v) => std::env::set_var(WORKERS_ENV, v),
-        None => std::env::remove_var(WORKERS_ENV),
-    }
-    let raw = lcg_bytes(99, 6 * 600);
-    let batches = vec![decode_txns(&raw)];
-    let reference = AriaExecutor::new().with_fallback(exec.fallback_enabled());
-    assert_eq!(run(&exec, 3, &batches), run(&reference, 3, &batches));
-}
-
-#[test]
-fn env_default_width_parity() {
-    // Whatever width check.sh forces via the env var (or serial when
-    // unset), results must equal the serial executor's.
-    let exec = AriaExecutor::from_env();
-    let raw = lcg_bytes(1234, 6 * 2000);
-    let txns = decode_txns(&raw);
-    let batches: Vec<Vec<TestTxn>> = txns.chunks(500).map(|c| c.to_vec()).collect();
-    let reference = AriaExecutor::new().with_fallback(exec.fallback_enabled());
-    assert_eq!(run(&exec, 11, &batches), run(&reference, 11, &batches));
-}
-
-#[test]
 fn fallback_parity_at_many_widths() {
     // The deterministic fallback re-runs the abort set against the
     // evolving store, so stale or reordered rescues would change the
     // database bytes — the strictest parity target in the suite.
-    let raw = lcg_bytes(77, 6 * 1024);
-    let txns = decode_txns(&raw);
-    let batches: Vec<Vec<TestTxn>> = txns.chunks(400).map(|c| c.to_vec()).collect();
-    let serial = run(&AriaExecutor::new().with_fallback(true), 5, &batches);
-    for workers in [2, 3, 4, 5, 8, 16] {
-        let par = run(
-            &AriaExecutor::parallel(workers).with_fallback(true),
-            5,
+    for (stream_seed, txns, batch, store_seed) in HOT_INPUTS {
+        let batches = hot_batches(stream_seed, txns, batch);
+        let serial = run(
+            &AriaExecutor::new().with_fallback(true),
+            store_seed,
             &batches,
         );
-        assert_eq!(par, serial, "fallback divergence at workers={workers}");
+        for workers in [2, 3, 4, 5, 8, 16] {
+            let par = run(
+                &AriaExecutor::parallel(workers).with_fallback(true),
+                store_seed,
+                &batches,
+            );
+            assert_eq!(
+                par, serial,
+                "fallback divergence at workers={workers} batch={batch}"
+            );
+        }
+        // With the fallback on, no batch leaves conflict residue behind.
+        assert!(serial.0.iter().all(|o| o.conflict_aborted.is_empty()));
     }
-    // With the fallback on, no batch leaves conflict residue behind.
-    assert!(serial.0.iter().all(|o| o.conflict_aborted.is_empty()));
 }
 
 mod prop {

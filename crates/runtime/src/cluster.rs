@@ -1,7 +1,7 @@
-//! Thread-per-node reactors and a wall-clock [`Cluster`] facade
-//! mirroring `massbft_core::cluster::Cluster`, so the same experiment
-//! code, fault schedules, and adversary specs drive either the
-//! simulator or real TCP.
+//! Thread-per-node reactors behind a wall-clock [`Driver`], and the
+//! [`Cluster`] that puts `massbft_core::cluster`'s [`Harness`] on top of
+//! it, so the same experiment code, fault schedules, and adversary specs
+//! drive either the simulator or real TCP.
 //!
 //! Differences from the simulator, by design:
 //! - `Ctx::now()` is wall-clock microseconds since cluster start, so
@@ -31,14 +31,13 @@ use crate::net::{spawn_acceptor, Event, InboxStats, NetHandle, Shared};
 use crate::ops::{self, OpsConfig, OpsHandle};
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
-use massbft_core::adversary::{FaultEvent, ScheduledFault, Strategy};
-use massbft_core::cluster::{ClusterConfig, Region, Report};
+use massbft_core::adversary::FaultEvent;
+use massbft_core::cluster::{ClusterConfig, Driver, Harness, Report, Traffic};
 use massbft_core::entry::EntryId;
 use massbft_core::protocol::{Msg, Node};
-use massbft_core::stats::Throughput;
 use massbft_core::wire;
 use massbft_crypto::KeyRegistry;
-use massbft_sim_net::{Actor, Command, Ctx, NodeId, Time, Topology, TopologyBuilder, SECOND};
+use massbft_sim_net::{Actor, Command, Ctx, NodeId, Time, Topology};
 use massbft_telemetry as telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -161,36 +160,23 @@ struct LocalNode {
     acceptor: Option<JoinHandle<()>>,
 }
 
-/// A running wall-clock cluster experiment. The API mirrors
-/// [`massbft_core::cluster::Cluster`]: `run_until`/`run_secs` advance
-/// (real) time applying the scripted fault schedule, windows produce
-/// the same [`Report`].
-pub struct Cluster {
+/// The wall-clock [`Driver`]: one loopback listener, acceptor thread and
+/// reactor thread per hosted node, the transport state they share, and
+/// the ops plane.
+pub struct TcpDriver {
     shared: Arc<Shared>,
-    cfg: ClusterConfig,
     nodes: Vec<LocalNode>,
     ops: Option<Arc<OpsHandle>>,
-    schedule: Vec<ScheduledFault>,
-    next_fault: usize,
-    window_start_txns: u64,
-    window_start_time: Time,
+    /// The transport's byte counters when the traffic window opened.
     window_wan: u64,
     window_lan: u64,
     window_wan_per_node: Vec<u64>,
 }
 
-fn build_topology(cfg: &ClusterConfig) -> Topology {
-    let sizes = &cfg.params.group_sizes;
-    let mut b = match cfg.region {
-        Region::Nationwide => TopologyBuilder::nationwide(sizes),
-        Region::Worldwide => TopologyBuilder::worldwide(sizes),
-    };
-    b = b.wan_bandwidth_mbps(cfg.wan_mbps);
-    for &(id, mbps) in &cfg.node_wan_mbps {
-        b = b.node_bandwidth_mbps(id, mbps);
-    }
-    b.build()
-}
+/// A running wall-clock cluster experiment: the [`Harness`] of
+/// [`massbft_core::cluster::Cluster`] over a [`TcpDriver`], so fault
+/// schedules, windows and [`Report`]s are the simulator's, on real time.
+pub struct Cluster(Harness<TcpDriver>);
 
 impl Cluster {
     /// Builds and starts the cluster: binds one loopback listener per
@@ -205,7 +191,108 @@ impl Cluster {
     /// Multi-process entry point: host only `spec.hosted_groups` here,
     /// with the deterministic port scheme shared by all processes.
     pub fn new_hosted(cfg: ClusterConfig, spec: Option<HostSpec>) -> Self {
-        let topo = build_topology(&cfg);
+        Cluster(Harness::start(cfg, |cfg, topo| {
+            TcpDriver::start(cfg, topo, spec)
+        }))
+    }
+
+    /// Shared transport state (fault injection, byte counters).
+    pub fn shared(&self) -> &Arc<Shared> {
+        &self.0.driver().shared
+    }
+
+    /// Starts the live ops plane: an HTTP/1.0 introspection server
+    /// (`/metrics`, `/health`, `/status`, `/trace`) for every node
+    /// hosted in this process, plus the flight-recorder monitor when
+    /// `cfg.flight_dir` is set. Returns the bound address. Idempotent
+    /// per cluster: the second call returns the existing address.
+    pub fn start_ops(&mut self, cfg: OpsConfig) -> std::io::Result<SocketAddr> {
+        let d = self.0.driver_mut();
+        if let Some(h) = &d.ops {
+            return Ok(h.addr);
+        }
+        let nodes = d
+            .nodes
+            .iter()
+            .map(|n| ops::NodeHandles {
+                id: n.id,
+                node: Arc::clone(&n.node),
+                inbox: Arc::clone(&n.inbox),
+            })
+            .collect();
+        let handle = ops::start(Arc::clone(&d.shared), nodes, cfg)?;
+        let addr = handle.addr;
+        d.ops = Some(handle);
+        Ok(addr)
+    }
+
+    /// The ops-plane handle, when [`Cluster::start_ops`] has run.
+    pub fn ops(&self) -> Option<&Arc<OpsHandle>> {
+        self.0.driver().ops.as_ref()
+    }
+
+    /// Node ids hosted in this process, dense order.
+    pub fn hosted_nodes(&self) -> Vec<NodeId> {
+        self.0.driver().nodes.iter().map(|n| n.id).collect()
+    }
+
+    /// The harness underneath, for experiment code that is generic over
+    /// the driver (`fn run<D: Driver>(c: &mut Harness<D>)`).
+    pub fn harness_mut(&mut self) -> &mut Harness<TcpDriver> {
+        &mut self.0
+    }
+
+    // The rest is the harness, method for method.
+
+    /// Runs `f` against a node's state (briefly blocking its reactor).
+    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
+        self.0.with_node(id, f)
+    }
+
+    /// See [`Harness::observer`].
+    pub fn observer(&self) -> NodeId {
+        self.0.observer()
+    }
+
+    /// Wall-clock microseconds since the cluster started.
+    pub fn now(&self) -> Time {
+        self.0.now()
+    }
+
+    /// See [`Harness::apply_fault`].
+    pub fn apply_fault(&mut self, event: FaultEvent) {
+        self.0.apply_fault(event);
+    }
+
+    /// See [`Harness::run_until`]; `t` is wall-clock µs since start.
+    pub fn run_until(&mut self, t: Time) {
+        self.0.run_until(t);
+    }
+
+    /// See [`Harness::run_secs`].
+    pub fn run_secs(&mut self, secs: u64) -> Report {
+        self.0.run_secs(secs)
+    }
+
+    /// See [`Harness::open_window`].
+    pub fn open_window(&mut self) {
+        self.0.open_window();
+    }
+
+    /// See [`Harness::close_window`] (latency fields need the observer's
+    /// group to be hosted in this process).
+    pub fn close_window(&mut self) -> Report {
+        self.0.close_window()
+    }
+
+    /// See [`Harness::check_consistency`].
+    pub fn check_consistency(&self) -> bool {
+        self.0.check_consistency()
+    }
+}
+
+impl TcpDriver {
+    fn start(cfg: &ClusterConfig, topo: Topology, spec: Option<HostSpec>) -> Self {
         let spec = spec.unwrap_or_else(|| HostSpec::all(topo.group_count()));
         let registry = KeyRegistry::generate(cfg.params.seed, &cfg.params.group_sizes);
 
@@ -235,18 +322,6 @@ impl Cluster {
         }
 
         let shared = Shared::new(topo, addrs);
-
-        // Desugar DelayAll adversaries into send-delay fault events,
-        // exactly like the simulator harness does.
-        let mut schedule = cfg.faults.clone();
-        for spec in &cfg.params.adversaries {
-            if let Strategy::DelayAll { delay_us } = spec.strategy {
-                schedule.push(spec.from_us, FaultEvent::SetSendDelay(spec.node, delay_us));
-                if let Some(until) = spec.until_us {
-                    schedule.push(until, FaultEvent::SetSendDelay(spec.node, 0));
-                }
-            }
-        }
 
         let mut nodes = Vec::with_capacity(local_ids.len());
         let mut listeners = listeners.into_iter();
@@ -292,63 +367,13 @@ impl Cluster {
             });
         }
 
-        let wan_per_node = vec![0; shared.wan_out_per_node.len()];
-        Cluster {
+        TcpDriver {
+            window_wan_per_node: vec![0; shared.wan_out_per_node.len()],
             shared,
-            cfg,
             nodes,
             ops: None,
-            schedule: schedule.events().to_vec(),
-            next_fault: 0,
-            window_start_txns: 0,
-            window_start_time: 0,
             window_wan: 0,
             window_lan: 0,
-            window_wan_per_node: wan_per_node,
-        }
-    }
-
-    /// Shared transport state (fault injection, byte counters).
-    pub fn shared(&self) -> &Arc<Shared> {
-        &self.shared
-    }
-
-    /// Starts the live ops plane: an HTTP/1.0 introspection server
-    /// (`/metrics`, `/health`, `/status`, `/trace`) for every node
-    /// hosted in this process, plus the flight-recorder monitor when
-    /// `cfg.flight_dir` is set. Returns the bound address. Idempotent
-    /// per cluster: the second call returns the existing address.
-    pub fn start_ops(&mut self, cfg: OpsConfig) -> std::io::Result<SocketAddr> {
-        if let Some(h) = &self.ops {
-            return Ok(h.addr);
-        }
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| ops::NodeHandles {
-                id: n.id,
-                node: Arc::clone(&n.node),
-                inbox: Arc::clone(&n.inbox),
-            })
-            .collect();
-        let handle = ops::start(Arc::clone(&self.shared), nodes, cfg)?;
-        let addr = handle.addr;
-        self.ops = Some(handle);
-        Ok(addr)
-    }
-
-    /// The ops-plane handle, when [`Cluster::start_ops`] has run.
-    pub fn ops(&self) -> Option<&Arc<OpsHandle>> {
-        self.ops.as_ref()
-    }
-
-    /// The observer node for throughput accounting — same choice as the
-    /// sim harness.
-    pub fn observer(&self) -> NodeId {
-        if self.cfg.params.group_sizes[0] > 1 {
-            NodeId::new(0, 1)
-        } else {
-            NodeId::new(0, 0)
         }
     }
 
@@ -358,102 +383,15 @@ impl Cluster {
             .find(|n| n.id == id)
             .expect("node hosted in this process")
     }
+}
 
-    /// Runs `f` against a node's state (briefly blocking its reactor).
-    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
-        let n = self.local(id).node.lock().expect("node lock");
-        f(&n)
-    }
-
-    /// Runs `f` against a node's mutable state.
-    pub fn with_node_mut<R>(&self, id: NodeId, f: impl FnOnce(&mut Node) -> R) -> R {
-        let mut n = self.local(id).node.lock().expect("node lock");
-        f(&mut n)
-    }
-
-    fn apply_fault(&self, event: FaultEvent) {
-        let mut f = self.shared.faults.write().expect("faults lock");
-        match event {
-            FaultEvent::Crash(n) => {
-                f.crashed.insert(n);
-            }
-            FaultEvent::Recover(n) => {
-                f.crashed.remove(&n);
-            }
-            FaultEvent::CrashGroup(g) => {
-                for n in self.shared.topo.group_nodes(g) {
-                    f.crashed.insert(n);
-                }
-            }
-            FaultEvent::RecoverGroup(g) => {
-                for n in self.shared.topo.group_nodes(g) {
-                    f.crashed.remove(&n);
-                }
-            }
-            FaultEvent::PartitionGroups(a, b) => {
-                f.group_partitions.insert((a.min(b), a.max(b)));
-            }
-            FaultEvent::HealGroups(a, b) => {
-                f.group_partitions.remove(&(a.min(b), a.max(b)));
-            }
-            FaultEvent::PartitionNodes(a, b) => {
-                let p = if a <= b { (a, b) } else { (b, a) };
-                f.node_partitions.insert(p);
-            }
-            FaultEvent::HealNodes(a, b) => {
-                let p = if a <= b { (a, b) } else { (b, a) };
-                f.node_partitions.remove(&p);
-            }
-            FaultEvent::SetLinkFault(src, dst, Some(lf)) => {
-                f.link_faults.insert((src, dst), lf);
-            }
-            FaultEvent::SetLinkFault(src, dst, None) => {
-                f.link_faults.remove(&(src, dst));
-            }
-            FaultEvent::SetWanFault(lf) => {
-                f.wan_fault = lf;
-            }
-            FaultEvent::SetSendDelay(n, d) => {
-                if d == 0 {
-                    f.send_delay.remove(&n);
-                } else {
-                    f.send_delay.insert(n, d);
-                }
-            }
-        }
-    }
-
-    /// Crashes a node now (also available via the fault schedule).
-    pub fn crash(&self, id: NodeId) {
-        self.apply_fault(FaultEvent::Crash(id));
-    }
-
-    /// Recovers a crashed node (state retained, no `on_start` rerun).
-    pub fn recover(&self, id: NodeId) {
-        self.apply_fault(FaultEvent::Recover(id));
-    }
-
-    /// Crashes a whole group.
-    pub fn crash_group(&self, g: u32) {
-        self.apply_fault(FaultEvent::CrashGroup(g));
-    }
-
-    /// Severs WAN links between two groups.
-    pub fn partition(&self, a: u32, b: u32) {
-        self.apply_fault(FaultEvent::PartitionGroups(a, b));
-    }
-
-    /// Heals a group partition.
-    pub fn heal(&self, a: u32, b: u32) {
-        self.apply_fault(FaultEvent::HealGroups(a, b));
-    }
-
+impl Driver for TcpDriver {
     /// Wall-clock microseconds since the cluster started.
-    pub fn now(&self) -> Time {
+    fn now(&self) -> Time {
         self.shared.now_us()
     }
 
-    fn sleep_until(&self, t: Time) {
+    fn advance_to(&mut self, t: Time) {
         loop {
             let now = self.shared.now_us();
             if now >= t {
@@ -463,141 +401,61 @@ impl Cluster {
         }
     }
 
-    /// Lets the cluster run until wall-clock instant `t` (µs since
-    /// start), applying scripted faults at their instants.
-    pub fn run_until(&mut self, t: Time) {
-        while self.next_fault < self.schedule.len() && self.schedule[self.next_fault].at <= t {
-            let ScheduledFault { at, event } = self.schedule[self.next_fault];
-            self.next_fault += 1;
-            self.sleep_until(at);
-            self.apply_fault(event);
-        }
-        self.sleep_until(t);
+    fn apply_fault(&mut self, event: FaultEvent) {
+        self.shared
+            .faults
+            .write()
+            .expect("faults lock")
+            .apply(event);
     }
 
-    /// Opens a measurement window at the current instant.
-    pub fn open_window(&mut self) {
-        self.window_start_txns = self.with_node(self.observer(), |n| n.executed_txns());
-        self.window_start_time = self.shared.now_us();
+    fn is_crashed(&self, id: NodeId) -> bool {
+        self.shared.is_crashed(id)
+    }
+
+    fn hosts(&self, id: NodeId) -> bool {
+        self.nodes.iter().any(|n| n.id == id)
+    }
+
+    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
+        f(&self.local(id).node.lock().expect("node lock"))
+    }
+
+    fn open_window(&mut self) {
         self.window_wan = self.shared.wan_bytes.load(Ordering::Relaxed);
         self.window_lan = self.shared.lan_bytes.load(Ordering::Relaxed);
-        for (i, c) in self.shared.wan_out_per_node.iter().enumerate() {
-            self.window_wan_per_node[i] = c.load(Ordering::Relaxed);
+        for (open, c) in self
+            .window_wan_per_node
+            .iter_mut()
+            .zip(&self.shared.wan_out_per_node)
+        {
+            *open = c.load(Ordering::Relaxed);
         }
     }
 
-    /// Closes the window and produces the same [`Report`] the sim
-    /// harness produces (latency fields need the observer's group to be
-    /// hosted in this process).
-    pub fn close_window(&mut self) -> Report {
-        let now = self.shared.now_us();
-        let window_us = now - self.window_start_time;
-        let obs = self.observer();
-        let txns = self.with_node(obs, |n| n.executed_txns()) - self.window_start_txns;
-        let throughput = Throughput { txns, window_us };
-
-        let crashed = |id: NodeId| self.shared.is_crashed(id);
-        let hosted = |id: NodeId| self.nodes.iter().any(|n| n.id == id);
-        let ng = self.cfg.params.ng();
-        let mut all_lat: Vec<Time> = Vec::new();
-        for g in 0..ng as u32 {
-            let rep = self.cfg.params.leader_of(g);
-            if crashed(rep) || !hosted(rep) {
-                continue;
-            }
-            let (count, mean) =
-                self.with_node(rep, |n| (n.latency().count(), n.latency().mean_us()));
-            if count > 0 {
-                all_lat.push(mean as Time);
-            }
-        }
-        let mean_latency_ms = if all_lat.is_empty() {
-            0.0
-        } else {
-            all_lat.iter().sum::<u64>() as f64 / all_lat.len() as f64 / 1000.0
-        };
-        let mut p99 = 0u64;
-        let obs_rep = self.cfg.params.leader_of(0);
-        if !crashed(obs_rep) && hosted(obs_rep) {
-            p99 = self.with_node_mut(obs_rep, |n| n.latency_mut().percentile_us(99.0));
-        }
-
-        let wan_bytes = self.shared.wan_bytes.load(Ordering::Relaxed) - self.window_wan;
-        let lan_bytes = self.shared.lan_bytes.load(Ordering::Relaxed) - self.window_lan;
-        let max_node_wan_bytes = self
-            .shared
-            .wan_out_per_node
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.load(Ordering::Relaxed) - self.window_wan_per_node[i])
-            .max()
-            .unwrap_or(0);
-
-        let per_group_tps: Vec<f64> = self.with_node(obs, |n| {
-            n.executed_by_group()
-                .iter()
-                .map(|&t| t as f64 * 1_000_000.0 / window_us.max(1) as f64)
-                .collect()
-        });
-
-        Report {
-            protocol: self.cfg.params.protocol,
-            workload: self.cfg.params.workload,
-            throughput,
-            per_group_tps,
-            mean_latency_ms,
-            p99_latency_ms: p99 as f64 / 1000.0,
-            wan_bytes,
-            max_node_wan_bytes,
-            lan_bytes,
-            all_nodes_consistent: self.check_consistency(),
-            entries_executed: self.with_node(obs, |n| n.executed_entries()),
+    fn traffic(&self) -> Traffic {
+        let per_node = self.shared.wan_out_per_node.iter();
+        Traffic {
+            wan_bytes: self.shared.wan_bytes.load(Ordering::Relaxed) - self.window_wan,
+            max_node_wan_bytes: per_node
+                .zip(&self.window_wan_per_node)
+                .map(|(c, open)| c.load(Ordering::Relaxed) - open)
+                .max()
+                .unwrap_or(0),
+            lan_bytes: self.shared.lan_bytes.load(Ordering::Relaxed) - self.window_lan,
         }
     }
 
-    /// Convenience: 1 s wall-clock warmup, then measure `secs` seconds.
-    pub fn run_secs(&mut self, secs: u64) -> Report {
-        self.run_until(SECOND);
-        self.open_window();
-        let end = self.shared.now_us() + secs * SECOND;
-        self.run_until(end);
-        self.close_window()
-    }
-
-    /// Prefix-consistency across hosted, non-crashed nodes. Locks every
-    /// node, so reactors pause briefly; call between windows.
-    pub fn check_consistency(&self) -> bool {
-        let guards: Vec<_> = self
-            .nodes
-            .iter()
-            .filter(|n| !self.shared.is_crashed(n.id))
-            .map(|n| n.node.lock().expect("node lock"))
-            .collect();
-        for i in 0..guards.len() {
-            for j in (i + 1)..guards.len() {
-                let (a, b) = (guards[i].exec_log(), guards[j].exec_log());
-                let k = a.len().min(b.len());
-                if a[..k] != b[..k] {
-                    drop(guards);
-                    // Black-box moment: snapshot everything before the
-                    // diverged state churns further.
-                    if let Some(h) = &self.ops {
-                        h.trigger("consistency-failure");
-                    }
-                    return false;
-                }
-            }
+    /// Black-box moment: snapshot everything before the diverged state
+    /// churns further.
+    fn diverged(&self) {
+        if let Some(h) = &self.ops {
+            h.trigger("consistency-failure");
         }
-        true
-    }
-
-    /// Node ids hosted in this process, dense order.
-    pub fn hosted_nodes(&self) -> Vec<NodeId> {
-        self.nodes.iter().map(|n| n.id).collect()
     }
 }
 
-impl Drop for Cluster {
+impl Drop for TcpDriver {
     /// Deterministic teardown: when this returns, every thread the
     /// cluster spawned has been joined and every socket is closed.
     fn drop(&mut self) {

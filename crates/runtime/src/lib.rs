@@ -16,11 +16,13 @@
 //!   (one due-time-gated FIFO per peer, one coalesced write per peer
 //!   per turn, no writer threads), per-node acceptor plus
 //!   per-connection reader threads batching a read's messages into one
-//!   inbox event, and netem-style injected latency/fault state shared
-//!   across the cluster.
-//! - [`cluster`]: thread-per-node reactors and a [`cluster::Cluster`]
-//!   facade mirroring `massbft_core::cluster::Cluster`, so experiments
-//!   and fault schedules run unchanged on either driver.
+//!   inbox event, and netem-style injected latency with the
+//!   cluster-wide `massbft_sim_net::FaultState` deciding each frame's
+//!   fate.
+//! - [`cluster`]: thread-per-node reactors behind a wall-clock
+//!   `Driver`, and [`cluster::Cluster`] — the harness of
+//!   `massbft_core::cluster::Cluster` over it, so experiments and
+//!   fault schedules run unchanged on either driver.
 //! - [`ops`]: the live ops plane (ISSUE 9) — per-process HTTP/1.0
 //!   introspection endpoints (`/metrics`, `/health`, `/status`,
 //!   `/trace`) and the anomaly-triggered flight recorder. Frames
@@ -36,7 +38,7 @@ pub mod net;
 pub mod ops;
 pub mod wheel;
 
-pub use cluster::{Cluster, HostSpec};
+pub use cluster::{Cluster, HostSpec, TcpDriver};
 pub use frame::{
     decode_msg, decode_msg_traced, encode_frame, encode_frame_traced, FrameBuffer, FrameError,
     MAX_FRAME,

@@ -8,9 +8,9 @@
 //! adversarial send delay + fault jitter)` when routed, and stays in
 //! its peer's FIFO until then. Loopback TCP is effectively
 //! instantaneous, so the injected delay dominates exactly like a WAN
-//! round trip would. Partitions, crashes, and link faults are gated at
-//! route time from a cluster-wide [`FaultState`], mirroring the
-//! simulator's routing checks (`sim.rs::route`).
+//! round trip would. Partitions, crashes, and link faults are decided at
+//! route time by the cluster-wide [`FaultState`] — the same
+//! [`FaultState::route`] the simulator asks.
 //!
 //! Thread model: a node's reactor owns every outbound socket of that
 //! node and alone writes to them; each accepted inbound connection has
@@ -30,9 +30,9 @@ use crate::frame::{decode_msg_traced, FrameBuffer, FRAME_HEADER};
 use bytes::Bytes;
 use massbft_core::protocol::Msg;
 use massbft_core::wire::TraceCtx;
-use massbft_sim_net::{LinkFault, NodeId, Time, Topology};
+use massbft_sim_net::{DenseIndex, FaultRng, FaultState, NodeId, Routing, Time, Topology};
 use massbft_telemetry::registry::{self, Counter, Gauge};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -124,53 +124,6 @@ impl NetCounters {
     }
 }
 
-/// Mutable fault state shared by every sender, mirroring the
-/// simulator's knobs ([`massbft_core::adversary::FaultEvent`]).
-#[derive(Default)]
-pub struct FaultState {
-    /// Crashed nodes: they neither send nor receive (their reactors
-    /// drop inbound events and timers), but state is retained.
-    pub crashed: HashSet<NodeId>,
-    /// Severed group pairs, normalized `(min, max)`.
-    pub group_partitions: HashSet<(u32, u32)>,
-    /// Severed node pairs, normalized.
-    pub node_partitions: HashSet<(NodeId, NodeId)>,
-    /// Per-directed-link fault overrides.
-    pub link_faults: HashMap<(NodeId, NodeId), LinkFault>,
-    /// WAN-wide default fault model.
-    pub wan_fault: Option<LinkFault>,
-    /// Adversarial fixed delay added to everything a node sends.
-    pub send_delay: HashMap<NodeId, Time>,
-}
-
-fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-impl FaultState {
-    fn blocked(&self, src: NodeId, dst: NodeId) -> bool {
-        (!self.group_partitions.is_empty()
-            && self
-                .group_partitions
-                .contains(&ordered(src.group, dst.group)))
-            || (!self.node_partitions.is_empty()
-                && self.node_partitions.contains(&ordered(src, dst)))
-    }
-
-    fn link_fault(&self, src: NodeId, dst: NodeId, is_wan: bool) -> Option<LinkFault> {
-        let wan_default = if is_wan { self.wan_fault } else { None };
-        if self.link_faults.is_empty() {
-            wan_default
-        } else {
-            self.link_faults.get(&(src, dst)).copied().or(wan_default)
-        }
-    }
-}
-
 /// Cluster-wide immutable wiring plus the mutable fault state. One
 /// instance per [`crate::Cluster`], shared by every thread it spawns.
 pub struct Shared {
@@ -179,9 +132,10 @@ pub struct Shared {
     pub topo: Topology,
     /// Listener address of every node, dense `(group, node)` order.
     pub addrs: Vec<SocketAddr>,
-    /// Dense-index base of each group (prefix sums of group sizes).
-    offsets: Vec<usize>,
-    /// Scripted + runtime fault state.
+    index: DenseIndex,
+    /// Scripted + runtime fault state. Crashed nodes neither send nor
+    /// receive (their reactors drop inbound events and timers), but
+    /// state is retained.
     pub faults: RwLock<FaultState>,
     /// Set once at teardown; all threads poll it and exit.
     pub shutdown: AtomicBool,
@@ -201,21 +155,17 @@ pub struct Shared {
 impl Shared {
     /// Builds the shared state. `addrs` must be in dense node order.
     pub fn new(topo: Topology, addrs: Vec<SocketAddr>) -> Arc<Self> {
-        let mut offsets = Vec::with_capacity(topo.group_sizes.len());
-        let mut acc = 0usize;
-        for &s in &topo.group_sizes {
-            offsets.push(acc);
-            acc += s;
-        }
-        assert_eq!(addrs.len(), acc, "one address per node");
+        let index = DenseIndex::new(&topo.group_sizes);
+        let nodes = index.node_count();
+        assert_eq!(addrs.len(), nodes, "one address per node");
         Arc::new(Shared {
             addrs,
-            offsets,
-            faults: RwLock::new(FaultState::default()),
+            index,
+            faults: RwLock::new(FaultState::new(&topo.group_sizes)),
             shutdown: AtomicBool::new(false),
             start: Instant::now(),
             counters: NetCounters::new(),
-            wan_out_per_node: (0..acc).map(|_| AtomicU64::new(0)).collect(),
+            wan_out_per_node: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             wan_bytes: AtomicU64::new(0),
             lan_bytes: AtomicU64::new(0),
             topo,
@@ -231,16 +181,12 @@ impl Shared {
 
     /// Dense index of a node.
     pub fn idx(&self, id: NodeId) -> usize {
-        self.offsets[id.group as usize] + id.node as usize
+        self.index.of(id)
     }
 
     /// Whether `id` is currently crashed.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.faults
-            .read()
-            .expect("faults lock")
-            .crashed
-            .contains(&id)
+        self.faults.read().expect("faults lock").is_crashed(id)
     }
 
     fn shutting_down(&self) -> bool {
@@ -379,7 +325,7 @@ pub struct NetHandle {
     peers: Vec<Peer>,
     /// Dense node index → position in `peers` (`usize::MAX`: none yet).
     slot: Vec<usize>,
-    rng: u64,
+    rng: FaultRng,
     coalesce: Vec<u8>,
 }
 
@@ -387,30 +333,14 @@ impl NetHandle {
     /// A handle for node `src`. The RNG seed differs per node so fault
     /// draws are independent streams.
     pub fn new(src: NodeId, shared: Arc<Shared>) -> Self {
-        let seed = 0x9E37_79B9_7F4A_7C15u64
-            ^ ((src.group as u64) << 32 | src.node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         NetHandle {
             src,
             slot: vec![usize::MAX; shared.addrs.len()],
             shared,
             peers: Vec::new(),
-            rng: seed | 1,
+            rng: FaultRng::new((src.group as u64) << 32 | src.node as u64),
             coalesce: Vec::new(),
         }
-    }
-
-    fn next_rng(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    /// Bernoulli draw (no draw at all for a zero probability).
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && ((self.next_rng() >> 11) as f64 / (1u64 << 53) as f64) < p
     }
 
     /// Routes an encoded frame to `dst`, applying crash/partition gating,
@@ -426,28 +356,24 @@ impl NetHandle {
         if self.shared.shutting_down() {
             return;
         }
-        let is_wan = self.shared.topo.is_wan(self.src, dst);
-        let (lf, delay) = {
-            let f = self.shared.faults.read().expect("faults lock");
-            if f.crashed.contains(&self.src) || f.blocked(self.src, dst) {
-                return;
-            }
-            let lf = f.link_fault(self.src, dst, is_wan);
-            (lf, f.send_delay.get(&self.src).copied().unwrap_or(0))
-        };
-        let mut duplicate = false;
-        let mut jitter = 0;
-        if let Some(lf) = lf {
-            if self.chance(lf.drop_prob) {
-                return;
-            }
-            duplicate = self.chance(lf.dup_prob);
-            if lf.extra_jitter_us > 0 {
-                jitter = self.next_rng() % (lf.extra_jitter_us + 1);
-            }
-        }
         let shared = &self.shared;
-        let due = sent_at + shared.topo.latency(self.src, dst) + jitter + delay;
+        let is_wan = shared.topo.is_wan(self.src, dst);
+        let verdict = {
+            let f = shared.faults.read().expect("faults lock");
+            if f.is_crashed(self.src) {
+                return;
+            }
+            f.route(self.src, dst, is_wan, &mut self.rng)
+        };
+        let Routing::Deliver {
+            duplicate,
+            extra_delay,
+            ..
+        } = verdict
+        else {
+            return;
+        };
+        let due = sent_at + shared.topo.latency(self.src, dst) + extra_delay;
         // Byte accounting uses the modeled body size so wall-clock
         // reports stay comparable with the simulator's `wan_bytes`.
         let body = (frame.len() - FRAME_HEADER) as u64;

@@ -13,7 +13,7 @@ use massbft_crypto::Digest;
 use massbft_runtime::frame::encode_frame;
 use massbft_runtime::net::{spawn_acceptor, Event, InboxStats, NetHandle, Shared};
 use massbft_runtime::Cluster;
-use massbft_sim_net::{LinkFault, NodeId, TopologyBuilder, SECOND};
+use massbft_sim_net::{FaultEvent, LinkFault, NodeId, TopologyBuilder, SECOND};
 use massbft_workloads::WorkloadKind;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
@@ -120,14 +120,19 @@ fn counter(name: &str) -> u64 {
 fn per_link_fifo_survives_jitter() {
     let _turn = TURNS.lock().unwrap_or_else(|e| e.into_inner());
     let mut link = Link::new();
-    link.shared.faults.write().unwrap().link_faults.insert(
-        (A, B),
-        LinkFault {
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            extra_jitter_us: 40_000,
-        },
-    );
+    link.shared
+        .faults
+        .write()
+        .unwrap()
+        .apply(FaultEvent::SetLinkFault(
+            A,
+            B,
+            Some(LinkFault {
+                drop_prob: 0.0,
+                dup_prob: 0.0,
+                extra_jitter_us: 40_000,
+            }),
+        ));
     // Several turns, so frames of different stamps interleave too.
     for turn in 0..4 {
         link.route((0..50).map(|i| numbered(turn * 50 + i)));
@@ -245,7 +250,7 @@ fn crashed_and_busy_peers_do_not_stall_the_cluster() {
         .max_batch(40);
     let mut c = Cluster::new(cfg);
     c.run_until(SECOND);
-    c.crash(NodeId::new(1, 3));
+    c.apply_fault(FaultEvent::Crash(NodeId::new(1, 3)));
     let obs = c.observer();
     let before = c.with_node(obs, |n| n.executed_txns());
     let during = c.with_node(NodeId::new(0, 3), |_held| {

@@ -16,8 +16,9 @@
 //! - a **LAN model** with high bandwidth and sub-millisecond latency;
 //! - a **CPU model**: a handler can charge virtual CPU time (used for
 //!   signature verification costs, the Fig. 13a plateau);
-//! - **fault injection**: node crashes, whole-group crashes, recovery, and
-//!   network partitions.
+//! - **fault injection** ([`fault`]): node and whole-group crashes,
+//!   recovery, partitions, lossy links and send delays — the one fault
+//!   model both this simulator and the TCP runtime route through.
 //!
 //! Protocol logic is written against the sans-io [`Actor`] trait and driven
 //! by [`Simulation`].
@@ -25,15 +26,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fault;
 pub mod metrics;
 pub mod sim;
 pub mod topology;
 pub mod trace;
 
+pub use fault::{
+    FaultEvent, FaultRng, FaultSchedule, FaultState, LinkFault, Routing, ScheduledFault,
+};
 pub use massbft_crypto::keys::NodeId;
 pub use metrics::Metrics;
-pub use sim::{Actor, Command, Ctx, LinkFault, Simulation};
-pub use topology::{Topology, TopologyBuilder};
+pub use sim::{Actor, Command, Ctx, Simulation};
+pub use topology::{DenseIndex, Topology, TopologyBuilder};
 pub use trace::{TraceBuffer, TraceKind, TraceRecord};
 
 /// Virtual time in microseconds since simulation start.

@@ -21,19 +21,19 @@
 //! of the group sizes, not a `BTreeMap`. The event heap stores only a
 //! 24-byte `(time, seq, slot)` key; message payloads live in a slab indexed
 //! by `slot`, so heap sifts move fixed-size keys instead of whole message
-//! enums. Cold fault structures (partitions, link faults) stay as ordered
-//! maps but are guarded by `is_empty()` checks so fault-free runs never
-//! touch them.
+//! enums. The installed faults live in [`FaultState`], which keeps the same
+//! layout: dense per-node flags, cold ordered maps behind `is_empty()`.
 
 use crate::{
+    fault::{FaultEvent, FaultRng, FaultState, Routing},
     metrics::Metrics,
-    topology::Topology,
+    topology::{DenseIndex, Topology},
     trace::{TraceBuffer, TraceKind, TraceRecord},
     NodeId, SimMessage, Time,
 };
 use massbft_telemetry as telemetry;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Mirrors a trace record into the global telemetry ring as a network
 /// debug event — the machine-parseable replacement for ad-hoc debug
@@ -59,31 +59,6 @@ fn emit_net_debug(rec: &TraceRecord) {
         entry: (rec.dst.group, rec.dst.node as u64),
         value: rec.bytes as u64,
     });
-}
-
-/// Probabilistic fault model for a link: each routed message is dropped
-/// with `drop_prob`, duplicated with `dup_prob`, and delayed by a uniform
-/// extra jitter in `[0, extra_jitter_us]`. Decisions come from the
-/// simulation's own seeded RNG, so runs stay deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LinkFault {
-    /// Probability a message is silently dropped.
-    pub drop_prob: f64,
-    /// Probability a message is delivered twice.
-    pub dup_prob: f64,
-    /// Maximum extra delivery jitter, microseconds (uniform in `[0, max]`).
-    pub extra_jitter_us: Time,
-}
-
-impl LinkFault {
-    /// A lossy/flaky link: `pct`% drop, `pct`% duplicate, plus jitter.
-    pub fn flaky(pct: f64, jitter_us: Time) -> Self {
-        LinkFault {
-            drop_prob: pct / 100.0,
-            dup_prob: pct / 100.0,
-            extra_jitter_us: jitter_us,
-        }
-    }
 }
 
 /// Protocol logic for one node.
@@ -279,9 +254,7 @@ pub struct Simulation<A: Actor> {
     topology: Topology,
     /// Dense index → node id, in topology order (group-major).
     ids: Vec<NodeId>,
-    /// Per-group base offset into the dense node index (prefix sums of the
-    /// group sizes).
-    node_base: Vec<usize>,
+    index: DenseIndex,
     actors: Vec<A>,
     heap: BinaryHeap<EventRef>,
     /// Slab of pending event payloads, indexed by [`EventRef::slot`].
@@ -299,24 +272,9 @@ pub struct Simulation<A: Actor> {
     link_fifo: Vec<Time>,
     /// Next instant each node's CPU is free.
     cpu_free: Vec<Time>,
-    /// Extra delay added to every message a node sends (adversarial
-    /// `DelayAll` strategies; zero = none).
-    send_delay: Vec<Time>,
-    crashed: Vec<bool>,
-    /// Pairs of groups that cannot communicate (unordered pairs).
-    partitions: BTreeSet<(u32, u32)>,
-    /// Pairs of individual nodes that cannot communicate (unordered
-    /// pairs) — finer-grained than group partitions, and applies to LAN
-    /// links too.
-    node_partitions: BTreeSet<(NodeId, NodeId)>,
-    /// Per-link fault injection, keyed by directed `(src, dst)`.
-    link_faults: BTreeMap<(NodeId, NodeId), LinkFault>,
-    /// Fault model applied to every WAN link without a per-link override.
-    wan_fault: Option<LinkFault>,
-    /// xorshift64* state for fault decisions. Only consumed when a fault
-    /// model applies to the routed link, so fault-free runs are
-    /// bit-identical with and without a configured seed.
-    fault_rng: u64,
+    /// Crashes, partitions, link faults and send delays in force.
+    faults: FaultState,
+    fault_rng: FaultRng,
     metrics: Metrics,
     trace: TraceBuffer,
     /// Reused command outbox, so dispatching an event does not allocate.
@@ -329,19 +287,13 @@ impl<A: Actor> Simulation<A> {
     /// in the topology.
     pub fn new(topology: Topology, mut make_actor: impl FnMut(NodeId) -> A) -> Self {
         let ids: Vec<NodeId> = topology.nodes().collect();
-        let mut node_base = Vec::with_capacity(topology.group_count());
-        let mut acc = 0usize;
-        for &sz in &topology.group_sizes {
-            node_base.push(acc);
-            acc += sz;
-        }
         let actors: Vec<A> = ids.iter().map(|&id| make_actor(id)).collect();
         let n = ids.len();
         let cap = (n * 64).max(1024);
         Simulation {
             metrics: Metrics::for_nodes(ids.clone()),
             ids,
-            node_base,
+            index: DenseIndex::new(&topology.group_sizes),
             actors,
             heap: BinaryHeap::with_capacity(cap),
             slots: Vec::with_capacity(cap),
@@ -351,13 +303,8 @@ impl<A: Actor> Simulation<A> {
             uplink_free: vec![0; n],
             link_fifo: vec![0; n * n * 2],
             cpu_free: vec![0; n],
-            send_delay: vec![0; n],
-            crashed: vec![false; n],
-            partitions: BTreeSet::new(),
-            node_partitions: BTreeSet::new(),
-            link_faults: BTreeMap::new(),
-            wan_fault: None,
-            fault_rng: splitmix64(0x6d61_7373_6266_7421),
+            faults: FaultState::new(&topology.group_sizes),
+            fault_rng: FaultRng::new(0x6d61_7373_6266_7421),
             trace: TraceBuffer::new(65_536),
             scratch: Vec::new(),
             started: false,
@@ -365,17 +312,10 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
-    /// Dense index of a node; panics on ids outside the topology (such a
-    /// message could only come from buggy actor logic).
+    /// Dense index of a node; panics on ids outside the topology.
     #[inline]
     fn idx(&self, id: NodeId) -> usize {
-        let g = id.group as usize;
-        let node = id.node as usize;
-        assert!(
-            g < self.node_base.len() && node < self.topology.group_sizes[g],
-            "unknown node {id:?}"
-        );
-        self.node_base[g] + node
+        self.index.of(id)
     }
 
     /// Current virtual time.
@@ -425,83 +365,22 @@ impl<A: Actor> Simulation<A> {
         self.ids.iter().zip(self.actors.iter())
     }
 
-    /// Marks a node crashed: it stops receiving, sending, and firing
-    /// timers. Its state is retained for a later [`Self::recover`].
-    pub fn crash(&mut self, id: NodeId) {
-        let i = self.idx(id);
-        self.crashed[i] = true;
-    }
-
-    /// Crashes every node of a group (paper §VI-E, data-center outage).
-    pub fn crash_group(&mut self, g: u32) {
-        let nodes: Vec<NodeId> = self.topology.group_nodes(g).collect();
-        for id in nodes {
-            self.crash(id);
-        }
-    }
-
-    /// Recovers a crashed node (state intact, as after a process restart
-    /// with durable state).
-    pub fn recover(&mut self, id: NodeId) {
-        let i = self.idx(id);
-        self.crashed[i] = false;
+    /// Installs or clears a fault, effective from the current instant. A
+    /// crashed node stops receiving, sending, and firing timers; its state
+    /// is retained for a later recovery (as after a process restart with
+    /// durable state).
+    pub fn apply_fault(&mut self, event: FaultEvent) {
+        self.faults.apply(event);
     }
 
     /// Whether a node is currently crashed.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.crashed[self.idx(id)]
-    }
-
-    /// Severs all WAN links between two groups.
-    pub fn partition(&mut self, a: u32, b: u32) {
-        self.partitions.insert(ordered(a, b));
-    }
-
-    /// Heals a partition.
-    pub fn heal(&mut self, a: u32, b: u32) {
-        self.partitions.remove(&ordered(a, b));
-    }
-
-    /// Severs the link between two individual nodes (both directions,
-    /// WAN or LAN).
-    pub fn partition_nodes(&mut self, a: NodeId, b: NodeId) {
-        self.node_partitions.insert(ordered_nodes(a, b));
-    }
-
-    /// Heals a node-pair partition.
-    pub fn heal_nodes(&mut self, a: NodeId, b: NodeId) {
-        self.node_partitions.remove(&ordered_nodes(a, b));
-    }
-
-    /// Installs a fault model on the directed link `src → dst`,
-    /// overriding any WAN-wide default. `None` clears the override.
-    pub fn set_link_fault(&mut self, src: NodeId, dst: NodeId, fault: Option<LinkFault>) {
-        match fault {
-            Some(f) => {
-                self.link_faults.insert((src, dst), f);
-            }
-            None => {
-                self.link_faults.remove(&(src, dst));
-            }
-        }
-    }
-
-    /// Installs (or clears) a fault model applied to every WAN link that
-    /// has no per-link override.
-    pub fn set_wan_fault(&mut self, fault: Option<LinkFault>) {
-        self.wan_fault = fault;
+        self.faults.is_crashed(id)
     }
 
     /// Reseeds the fault RNG (deterministic per seed).
     pub fn set_fault_seed(&mut self, seed: u64) {
-        self.fault_rng = splitmix64(seed);
-    }
-
-    /// Adds `delay` microseconds to every message `id` sends (the
-    /// `DelayAll` adversary strategy). Zero removes the delay.
-    pub fn set_send_delay(&mut self, id: NodeId, delay: Time) {
-        let i = self.idx(id);
-        self.send_delay[i] = delay;
+        self.fault_rng = FaultRng::new(seed);
     }
 
     /// Injects a message from outside the simulation (e.g. a client
@@ -606,7 +485,7 @@ impl<A: Actor> Simulation<A> {
         match kind {
             EventKind::Deliver { src, dst, msg } => {
                 let di = self.idx(dst);
-                if self.crashed[di] {
+                if self.faults.is_crashed(dst) {
                     self.metrics.dropped_messages += 1;
                     if self.trace_active() {
                         self.record_trace(TraceRecord {
@@ -652,7 +531,7 @@ impl<A: Actor> Simulation<A> {
             }
             EventKind::Timer { node, token } => {
                 let ni = self.idx(node);
-                if self.crashed[ni] {
+                if self.faults.is_crashed(node) {
                     return;
                 }
                 if self.trace_active() {
@@ -677,7 +556,7 @@ impl<A: Actor> Simulation<A> {
             }
             EventKind::Start { node } => {
                 let ni = self.idx(node);
-                if self.crashed[ni] {
+                if self.faults.is_crashed(node) {
                     return;
                 }
                 let mut ctx = Ctx {
@@ -735,8 +614,7 @@ impl<A: Actor> Simulation<A> {
     }
 
     fn route(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
-        let si = self.idx(src);
-        if self.crashed[si] {
+        if self.faults.is_crashed(src) {
             self.metrics.dropped_messages += 1;
             return;
         }
@@ -746,38 +624,20 @@ impl<A: Actor> Simulation<A> {
             self.push_event(self.now, seq, EventKind::Deliver { src, dst, msg });
             return;
         }
-        if !self.node_partitions.is_empty()
-            && self.node_partitions.contains(&ordered_nodes(src, dst))
-        {
-            self.metrics.dropped_messages += 1;
-            self.metrics.faults_dropped += 1;
-            if self.trace_active() {
-                self.record_trace(TraceRecord {
-                    at: self.now,
-                    kind: TraceKind::Drop,
-                    src,
-                    dst,
-                    bytes: msg.wire_size(),
-                });
-            }
-            return;
-        }
         let size = msg.wire_size();
         let control = size <= self.topology.control_cutoff_bytes;
         let is_wan = self.topology.is_wan(src, dst);
-        // Link-level fault injection: per-link override first, then the
-        // WAN-wide default. RNG draws happen only on faulty links.
-        let wan_default = if is_wan { self.wan_fault } else { None };
-        let fault = if self.link_faults.is_empty() {
-            wan_default
-        } else {
-            self.link_faults.get(&(src, dst)).copied().or(wan_default)
-        };
-        let mut duplicate = false;
-        let mut jitter = 0;
-        if let Some(f) = fault {
-            if f.drop_prob > 0.0 && self.rng_unit() < f.drop_prob {
-                self.metrics.dropped_messages += 1;
+        let verdict = self.faults.route(src, dst, is_wan, &mut self.fault_rng);
+        let Routing::Deliver {
+            duplicate,
+            jittered,
+            extra_delay,
+        } = verdict
+        else {
+            self.metrics.dropped_messages += 1;
+            // A group partition is the cluster's shape for a while, not an
+            // injected link fault: it counts as a plain drop.
+            if verdict != Routing::Partitioned {
                 self.metrics.faults_dropped += 1;
                 if self.trace_active() {
                     self.record_trace(TraceRecord {
@@ -788,22 +648,13 @@ impl<A: Actor> Simulation<A> {
                         bytes: size,
                     });
                 }
-                return;
             }
-            duplicate = f.dup_prob > 0.0 && self.rng_unit() < f.dup_prob;
-            if f.extra_jitter_us > 0 {
-                jitter = self.next_rng() % (f.extra_jitter_us + 1);
-                self.metrics.faults_jittered += 1;
-            }
-        }
+            return;
+        };
+        self.metrics.faults_jittered += jittered as u64;
+        let si = self.idx(src);
         let di = self.idx(dst);
         let arrival = if is_wan {
-            if !self.partitions.is_empty()
-                && self.partitions.contains(&ordered(src.group, dst.group))
-            {
-                self.metrics.dropped_messages += 1;
-                return;
-            }
             // Serialize onto the sender's WAN uplink, then propagate.
             // Control-size messages (≤ one MTU) interleave at packet
             // granularity: they consume capacity but are not head-of-line
@@ -848,9 +699,7 @@ impl<A: Actor> Simulation<A> {
         };
         // Adversarial sender delay and fault jitter extend the flight
         // time before the FIFO clamp, so per-stream ordering is kept.
-        let arrival = arrival
-            .saturating_add(jitter)
-            .saturating_add(self.send_delay[si]);
+        let arrival = arrival.saturating_add(extra_delay);
         // Per-stream FIFO: never deliver before an earlier send on the
         // same (src, dst, lane) stream.
         let fifo = &mut self.link_fifo[(si * self.ids.len() + di) * 2 + control as usize];
@@ -878,57 +727,12 @@ impl<A: Actor> Simulation<A> {
         self.seq += 1;
         s
     }
-
-    /// xorshift64* step (Vigna 2016); state is never zero because it is
-    /// seeded through [`splitmix64`].
-    fn next_rng(&mut self) -> u64 {
-        let mut x = self.fault_rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.fault_rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    fn rng_unit(&mut self) -> f64 {
-        (self.next_rng() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-fn ordered(a: u32, b: u32) -> (u32, u32) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-fn ordered_nodes(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if (a.group, a.node) <= (b.group, b.node) {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// splitmix64 finalizer: turns any seed (including zero) into a
-/// well-mixed nonzero xorshift state.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    if z == 0 {
-        0x9E37_79B9_7F4A_7C15
-    } else {
-        z
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::LinkFault;
     use crate::topology::TopologyBuilder;
     use crate::{MILLISECOND, SECOND};
 
@@ -1108,7 +912,7 @@ mod tests {
     #[test]
     fn crashed_node_receives_nothing_and_sends_nothing() {
         let mut s = sim(true);
-        s.crash(NodeId::new(0, 0));
+        s.apply_fault(FaultEvent::Crash(NodeId::new(0, 0)));
         s.inject_at(
             0,
             NodeId::new(1, 0),
@@ -1119,7 +923,7 @@ mod tests {
         assert!(s.actor(NodeId::new(0, 0)).received.is_empty());
         assert_eq!(s.metrics().dropped_messages, 1);
         // Recover and try again: delivery works, state intact.
-        s.recover(NodeId::new(0, 0));
+        s.apply_fault(FaultEvent::Recover(NodeId::new(0, 0)));
         s.inject_at(
             s.now() + 1,
             NodeId::new(1, 0),
@@ -1133,7 +937,7 @@ mod tests {
     #[test]
     fn crash_group_crashes_every_member() {
         let mut s = sim(false);
-        s.crash_group(1);
+        s.apply_fault(FaultEvent::CrashGroup(1));
         assert!(s.is_crashed(NodeId::new(1, 0)));
         assert!(s.is_crashed(NodeId::new(1, 1)));
         assert!(!s.is_crashed(NodeId::new(0, 0)));
@@ -1142,7 +946,7 @@ mod tests {
     #[test]
     fn partition_drops_wan_traffic_until_healed() {
         let mut s = sim(true);
-        s.partition(0, 1);
+        s.apply_fault(FaultEvent::PartitionGroups(0, 1));
         s.inject_at(
             0,
             NodeId::new(1, 0),
@@ -1156,7 +960,7 @@ mod tests {
         assert_eq!(s.actor(NodeId::new(1, 0)).received.len(), 0);
         assert_eq!(s.metrics().dropped_messages, 1);
 
-        s.heal(0, 1);
+        s.apply_fault(FaultEvent::HealGroups(0, 1));
         s.inject_at(
             s.now() + 1,
             NodeId::new(1, 0),
@@ -1342,7 +1146,7 @@ mod tests {
             NodeId::new(0, 0),
             TestMsg { tag: 5, size: 1000 },
         );
-        s.crash(NodeId::new(0, 1));
+        s.apply_fault(FaultEvent::Crash(NodeId::new(0, 1)));
         s.inject_at(
             1,
             NodeId::new(1, 0),
@@ -1393,7 +1197,10 @@ mod tests {
     #[test]
     fn node_partition_cuts_lan_link_both_ways() {
         let mut s = sim(true);
-        s.partition_nodes(NodeId::new(0, 1), NodeId::new(0, 0));
+        s.apply_fault(FaultEvent::PartitionNodes(
+            NodeId::new(0, 1),
+            NodeId::new(0, 0),
+        ));
         // Injected delivery still lands (partition applies to routed
         // sends), but the reply from (0,0) back to (0,1) is dropped.
         s.inject_at(
@@ -1407,7 +1214,7 @@ mod tests {
         assert_eq!(s.metrics().faults_dropped, 1);
         assert_eq!(s.metrics().faults_injected(), 1);
         // Healing restores the link.
-        s.heal_nodes(NodeId::new(0, 0), NodeId::new(0, 1));
+        s.apply_fault(FaultEvent::HealNodes(NodeId::new(0, 0), NodeId::new(0, 1)));
         s.inject_at(
             s.now(),
             NodeId::new(0, 1),
@@ -1427,14 +1234,14 @@ mod tests {
                 .build();
             let mut s = Simulation::new(topo, |_| Flood { count: 2000 });
             s.set_fault_seed(seed);
-            s.set_link_fault(
+            s.apply_fault(FaultEvent::SetLinkFault(
                 NodeId::new(0, 0),
                 NodeId::new(1, 0),
                 Some(LinkFault {
                     drop_prob: 0.25,
                     ..LinkFault::default()
                 }),
-            );
+            ));
             s.run_until(10 * SECOND);
             (s.metrics().faults_dropped, s.metrics().dropped_messages)
         };
@@ -1455,14 +1262,14 @@ mod tests {
             .wan_bandwidth_mbps(1000)
             .build();
         let mut s = Simulation::new(topo, |_| Flood { count: 1000 });
-        s.set_link_fault(
+        s.apply_fault(FaultEvent::SetLinkFault(
             NodeId::new(0, 0),
             NodeId::new(1, 0),
             Some(LinkFault {
                 dup_prob: 0.5,
                 ..LinkFault::default()
             }),
-        );
+        ));
         s.trace_mut().set_enabled(true);
         s.run_until(10 * SECOND);
         let dups = s.metrics().faults_duplicated;
@@ -1480,10 +1287,10 @@ mod tests {
             .wan_bandwidth_mbps(1000)
             .build();
         let mut s = Simulation::new(topo, |_| Flood { count: 200 });
-        s.set_wan_fault(Some(LinkFault {
+        s.apply_fault(FaultEvent::SetWanFault(Some(LinkFault {
             extra_jitter_us: 5 * MILLISECOND,
             ..LinkFault::default()
-        }));
+        })));
         s.trace_mut().set_enabled(true);
         s.run_until(10 * SECOND);
         assert_eq!(s.metrics().faults_jittered, 200);
@@ -1503,7 +1310,10 @@ mod tests {
     fn send_delay_slows_every_message_from_a_node() {
         // Actor-driven send from the delayed node: use the echo reply.
         let mut s = sim(true);
-        s.set_send_delay(NodeId::new(0, 0), 100 * MILLISECOND);
+        s.apply_fault(FaultEvent::SetSendDelay(
+            NodeId::new(0, 0),
+            100 * MILLISECOND,
+        ));
         s.inject_at(
             0,
             NodeId::new(1, 0),
@@ -1516,7 +1326,7 @@ mod tests {
         // Normal reply arrives at 11 ms; the delay pushes it to 111 ms.
         assert_eq!(n10[0].0, 111 * MILLISECOND);
         // Clearing the delay restores normal latency.
-        s.set_send_delay(NodeId::new(0, 0), 0);
+        s.apply_fault(FaultEvent::SetSendDelay(NodeId::new(0, 0), 0));
         s.inject_at(
             s.now(),
             NodeId::new(1, 0),

@@ -87,6 +87,54 @@ impl Topology {
     }
 }
 
+/// Node id → dense index. Node ids in a topology are contiguous
+/// (group-major), so every per-node table in either driver is a `Vec`
+/// indexed by a prefix sum of the group sizes, not a map.
+#[derive(Debug, Clone)]
+pub struct DenseIndex {
+    group_sizes: Vec<usize>,
+    /// Per-group base offset (prefix sums of the group sizes).
+    base: Vec<usize>,
+}
+
+impl DenseIndex {
+    /// The index of a cluster with the given group sizes.
+    pub fn new(group_sizes: &[usize]) -> Self {
+        let mut acc = 0usize;
+        let mut base = Vec::with_capacity(group_sizes.len());
+        for &size in group_sizes {
+            base.push(acc);
+            acc += size;
+        }
+        DenseIndex {
+            group_sizes: group_sizes.to_vec(),
+            base,
+        }
+    }
+
+    /// Total number of nodes (one past the largest index).
+    pub fn node_count(&self) -> usize {
+        self.group_sizes.iter().sum()
+    }
+
+    /// Number of nodes in group `g` (0 for a group outside the cluster).
+    pub fn group_size(&self, g: u32) -> usize {
+        self.group_sizes.get(g as usize).copied().unwrap_or(0)
+    }
+
+    /// Dense index of a node; panics on ids outside the topology (such a
+    /// message could only come from buggy actor logic).
+    #[inline]
+    pub fn of(&self, id: NodeId) -> usize {
+        let g = id.group as usize;
+        assert!(
+            g < self.base.len() && (id.node as usize) < self.group_sizes[g],
+            "unknown node {id:?}"
+        );
+        self.base[g] + id.node as usize
+    }
+}
+
 /// Deterministic synthetic one-way latency for group pairs beyond the
 /// 7 named data centers of a preset: a splitmix-style hash of the
 /// unordered pair, folded into `[min_ms, max_ms]`. Symmetric by

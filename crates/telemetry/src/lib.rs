@@ -124,17 +124,13 @@ pub enum EventKind {
     /// View-change driver: replica adopted a new view via `NewView`
     /// (`value` = the adopted view).
     NewViewAdopted = 20,
-    /// An execution-pipeline environment knob held an unparsable value
-    /// and the default was used instead (`value` = which knob, as the
-    /// emitting crate defines it).
-    ExecConfigInvalid = 21,
     /// A frame carrying this entry left a node over TCP with a trace
     /// context attached (`value` = packed hop/origin, see
     /// [`pack_hop_value`]). Recorded by the runtime driver only.
-    HopSend = 22,
+    HopSend = 21,
     /// A frame carrying this entry arrived at a node over TCP with a
     /// trace context attached (`value` = packed hop/origin).
-    HopRecv = 23,
+    HopRecv = 22,
 }
 
 impl EventKind {
@@ -179,7 +175,6 @@ impl EventKind {
             EventKind::ViewStallDetected => "view_stall_detected",
             EventKind::ViewChangeStarted => "view_change_started",
             EventKind::NewViewAdopted => "new_view_adopted",
-            EventKind::ExecConfigInvalid => "exec_config_invalid",
             EventKind::HopSend => "hop_send",
             EventKind::HopRecv => "hop_recv",
         }
@@ -204,7 +199,7 @@ impl EventKind {
     }
 }
 
-const ALL_KINDS: [EventKind; 24] = [
+const ALL_KINDS: [EventKind; 23] = [
     EventKind::Submitted,
     EventKind::PbftPrePrepare,
     EventKind::PbftPrepare,
@@ -226,7 +221,6 @@ const ALL_KINDS: [EventKind; 24] = [
     EventKind::ViewStallDetected,
     EventKind::ViewChangeStarted,
     EventKind::NewViewAdopted,
-    EventKind::ExecConfigInvalid,
     EventKind::HopSend,
     EventKind::HopRecv,
 ];

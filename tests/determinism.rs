@@ -67,12 +67,10 @@ fn fault_schedules_are_reproducible() {
 }
 
 /// Runs a MassBFT cluster with `workers` Aria lanes, `retry` conflict
-/// retries, and the deterministic abort `fallback` pinned explicitly
-/// (so `MASSBFT_EXEC_FALLBACK` in the environment cannot change what
-/// these tests compare), capturing every node's full ledger view
-/// (height, head hash, per-block state fingerprints via the head chain
-/// hash) plus state.
-fn parallel_run(workers: usize, retry: bool, fallback: bool) -> Vec<(u64, [u8; 32], u64, usize)> {
+/// retries, and the deterministic abort `fallback` set explicitly,
+/// capturing every node's full ledger view (height, head hash, per-block
+/// state fingerprints via the head chain hash) plus state.
+fn parallel_run(workers: usize, retry: bool, fallback: bool) -> Vec<(u64, [u8; 32], u64)> {
     let cfg = ClusterConfig::nationwide(&[4, 4, 4], Protocol::MassBft)
         .workload(WorkloadKind::SmallBank)
         .seed(41)
@@ -95,7 +93,6 @@ fn parallel_run(workers: usize, retry: bool, fallback: bool) -> Vec<(u64, [u8; 3
                 n.ledger().height(),
                 n.ledger().head_hash().0,
                 n.state_hash(),
-                n.exec_log().len(),
             ));
         }
     }
@@ -255,9 +252,7 @@ fn held_append_replay_order_is_not_hash_order() {
 /// height and committed transactions with what 4e9a4ab — the parent of
 /// ISSUE 15 — produced.
 fn assert_recorded(label: &str, cfg: ClusterConfig, until: Time, recorded: (&str, u64, u64)) {
-    // The fallback is pinned so `MASSBFT_EXEC_FALLBACK` cannot move the
-    // recorded heads; worker width never shows in results.
-    let mut c = Cluster::new(cfg.seed(7).exec_fallback(false));
+    let mut c = Cluster::new(cfg.seed(7));
     c.run_until(until);
     let n = c.node(c.observer());
     let head: String = n.ledger().head_hash().0[..8]

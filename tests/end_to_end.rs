@@ -94,11 +94,11 @@ fn observer_state_matches_every_honest_node() {
     let (c, r) = run(cfg, 3);
     assert!(r.all_nodes_consistent);
     // Nodes at the same execution prefix have identical state hashes.
-    let mut by_len: std::collections::HashMap<usize, u64> = Default::default();
+    let mut by_len: std::collections::HashMap<u64, u64> = Default::default();
     for g in 0..3u32 {
         for i in 0..4u32 {
             let n = c.node(NodeId::new(g, i));
-            let len = n.exec_log().len();
+            let len = n.ledger().height();
             let h = n.state_hash();
             if let Some(&existing) = by_len.get(&len) {
                 assert_eq!(existing, h, "state divergence at {} entries", len);

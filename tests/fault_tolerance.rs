@@ -2,6 +2,7 @@
 //! paper argues but does not plot — partitions healing, simultaneous
 //! Byzantine + crash faults, recovery of a crashed group.
 
+use massbft::core::adversary::FaultEvent;
 use massbft::core::cluster::{Cluster, ClusterConfig};
 use massbft::core::protocol::Protocol;
 use massbft::sim_net::{NodeId, SECOND};
@@ -61,7 +62,7 @@ fn crashed_group_recovery_restores_proposals() {
     // Recover every node of group 1; its Raft instance leadership can
     // transfer back and its clients resume.
     for i in 0..4u32 {
-        c.sim_mut().recover(NodeId::new(1, i));
+        c.apply_fault(FaultEvent::Recover(NodeId::new(1, i)));
     }
     let obs = c.observer();
     let at_recovery = c.node(obs).executed_txns();
@@ -77,14 +78,14 @@ fn partition_heals_without_divergence() {
     c.run_until(2 * SECOND);
     // Sever groups 0–2 and 1–2: group 2 is isolated (its WAN is gone),
     // but 0–1 still form a Raft majority.
-    c.sim_mut().partition(0, 2);
-    c.sim_mut().partition(1, 2);
+    c.apply_fault(FaultEvent::PartitionGroups(0, 2));
+    c.apply_fault(FaultEvent::PartitionGroups(1, 2));
     c.run_until(5 * SECOND);
     let obs = c.observer();
     let during = c.node(obs).executed_txns();
     assert!(during > 0, "majority side must keep committing");
-    c.sim_mut().heal(0, 2);
-    c.sim_mut().heal(1, 2);
+    c.apply_fault(FaultEvent::HealGroups(0, 2));
+    c.apply_fault(FaultEvent::HealGroups(1, 2));
     c.run_until(9 * SECOND);
     let after = c.node(obs).executed_txns();
     assert!(after > during);
@@ -120,7 +121,7 @@ fn single_node_crashes_within_f_are_transparent() {
     // Crash one follower per group (f = 1 for n = 4): PBFT quorums (3 of
     // 4) and chunk parity both absorb it.
     for g in 0..3u32 {
-        c.sim_mut().crash(NodeId::new(g, 2));
+        c.apply_fault(FaultEvent::Crash(NodeId::new(g, 2)));
     }
     let obs = c.observer();
     let before = c.node(obs).executed_txns();
