@@ -3,7 +3,7 @@
 //! reproducible. Deterministic simulation is what makes every figure in
 //! EXPERIMENTS.md re-derivable bit-for-bit.
 
-use massbft::core::adversary::FaultEvent;
+use massbft::core::adversary::{AdversarySpec, FaultEvent, Strategy};
 use massbft::core::cluster::{Cluster, ClusterConfig};
 use massbft::core::protocol::Protocol;
 use massbft::sim_net::{NodeId, Time, MILLISECOND, SECOND};
@@ -305,5 +305,117 @@ fn benchmark_shapes_match_recorded_ledger_heads() {
         faults,
         2_600 * MILLISECOND,
         ("0979fd3a6639a864", 178, 10676),
+    );
+}
+
+/// The file's 3×4 SmallBank shape under `protocol`.
+fn small_bank(protocol: Protocol) -> ClusterConfig {
+    ClusterConfig::nationwide(&[4, 4, 4], protocol)
+        .workload(WorkloadKind::SmallBank)
+        .arrival_tps(3_000.0)
+        .max_batch(60)
+}
+
+/// Every branch of the node that is not on MassBFT's fault-free path — the
+/// six other presets, the four node-level adversary strategies, cross-group
+/// takeover after a group crash, serial VTS assignment — as produced by
+/// 832f9a8, the parent of ISSUE 19, which cut the node into parts.
+#[test]
+fn every_preset_and_fault_branch_matches_recorded_ledger_heads() {
+    // At the default 20 Mbps the 20 ms batch timer paces every preset; at
+    // 3 Mbps uplinks the replication strategy does.
+    for (protocol, paced, starved) in [
+        (
+            Protocol::EncodedBijective,
+            ("115117421875da37", 138, 8278),
+            ("80d93d4bc360b9bc", 135, 8098),
+        ),
+        (
+            Protocol::BijectiveOnly,
+            ("115117421875da37", 138, 8278),
+            ("2210c5dcccb17012", 54, 3239),
+        ),
+        (
+            Protocol::Baseline,
+            ("115117421875da37", 138, 8278),
+            ("b71f248bd7133670", 24, 1440),
+        ),
+        (
+            Protocol::GeoBft,
+            ("416a6fb0ea332aab", 144, 8638),
+            ("5abdd526970781b6", 39, 2339),
+        ),
+        (
+            Protocol::Iss,
+            ("4d8475b08ec60ddc", 84, 5039),
+            ("b71f248bd7133670", 24, 1440),
+        ),
+        (
+            Protocol::Steward,
+            ("6bf8eddbe5b07126", 75, 4499),
+            ("ef38fe2df32f985c", 15, 900),
+        ),
+    ] {
+        let name = protocol.name();
+        assert_recorded(name, small_bank(protocol), SECOND, paced);
+        let label = format!("{name}, 3 Mbps uplinks");
+        assert_recorded(&label, small_bank(protocol).wan_mbps(3), SECOND, starved);
+    }
+
+    // Tampering, withholding and serial stamping are absorbed (parity
+    // chunks, the accept tally): the observer's ledger is the fault-free one.
+    let mass = || small_bank(Protocol::MassBft);
+    let tamperers: Vec<NodeId> = (0..3).map(|g| NodeId::new(g, 3)).collect();
+    assert_recorded(
+        "TamperChunks, one sender per group",
+        mass().byzantine(&tamperers, 200 * MILLISECOND),
+        SECOND,
+        ("e5ac62c40e162fbe", 138, 8278),
+    );
+    // The two primary attacks run past the view change that evicts the
+    // primary and installs an acting representative.
+    let primary = NodeId::new(1, 0);
+    for (strategy, recorded) in [
+        (Strategy::SilentPrimary, ("b4f5a7a6edda7b12", 327, 19612)),
+        (
+            Strategy::EquivocatingPrimary,
+            ("c542b8dccda72f39", 359, 19612),
+        ),
+    ] {
+        let spec = AdversarySpec::new(primary, strategy).from_us(300 * MILLISECOND);
+        assert_recorded(
+            &format!("{strategy:?}"),
+            mass().adversary(spec),
+            2_500 * MILLISECOND,
+            recorded,
+        );
+    }
+    let withholders = [NodeId::new(0, 2), NodeId::new(1, 0)];
+    let withhold = withholders.iter().fold(mass(), |cfg, &n| {
+        cfg.adversary(AdversarySpec::new(n, Strategy::WithholdChunks))
+    });
+    assert_recorded(
+        "WithholdChunks",
+        withhold,
+        SECOND,
+        ("e5ac62c40e162fbe", 138, 8278),
+    );
+
+    // Long enough for the survivors to win group 2's entry instance and
+    // stamp stream: frozen clocks, the orphan feed, foreign re-proposals.
+    assert_recorded(
+        "group crash and takeover",
+        mass().fault_at(500 * MILLISECOND, FaultEvent::CrashGroup(2)),
+        4 * SECOND,
+        ("e6bddfdd4a5ee180", 415, 24888),
+    );
+
+    let mut serial = mass();
+    serial.params.overlap_vts = false;
+    assert_recorded(
+        "serial VTS assignment",
+        serial,
+        SECOND,
+        ("e5ac62c40e162fbe", 138, 8278),
     );
 }
