@@ -125,12 +125,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the per-transaction signature verification CPU cost.
-    pub fn sig_verify_us(mut self, us: Time) -> Self {
-        self.params.sig_verify_us = us;
-        self
-    }
-
     /// Marks nodes Byzantine from `from_us` on (chunk tampering, §VI-E).
     /// Shorthand for assigning each a [`Strategy::TamperChunks`] spec.
     pub fn byzantine(mut self, nodes: &[NodeId], from_us: Time) -> Self {
@@ -256,9 +250,6 @@ pub trait Driver {
 
     /// Bytes routed since [`Driver::open_window`].
     fn traffic(&self) -> Traffic;
-
-    /// Hook: a window's [`Report`] has been assembled.
-    fn window_closed(&self) {}
 
     /// Hook: the consistency check found two live ledgers that disagree.
     fn diverged(&self) {}
@@ -420,7 +411,7 @@ impl<D: Driver> Harness<D> {
         };
 
         let traffic = self.driver.traffic();
-        let report = Report {
+        Report {
             protocol: self.cfg.params.protocol,
             workload: self.cfg.params.workload,
             throughput: Throughput { txns, window_us },
@@ -432,9 +423,7 @@ impl<D: Driver> Harness<D> {
             lan_bytes: traffic.lan_bytes,
             all_nodes_consistent: self.check_consistency(),
             entries_executed,
-        };
-        self.driver.window_closed();
-        report
+        }
     }
 
     /// Convenience: 1 s warmup, then measure for `secs` seconds.
@@ -507,12 +496,6 @@ impl Driver for Simulation<Node> {
             lan_bytes: metrics.total_lan_bytes(),
         }
     }
-
-    /// Mirrors the run's network totals into the telemetry registry so a
-    /// single snapshot carries them alongside the core.* / db.* series.
-    fn window_closed(&self) {
-        self.metrics().publish();
-    }
 }
 
 /// A cluster experiment on the simulator: a [`Simulation`] of [`Node`]
@@ -558,7 +541,6 @@ mod tests {
         Advance(Time),
         Fault(FaultEvent),
         OpenWindow,
-        WindowClosed,
         Diverged,
     }
 
@@ -607,9 +589,6 @@ mod tests {
         }
         fn traffic(&self) -> Traffic {
             self.traffic
-        }
-        fn window_closed(&self) {
-            self.log.borrow_mut().push(Call::WindowClosed);
         }
         fn diverged(&self) {
             self.log.borrow_mut().push(Call::Diverged);
@@ -712,12 +691,12 @@ mod tests {
     fn window_figures_subtract_the_opening_snapshot() {
         let mut h = fake(|cfg| cfg);
         h.run_until(SECOND);
-        h.driver_mut().node_mut(OBSERVER).executed_txns = 100;
+        *h.driver_mut().node_mut(OBSERVER).measured_mut().0 = 100;
         h.open_window();
         h.run_until(3 * SECOND);
         let d = h.driver_mut();
-        d.node_mut(OBSERVER).executed_txns = 350;
-        d.node_mut(OBSERVER).executed_entries = 9;
+        let (txns, entries, ..) = d.node_mut(OBSERVER).measured_mut();
+        (*txns, *entries) = (350, 9);
         d.traffic = Traffic {
             wan_bytes: 5_000,
             max_node_wan_bytes: 3_000,
@@ -736,7 +715,7 @@ mod tests {
             (5_000, 3_000, 70)
         );
         assert!(r.all_nodes_consistent);
-        assert_eq!(h.driver().take_log(), [Call::WindowClosed]);
+        assert_eq!(h.driver().take_log(), []);
         // A second window starts from the new watermark.
         h.open_window();
         assert_eq!(h.driver().take_log(), [Call::OpenWindow]);
@@ -747,9 +726,17 @@ mod tests {
     fn a_crashed_representative_is_left_out_of_the_latency_figures() {
         let mut h = fake(|cfg| cfg);
         for sample in [1_000, 3_000] {
-            h.driver_mut().node_mut(REP0).latency.record(sample);
+            h.driver_mut()
+                .node_mut(REP0)
+                .measured_mut()
+                .2
+                .record(sample);
         }
-        h.driver_mut().node_mut(REP1).latency.record(10_000);
+        h.driver_mut()
+            .node_mut(REP1)
+            .measured_mut()
+            .2
+            .record(10_000);
         let r = h.close_window();
         assert_eq!((r.mean_latency_ms, r.p99_latency_ms), (6.0, 3.0));
         // Its samples froze at the crash: the mean is the live reps'.
@@ -768,10 +755,8 @@ mod tests {
             for seq in heights {
                 let entry = EntryId::new(0, seq);
                 let digest = Digest::of(&seq.to_le_bytes());
-                h.driver_mut()
-                    .node_mut(id)
-                    .ledger
-                    .append(entry, digest, state);
+                let ledger = h.driver_mut().node_mut(id).measured_mut().3;
+                ledger.append(entry, digest, state);
             }
         };
         // A prefix of the longest ledger agrees with it; so does a node

@@ -20,6 +20,9 @@
 //!   **Steward**, **ISS**, **BR** (bijective-only), and **EBR**
 //!   (encoded bijective without asynchronous ordering) — the same
 //!   same-codebase methodology the paper uses for fair comparison (§VI).
+//!   A node is five parts, one per layer, under a dispatcher:
+//!   `LocalConsensus`, `Dissemination`, `GlobalLayer`, `EntryStore` and
+//!   `Sequencer` (DESIGN.md §5h).
 //! - [`cluster`] — the experiment harness: build a geo-cluster, drive a
 //!   workload, inject faults, measure throughput and latency in virtual
 //!   time.

@@ -30,7 +30,6 @@ pub mod fault;
 pub mod metrics;
 pub mod sim;
 pub mod topology;
-pub mod trace;
 
 pub use fault::{
     FaultEvent, FaultRng, FaultSchedule, FaultState, LinkFault, Routing, ScheduledFault,
@@ -39,7 +38,6 @@ pub use massbft_crypto::keys::NodeId;
 pub use metrics::Metrics;
 pub use sim::{Actor, Command, Ctx, Simulation};
 pub use topology::{DenseIndex, Topology, TopologyBuilder};
-pub use trace::{TraceBuffer, TraceKind, TraceRecord};
 
 /// Virtual time in microseconds since simulation start.
 pub type Time = u64;

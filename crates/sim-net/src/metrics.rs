@@ -124,27 +124,6 @@ impl Metrics {
         self.lan_messages = 0;
         self.dropped_messages = 0;
     }
-
-    /// Publishes the aggregate counters as `sim.*` gauges in the global
-    /// telemetry registry, so one registry snapshot carries the network
-    /// totals alongside the `core.*` / `db.*` counters.
-    ///
-    /// `Metrics` itself stays per-simulation (gauges are last-write-wins;
-    /// parallel simulations in one process would cross-contaminate
-    /// monotonic counters, and per-run accounting is the primary use).
-    pub fn publish(&self) {
-        use massbft_telemetry::registry::gauge;
-        gauge("sim.wan_bytes_total").set(self.total_wan_bytes());
-        gauge("sim.lan_bytes_total").set(self.total_lan_bytes());
-        gauge("sim.wan_messages").set(self.wan_messages);
-        gauge("sim.lan_messages").set(self.lan_messages);
-        gauge("sim.dropped_messages").set(self.dropped_messages);
-        gauge("sim.events_processed").set(self.events_processed);
-        gauge("net.faults_injected").set(self.faults_injected());
-        gauge("net.faults_dropped").set(self.faults_dropped);
-        gauge("net.faults_duplicated").set(self.faults_duplicated);
-        gauge("net.faults_jittered").set(self.faults_jittered);
-    }
 }
 
 #[cfg(test)]
@@ -186,19 +165,6 @@ mod tests {
         assert_eq!(m.cpu_time_of(NodeId::new(0, 0)), 150);
         assert_eq!(m.cpu_time_of(NodeId::new(0, 1)), 0);
         assert_eq!(m.cpu_time_of(NodeId::new(9, 9)), 0);
-    }
-
-    #[test]
-    fn publish_mirrors_totals_into_registry_gauges() {
-        let mut m = two_nodes();
-        m.record_wan_send(0, 400);
-        m.wan_messages = 2;
-        m.events_processed = 9;
-        m.publish();
-        let g = |n| massbft_telemetry::registry::gauge(n).get();
-        assert_eq!(g("sim.wan_bytes_total"), 400);
-        assert_eq!(g("sim.wan_messages"), 2);
-        assert_eq!(g("sim.events_processed"), 9);
     }
 
     #[test]

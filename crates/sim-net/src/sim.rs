@@ -28,36 +28,25 @@ use crate::{
     fault::{FaultEvent, FaultRng, FaultState, Routing},
     metrics::Metrics,
     topology::{DenseIndex, Topology},
-    trace::{TraceBuffer, TraceKind, TraceRecord},
     NodeId, SimMessage, Time,
 };
 use massbft_telemetry as telemetry;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Mirrors a trace record into the global telemetry ring as a network
-/// debug event — the machine-parseable replacement for ad-hoc debug
-/// printing. Only active at [`telemetry::Verbosity::Debug`]; otherwise a
-/// single relaxed load + branch. The event's `node` is the source, its
+/// Emits a network event into the global telemetry ring — the
+/// machine-parseable replacement for ad-hoc debug printing. Call sites
+/// check [`telemetry::net_enabled`] first ([`telemetry::Verbosity::Debug`]
+/// only; otherwise a single relaxed load + branch), so a message's wire
+/// size is not computed for nobody. The event's `node` is the source, its
 /// `entry` field carries the destination, `value` the wire size.
-#[inline]
-fn emit_net_debug(rec: &TraceRecord) {
-    if !telemetry::net_enabled() {
-        return;
-    }
-    let kind = match rec.kind {
-        TraceKind::Deliver => telemetry::EventKind::NetDeliver,
-        TraceKind::Drop => telemetry::EventKind::NetDrop,
-        TraceKind::Timer => telemetry::EventKind::NetTimer,
-        TraceKind::WanSend => telemetry::EventKind::NetWanSend,
-        TraceKind::LanSend => telemetry::EventKind::NetLanSend,
-    };
+fn record_trace(at: Time, kind: telemetry::EventKind, src: NodeId, dst: NodeId, bytes: usize) {
     telemetry::emit_net(telemetry::Event {
-        at: rec.at,
+        at,
         kind,
-        node: (rec.src.group, rec.src.node),
-        entry: (rec.dst.group, rec.dst.node as u64),
-        value: rec.bytes as u64,
+        node: (src.group, src.node),
+        entry: (dst.group, dst.node as u64),
+        value: bytes as u64,
     });
 }
 
@@ -276,7 +265,6 @@ pub struct Simulation<A: Actor> {
     faults: FaultState,
     fault_rng: FaultRng,
     metrics: Metrics,
-    trace: TraceBuffer,
     /// Reused command outbox, so dispatching an event does not allocate.
     scratch: Vec<Command<A::Msg>>,
     started: bool,
@@ -305,7 +293,6 @@ impl<A: Actor> Simulation<A> {
             cpu_free: vec![0; n],
             faults: FaultState::new(&topology.group_sizes),
             fault_rng: FaultRng::new(0x6d61_7373_6266_7421),
-            trace: TraceBuffer::new(65_536),
             scratch: Vec::new(),
             started: false,
             topology,
@@ -336,16 +323,6 @@ impl<A: Actor> Simulation<A> {
     /// Mutable metrics access (e.g. to reset a measurement window).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
-    }
-
-    /// The event trace (enable with `trace_mut().set_enabled(true)`).
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
-    }
-
-    /// Mutable trace access.
-    pub fn trace_mut(&mut self) -> &mut TraceBuffer {
-        &mut self.trace
     }
 
     /// Immutable access to a node's actor (assertions in tests).
@@ -463,21 +440,6 @@ impl<A: Actor> Simulation<A> {
         n
     }
 
-    /// Whether anything would observe a trace record right now — the
-    /// per-simulation buffer or the telemetry debug ring. Checked before
-    /// constructing records so the steady-state costs two loads + branch.
-    #[inline]
-    fn trace_active(&self) -> bool {
-        self.trace.is_enabled() || telemetry::net_enabled()
-    }
-
-    /// Records a trace event in the per-simulation buffer and mirrors it
-    /// to the global telemetry ring (debug verbosity only).
-    fn record_trace(&mut self, rec: TraceRecord) {
-        emit_net_debug(&rec);
-        self.trace.push(rec);
-    }
-
     fn dispatch(&mut self, at: Time, kind: EventKind<A::Msg>) {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
@@ -487,14 +449,9 @@ impl<A: Actor> Simulation<A> {
                 let di = self.idx(dst);
                 if self.faults.is_crashed(dst) {
                     self.metrics.dropped_messages += 1;
-                    if self.trace_active() {
-                        self.record_trace(TraceRecord {
-                            at: self.now,
-                            kind: TraceKind::Drop,
-                            src,
-                            dst,
-                            bytes: msg.wire_size(),
-                        });
+                    if telemetry::net_enabled() {
+                        let kind = telemetry::EventKind::NetDrop;
+                        record_trace(self.now, kind, src, dst, msg.wire_size());
                     }
                     return;
                 }
@@ -506,14 +463,9 @@ impl<A: Actor> Simulation<A> {
                     self.push_event(free, seq, EventKind::Deliver { src, dst, msg });
                     return;
                 }
-                if self.trace_active() {
-                    self.record_trace(TraceRecord {
-                        at: self.now,
-                        kind: TraceKind::Deliver,
-                        src,
-                        dst,
-                        bytes: msg.wire_size(),
-                    });
+                if telemetry::net_enabled() {
+                    let kind = telemetry::EventKind::NetDeliver;
+                    record_trace(self.now, kind, src, dst, msg.wire_size());
                 }
                 let mut ctx = Ctx {
                     now: self.now,
@@ -534,14 +486,9 @@ impl<A: Actor> Simulation<A> {
                 if self.faults.is_crashed(node) {
                     return;
                 }
-                if self.trace_active() {
-                    self.record_trace(TraceRecord {
-                        at: self.now,
-                        kind: TraceKind::Timer,
-                        src: node,
-                        dst: node,
-                        bytes: 0,
-                    });
+                if telemetry::net_enabled() {
+                    let kind = telemetry::EventKind::NetTimer;
+                    record_trace(self.now, kind, node, node, 0);
                 }
                 let mut ctx = Ctx {
                     now: self.now,
@@ -639,14 +586,9 @@ impl<A: Actor> Simulation<A> {
             // injected link fault: it counts as a plain drop.
             if verdict != Routing::Partitioned {
                 self.metrics.faults_dropped += 1;
-                if self.trace_active() {
-                    self.record_trace(TraceRecord {
-                        at: self.now,
-                        kind: TraceKind::Drop,
-                        src,
-                        dst,
-                        bytes: size,
-                    });
+                if telemetry::net_enabled() {
+                    let kind = telemetry::EventKind::NetDrop;
+                    record_trace(self.now, kind, src, dst, size);
                 }
             }
             return;
@@ -670,14 +612,9 @@ impl<A: Actor> Simulation<A> {
                 start
             };
             self.metrics.record_wan_send(si, size as u64);
-            if self.trace_active() {
-                self.record_trace(TraceRecord {
-                    at: self.now,
-                    kind: TraceKind::WanSend,
-                    src,
-                    dst,
-                    bytes: size,
-                });
+            if telemetry::net_enabled() {
+                let kind = telemetry::EventKind::NetWanSend;
+                record_trace(self.now, kind, src, dst, size);
             }
             start + tx + self.topology.latency(src, dst)
         } else {
@@ -686,14 +623,9 @@ impl<A: Actor> Simulation<A> {
             // serialization time still counts toward delivery.
             let tx = self.topology.lan_tx_time(size);
             self.metrics.record_lan_send(si, size as u64);
-            if self.trace_active() {
-                self.record_trace(TraceRecord {
-                    at: self.now,
-                    kind: TraceKind::LanSend,
-                    src,
-                    dst,
-                    bytes: size,
-                });
+            if telemetry::net_enabled() {
+                let kind = telemetry::EventKind::NetLanSend;
+                record_trace(self.now, kind, src, dst, size);
             }
             self.now + tx + self.topology.latency(src, dst)
         };
@@ -1136,49 +1068,17 @@ mod tests {
         assert_eq!(s.now(), 3 * SECOND);
     }
 
-    #[test]
-    fn trace_records_deliveries_and_drops() {
-        let mut s = sim(true);
-        s.trace_mut().set_enabled(true);
-        s.inject_at(
-            0,
-            NodeId::new(1, 0),
-            NodeId::new(0, 0),
-            TestMsg { tag: 5, size: 1000 },
-        );
-        s.apply_fault(FaultEvent::Crash(NodeId::new(0, 1)));
-        s.inject_at(
-            1,
-            NodeId::new(1, 0),
-            NodeId::new(0, 1),
-            TestMsg { tag: 6, size: 10 },
-        );
-        s.run_until(SECOND);
-        let trace = s.trace();
-        assert!(trace.of_kind(crate::trace::TraceKind::Deliver).count() >= 2);
-        assert_eq!(trace.of_kind(crate::trace::TraceKind::Drop).count(), 1);
-        assert_eq!(trace.of_kind(crate::trace::TraceKind::WanSend).count(), 1);
-        // Everything involving the crashed node is the one drop.
-        assert_eq!(trace.involving(NodeId::new(0, 1)).count(), 1);
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let mut s = sim(true);
-        s.inject_at(
-            0,
-            NodeId::new(1, 0),
-            NodeId::new(0, 0),
-            TestMsg { tag: 5, size: 100 },
-        );
-        s.run_until(SECOND);
-        assert_eq!(s.trace().total_recorded(), 0);
-    }
-
     /// Flood actor: node (0,0) sends `count` sequenced messages to every
-    /// other node at start; receivers record them.
+    /// other node at start; receivers record when each arrived.
     struct Flood {
         count: u64,
+        arrivals: Vec<(Time, u64)>,
+    }
+    impl Flood {
+        fn new(count: u64) -> Self {
+            let arrivals = Vec::new();
+            Flood { count, arrivals }
+        }
     }
     impl Actor for Flood {
         type Msg = TestMsg;
@@ -1190,6 +1090,7 @@ mod tests {
             }
         }
         fn on_message(&mut self, ctx: &mut Ctx<TestMsg>, _f: NodeId, m: TestMsg) {
+            self.arrivals.push((ctx.now(), m.tag));
             ctx.set_timer(0, m.tag);
         }
     }
@@ -1232,7 +1133,7 @@ mod tests {
                 .uniform_wan_latency_ms(10)
                 .wan_bandwidth_mbps(1000)
                 .build();
-            let mut s = Simulation::new(topo, |_| Flood { count: 2000 });
+            let mut s = Simulation::new(topo, |_| Flood::new(2000));
             s.set_fault_seed(seed);
             s.apply_fault(FaultEvent::SetLinkFault(
                 NodeId::new(0, 0),
@@ -1261,7 +1162,7 @@ mod tests {
             .uniform_wan_latency_ms(10)
             .wan_bandwidth_mbps(1000)
             .build();
-        let mut s = Simulation::new(topo, |_| Flood { count: 1000 });
+        let mut s = Simulation::new(topo, |_| Flood::new(1000));
         s.apply_fault(FaultEvent::SetLinkFault(
             NodeId::new(0, 0),
             NodeId::new(1, 0),
@@ -1270,13 +1171,12 @@ mod tests {
                 ..LinkFault::default()
             }),
         ));
-        s.trace_mut().set_enabled(true);
         s.run_until(10 * SECOND);
         let dups = s.metrics().faults_duplicated;
         assert!((300..700).contains(&dups), "dups {dups}");
         assert_eq!(s.metrics().faults_injected(), dups);
         // Every duplicate is really delivered.
-        let delivered = s.trace().of_kind(TraceKind::Deliver).count() as u64;
+        let delivered = s.actor(NodeId::new(1, 0)).arrivals.len() as u64;
         assert_eq!(delivered, 1000 + dups);
     }
 
@@ -1286,24 +1186,19 @@ mod tests {
             .uniform_wan_latency_ms(10)
             .wan_bandwidth_mbps(1000)
             .build();
-        let mut s = Simulation::new(topo, |_| Flood { count: 200 });
+        let mut s = Simulation::new(topo, |_| Flood::new(200));
         s.apply_fault(FaultEvent::SetWanFault(Some(LinkFault {
             extra_jitter_us: 5 * MILLISECOND,
             ..LinkFault::default()
         })));
-        s.trace_mut().set_enabled(true);
         s.run_until(10 * SECOND);
         assert_eq!(s.metrics().faults_jittered, 200);
         assert_eq!(s.metrics().faults_injected(), 200);
         // FIFO clamp: despite random jitter, same-stream deliveries keep
-        // their send order — delivery times are monotone in the trace.
-        let arrivals: Vec<Time> = s
-            .trace()
-            .of_kind(TraceKind::Deliver)
-            .map(|r| r.at)
-            .collect();
-        assert_eq!(arrivals.len(), 200);
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
+        // their send order, at monotone delivery times.
+        let arrivals = &s.actor(NodeId::new(1, 0)).arrivals;
+        assert!(arrivals.iter().map(|&(_, tag)| tag).eq(0..200));
+        assert!(arrivals.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]

@@ -21,6 +21,19 @@ if grep -rn "available_parallelism" crates/*/src | grep -v "^crates/accel/src/li
   exit 1
 fi
 
+# Size ratchet: the protocol node was one 2 440-line file once; its parts
+# (and everything else in core) stay small enough to read in one sitting.
+echo "==> no file under crates/core/src above 1000 non-test lines"
+oversized=0
+while IFS= read -r -d '' file; do
+  read -r lines _ < <(scripts/loc.sh "$file")
+  if ((lines > 1000)); then
+    echo "error: $file has $lines non-test lines (scripts/loc.sh)" >&2
+    oversized=1
+  fi
+done < <(find crates/core/src -name '*.rs' -print0)
+((oversized == 0)) || exit 1
+
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release (tier-1)"
   cargo build --release --workspace
