@@ -36,11 +36,11 @@
 //!
 //! re-measures the reserve+commit phase share (ycsb_uniform, 4 workers,
 //! quick profile, best of 9) and exits non-zero when it exceeds the
-//! `gate_baseline` recorded in `BENCH_execution.json` by more than 10% —
+//! `gate_baseline` recorded in `BENCH_execution.json` by more than 15% —
 //! a *phase-time* regression gate that stays meaningful on noisy or
 //! single-core hosts where wall-clock speedup is not.
 
-use massbft_bench::report::{self, Json, Obj, Verdict};
+use massbft_bench::report::{self, cli::Flags, Json, Obj, Verdict};
 use massbft_core::stats::{exec_stats, ExecStats};
 use massbft_db::{AriaExecutor, KvStore};
 use massbft_telemetry::json as tjson;
@@ -172,7 +172,7 @@ fn measure_gate_share() -> f64 {
 }
 
 /// `--gate`: compare the current reserve+commit share against the
-/// recorded baseline; exit non-zero on a >10% regression.
+/// recorded baseline; exit non-zero on a >15% regression.
 fn run_gate() {
     let raw = match std::fs::read_to_string("BENCH_execution.json") {
         Ok(s) => s,
@@ -223,11 +223,14 @@ fn run_gate() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--gate") {
+    let mut f = Flags::from_env("execution");
+    let gate = f.switch("--gate");
+    let quick = f.switch("--quick");
+    f.done();
+    if gate {
         run_gate();
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick");
     let (batch, batches) = if quick { (4096, 4) } else { (8192, 12) };
     let host_cores = massbft_accel::host_cores();
     let worker_sweep = [1usize, 2, 4, 8];

@@ -13,7 +13,8 @@
 //!     [--groups 4,4,4] [--secs 12] [--seed 13] [--out BENCH_faults.json]
 //! ```
 
-use massbft_bench::report::{self, Json, Obj, Verdict};
+use massbft_bench::report::{self, cli::Flags, Json, Obj, Verdict};
+use massbft_bench::run;
 use massbft_core::adversary::{AdversarySpec, FaultEvent, Strategy};
 use massbft_core::cluster::{Cluster, ClusterConfig};
 use massbft_core::protocol::Protocol;
@@ -23,7 +24,6 @@ use massbft_workloads::WorkloadKind;
 /// Sampling cadence for the recovery timelines.
 const SAMPLE_US: Time = 500 * MILLISECOND;
 
-#[derive(Debug)]
 struct Args {
     groups: Vec<usize>,
     secs: u64,
@@ -33,45 +33,24 @@ struct Args {
     out: String,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: faults [--groups 4,4,4] [--secs N] [--seed N]
-              [--arrival-tps N] [--max-batch N] [--out FILE]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
-    let mut args = Args {
-        groups: vec![4, 4, 4],
-        secs: 12,
-        seed: 13,
-        arrival_tps: 3000.0,
-        max_batch: 60,
-        out: "BENCH_faults.json".to_string(),
+    let mut f = Flags::from_env("faults");
+    let args = Args {
+        groups: f.groups(),
+        secs: f.value("--secs", "N", 12),
+        seed: f.value("--seed", "N", 13),
+        arrival_tps: f.value("--arrival-tps", "N", 3000.0),
+        max_batch: f.value("--max-batch", "N", 60),
+        out: f.value("--out", "FILE", "BENCH_faults.json".to_string()),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--groups" => {
-                args.groups = val()
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--secs" => args.secs = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--arrival-tps" => args.arrival_tps = val().parse().unwrap_or_else(|_| usage()),
-            "--max-batch" => args.max_batch = val().parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = val(),
-            _ => usage(),
-        }
-    }
     if args.secs < 6 {
-        eprintln!("--secs must be at least 6 (fault at 1s + recovery window)");
-        std::process::exit(2);
+        f.fail("--secs must be at least 6 (fault at 1s + recovery window)");
     }
+    // The scenarios aim at group 1 and sample at node 2 of group 0.
+    if args.groups.len() < 2 || args.groups.iter().any(|&n| n < 3) {
+        f.fail("--groups needs at least 2 groups of at least 3 nodes");
+    }
+    f.done();
     args
 }
 
@@ -106,28 +85,16 @@ struct Outcome {
     consistent: bool,
 }
 
-fn affected_count(c: &Cluster, obs: NodeId, affected: Affected) -> u64 {
-    match affected {
-        Affected::Group(g) => c.node(obs).executed_by_group()[g as usize],
-        Affected::Total => c.node(obs).executed_txns(),
-    }
-}
-
 fn run_scenario(s: Scenario, fault_at: Time, secs: u64) -> Outcome {
     let mut c = Cluster::new(s.cfg);
     let end = secs * SECOND;
-    let obs = {
-        // Sample at a node the scenarios never crash or corrupt: the last
-        // follower of group 0 is an observer in every script below.
-        NodeId::new(0, 2)
-    };
-    let mut timeline = Vec::new();
-    let mut t = SAMPLE_US;
-    while t <= end {
-        c.run_until(t);
-        timeline.push((t, affected_count(&c, obs, s.affected)));
-        t += SAMPLE_US;
-    }
+    // Sample at a node the scenarios never crash or corrupt: the last
+    // follower of group 0 is an observer in every script below.
+    let obs = NodeId::new(0, 2);
+    let timeline = run::sample(&mut c, SAMPLE_US, end, |c| match s.affected {
+        Affected::Group(g) => c.node(obs).executed_by_group()[g as usize],
+        Affected::Total => c.node(obs).executed_txns(),
+    });
 
     // Tail rate over the final 4 s — the steady state after recovery.
     let tail_window = 4 * SECOND;
@@ -175,6 +142,30 @@ fn run_scenario(s: Scenario, fault_at: Time, secs: u64) -> Outcome {
         recovered,
         consistent,
     }
+}
+
+/// One scenario of `BENCH_faults.json`. `scripts/check.sh` reads `name`,
+/// `recovered`, `consistent` and `timeline`.
+fn scenario_json(o: &Outcome) -> Json {
+    let affected = match o.affected {
+        Affected::Group(g) => format!("group{g}"),
+        Affected::Total => "total".to_string(),
+    };
+    let timeline: Vec<Json> = o
+        .timeline
+        .iter()
+        .map(|&(t, e)| Json::Arr(vec![t.into(), e.into()]))
+        .collect();
+    Obj::new()
+        .set("name", o.name)
+        .set("what", o.what)
+        .set("affected", affected)
+        .set("tail_tps", Json::fixed(o.tail_tps, 1))
+        .set("stall_us", o.stall_us)
+        .set("recovered", o.recovered)
+        .set("consistent", o.consistent)
+        .set("timeline", timeline)
+        .into()
 }
 
 fn main() {
@@ -306,30 +297,7 @@ fn main() {
         .set("secs", args.secs)
         .set("fault_at_us", fault_at)
         .set("sample_us", SAMPLE_US);
-    let scenarios_json: Vec<Json> = outcomes
-        .iter()
-        .map(|o| {
-            let affected = match o.affected {
-                Affected::Group(g) => format!("group{g}"),
-                Affected::Total => "total".to_string(),
-            };
-            let timeline: Vec<Json> = o
-                .timeline
-                .iter()
-                .map(|&(t, e)| Json::Arr(vec![t.into(), e.into()]))
-                .collect();
-            Obj::new()
-                .set("name", o.name)
-                .set("what", o.what)
-                .set("affected", affected)
-                .set("tail_tps", Json::fixed(o.tail_tps, 1))
-                .set("stall_us", o.stall_us)
-                .set("recovered", o.recovered)
-                .set("consistent", o.consistent)
-                .set("timeline", timeline)
-                .into()
-        })
-        .collect();
+    let scenarios_json: Vec<Json> = outcomes.iter().map(scenario_json).collect();
     let doc = Json::from(
         Obj::new()
             .set("config", config)
@@ -339,4 +307,27 @@ fn main() {
     report::write_json(&args.out, &doc);
 
     verdict.finish("at least one fault scenario failed to recover or diverged");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_scenario_keeps_the_keys_the_gate_reads() {
+        let outcome = Outcome {
+            name: "baseline",
+            what: "no fault",
+            affected: Affected::Total,
+            timeline: vec![(SAMPLE_US, 10)],
+            tail_tps: 1.0,
+            stall_us: 0,
+            recovered: true,
+            consistent: true,
+        };
+        let doc = massbft_telemetry::json::parse(&scenario_json(&outcome).render()).expect("json");
+        for key in ["name", "recovered", "consistent", "timeline"] {
+            assert!(doc.get(key).is_some(), "scripts/check.sh reads {key:?}");
+        }
+    }
 }

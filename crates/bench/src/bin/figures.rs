@@ -8,17 +8,16 @@
 //! Experiments: `fig1b fig8 fig9 fig10 fig11 fig12 fig13a fig13b fig14
 //! fig15 table1 table2 ablation-overlap ablation-parity all`.
 
+use massbft_bench::report::cli::Flags;
 use massbft_bench::*;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut f = Flags::from_env("figures");
+    let quick = f.switch("--quick");
+    let which = f.positionals("[EXPERIMENT...] (default all)");
+    f.done();
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
+    let which: Vec<&str> = which.iter().map(String::as_str).collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
 
     let want = |name: &str| which.contains(&name) || which.contains(&"all");

@@ -10,8 +10,8 @@
 //! Perfetto trace.
 //!
 //! ```text
-//! # against a live multi-process wallclock run:
-//! cargo run --release -p massbft-bench --bin wallclock -- \
+//! # against a live multi-process TCP sweep point:
+//! cargo run --release -p massbft-bench --bin sweep -- --driver tcp \
 //!     --mode process --only nationwide-3x4 --ops-base 47700 --secs 10 &
 //! cargo run --release -p massbft-bench --bin obs -- \
 //!     --ops-base 47700 --procs 3 --duration-secs 8
@@ -21,7 +21,7 @@
 //! cargo run --release -p massbft-bench --bin obs -- --selftest
 //! ```
 
-use massbft_bench::report::{self, Json, Obj, Verdict};
+use massbft_bench::report::{self, cli::Flags, Json, Obj, Verdict};
 use massbft_core::cluster::ClusterConfig;
 use massbft_core::protocol::Protocol;
 use massbft_runtime::{http_get, Cluster, OpsConfig};
@@ -33,11 +33,8 @@ use std::time::{Duration, Instant};
 
 const HTTP_TIMEOUT: Duration = Duration::from_secs(5);
 
-#[derive(Clone)]
 struct Args {
     targets: Vec<SocketAddr>,
-    ops_base: u16,
-    procs: usize,
     interval_ms: u64,
     duration_secs: u64,
     out: String,
@@ -45,57 +42,29 @@ struct Args {
     selftest: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: obs --targets HOST:PORT[,HOST:PORT...] | --ops-base PORT --procs N
-           [--interval-ms N] [--duration-secs N] [--out FILE]
-           [--trace-out FILE] [--selftest]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
+    let mut f = Flags::from_env("obs");
     let mut args = Args {
-        targets: Vec::new(),
-        ops_base: 0,
-        procs: 0,
-        interval_ms: 500,
-        duration_secs: 10,
-        out: "BENCH_obs.json".to_string(),
-        trace_out: None,
-        selftest: false,
+        targets: f.list("--targets", "HOST:PORT,...", Vec::new()),
+        interval_ms: f.value("--interval-ms", "N", 500),
+        duration_secs: f.value("--duration-secs", "N", 10),
+        out: f.value("--out", "FILE", "BENCH_obs.json".to_string()),
+        trace_out: f.opt("--trace-out", "FILE"),
+        selftest: f.switch("--selftest"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--targets" => {
-                args.targets = val()
-                    .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect()
-            }
-            "--ops-base" => args.ops_base = val().parse().unwrap_or_else(|_| usage()),
-            "--procs" => args.procs = val().parse().unwrap_or_else(|_| usage()),
-            "--interval-ms" => args.interval_ms = val().parse().unwrap_or_else(|_| usage()),
-            "--duration-secs" => args.duration_secs = val().parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = val(),
-            "--trace-out" => args.trace_out = Some(val()),
-            "--selftest" => args.selftest = true,
-            _ => usage(),
-        }
-    }
-    if args.targets.is_empty() && args.ops_base != 0 && args.procs > 0 {
-        // The wallclock --mode process convention: parent at ops_base,
-        // child group g at ops_base + g.
-        args.targets = (0..args.procs as u16)
-            .map(|i| {
-                format!("127.0.0.1:{}", args.ops_base + i)
-                    .parse()
-                    .expect("ops addr")
-            })
+    let ops_base: u16 = f.value("--ops-base", "PORT", 0);
+    let procs: u16 = f.value("--procs", "N", 0);
+    if args.targets.is_empty() && ops_base != 0 {
+        // The `sweep --driver tcp --mode process` convention: parent at
+        // ops_base, child group g at ops_base + g.
+        args.targets = (0..procs)
+            .map(|i| SocketAddr::from(([127, 0, 0, 1], ops_base + i)))
             .collect();
     }
+    if args.targets.is_empty() && !args.selftest {
+        f.fail("nothing to scrape: give --targets, or --ops-base and --procs, or --selftest");
+    }
+    f.done();
     args
 }
 
@@ -596,10 +565,7 @@ fn main() {
     let args = parse_args();
     if args.selftest {
         run_selftest(&args);
-        return;
+    } else {
+        run_scraper(&args);
     }
-    if args.targets.is_empty() {
-        usage();
-    }
-    run_scraper(&args);
 }

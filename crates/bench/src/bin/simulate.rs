@@ -10,162 +10,91 @@
 //!
 //! Every run is deterministic for a given `--seed`.
 
-use massbft_bench::report::cli;
-use massbft_bench::Scale;
-use massbft_core::cluster::{Cluster, ClusterConfig, Region};
-use massbft_core::protocol::Protocol;
+use massbft_bench::report::cli::Flags;
+use massbft_bench::run;
+use massbft_core::adversary::FaultEvent;
+use massbft_core::cluster::{Cluster, ClusterConfig};
 use massbft_sim_net::{NodeId, SECOND};
-use massbft_workloads::WorkloadKind;
 
-#[derive(Debug)]
-struct Args {
-    protocol: Protocol,
-    groups: Vec<usize>,
-    workload: WorkloadKind,
-    region: Region,
-    secs: u64,
-    seed: u64,
-    wan_mbps: u64,
-    arrival_tps: f64,
-    max_batch: usize,
-    crash_group: Option<(u32, u64)>,
-    byzantine_per_group: Option<(u32, u64)>,
-    timeline: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--protocol massbft|baseline|geobft|steward|iss|br|ebr]
-                [--groups 4,4,4] [--workload ycsb-a|ycsb-b|smallbank|tpcc]
-                [--region nationwide|worldwide] [--secs N] [--seed N]
-                [--wan-mbps N] [--arrival-tps N] [--max-batch N]
-                [--crash-group G@Ts] [--byzantine K@Ts] [--timeline]"
-    );
-    std::process::exit(2);
-}
-
+/// Reads `G@Ts` / `K@Ts` (the trailing `s` is optional).
 fn parse_at(v: &str) -> Option<(u32, u64)> {
     let (a, b) = v.split_once('@')?;
     let secs = b.strip_suffix('s').unwrap_or(b);
     Some((a.parse().ok()?, secs.parse().ok()?))
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        protocol: Protocol::MassBft,
-        groups: vec![4, 4, 4],
-        workload: WorkloadKind::YcsbA,
-        region: Region::Nationwide,
-        secs: 5,
-        seed: 1,
-        wan_mbps: 20,
-        arrival_tps: 100_000.0,
-        max_batch: 500,
-        crash_group: None,
-        byzantine_per_group: None,
-        timeline: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--protocol" => {
-                args.protocol = cli::protocol(&val()).unwrap_or_else(|| usage());
-            }
-            "--groups" => {
-                args.groups = cli::groups(&val()).unwrap_or_else(|| usage());
-            }
-            "--workload" => {
-                args.workload = cli::workload(&val()).unwrap_or_else(|| usage());
-            }
-            "--region" => {
-                args.region = cli::region(&val()).unwrap_or_else(|| usage());
-            }
-            "--secs" => args.secs = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--wan-mbps" => args.wan_mbps = val().parse().unwrap_or_else(|_| usage()),
-            "--arrival-tps" => args.arrival_tps = val().parse().unwrap_or_else(|_| usage()),
-            "--max-batch" => args.max_batch = val().parse().unwrap_or_else(|_| usage()),
-            "--crash-group" => args.crash_group = Some(parse_at(&val()).unwrap_or_else(|| usage())),
-            "--byzantine" => {
-                args.byzantine_per_group = Some(parse_at(&val()).unwrap_or_else(|| usage()))
-            }
-            "--timeline" => args.timeline = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
-        }
-    }
-    args
-}
-
 fn main() {
-    // Scale is unused directly; referenced so the library's quick/full
-    // knob shows up in --help discussions.
-    let _ = Scale::Quick;
-    let a = parse_args();
-
-    let mut cfg = match a.region {
-        Region::Nationwide => ClusterConfig::nationwide(&a.groups, a.protocol),
-        Region::Worldwide => ClusterConfig::worldwide(&a.groups, a.protocol),
+    let mut f = Flags::from_env("simulate");
+    let protocol = f.protocol();
+    let groups = f.groups();
+    let workload = f.workload();
+    let region = f.region();
+    let secs: u64 = f.value("--secs", "N", 5);
+    let seed: u64 = f.value("--seed", "N", 1);
+    let wan_mbps: u64 = f.value("--wan-mbps", "N", 20);
+    let arrival_tps: f64 = f.value("--arrival-tps", "N", 100_000.0);
+    let max_batch: usize = f.value("--max-batch", "N", 500);
+    let crash_group = f.opt_with("--crash-group", "G@Ts", parse_at);
+    let byzantine_per_group = f.opt_with("--byzantine", "K@Ts", parse_at);
+    let timeline = f.switch("--timeline");
+    if crash_group.is_some_and(|(_, at)| !(1..=secs).contains(&at)) {
+        f.fail("--crash-group G@Ts: T must fall inside the measured window, 1..=secs");
     }
-    .workload(a.workload)
-    .seed(a.seed)
-    .wan_mbps(a.wan_mbps)
-    .arrival_tps(a.arrival_tps)
-    .max_batch(a.max_batch);
+    f.done();
 
-    if let Some((k, at)) = a.byzantine_per_group {
+    let mut cfg = ClusterConfig::in_region(region, &groups, protocol)
+        .workload(workload)
+        .seed(seed)
+        .wan_mbps(wan_mbps)
+        .arrival_tps(arrival_tps)
+        .max_batch(max_batch);
+
+    if let Some((k, at)) = byzantine_per_group {
         let mut byz = Vec::new();
-        for (g, &size) in a.groups.iter().enumerate() {
+        for (g, &size) in groups.iter().enumerate() {
             for i in 0..k.min(size as u32) {
                 byz.push(NodeId::new(g as u32, size as u32 - 1 - i));
             }
         }
         cfg = cfg.byzantine(&byz, at * SECOND);
     }
+    // Second `T` of the measured window starts at `T` s on the cluster's
+    // clock (1 s of warm-up comes first).
+    if let Some((g, at)) = crash_group {
+        cfg = cfg.fault_at(at * SECOND, FaultEvent::CrashGroup(g));
+    }
 
     println!(
         "# {} | {} | {:?} groups | {} | {} Mbps | seed {}",
-        a.protocol.name(),
-        a.workload.name(),
-        a.groups,
-        match a.region {
-            Region::Nationwide => "nationwide",
-            Region::Worldwide => "worldwide",
-        },
-        a.wan_mbps,
-        a.seed
+        protocol.name(),
+        workload.name(),
+        groups,
+        region.name(),
+        wan_mbps,
+        seed
     );
 
     let mut cluster = Cluster::new(cfg);
-    cluster.run_until(SECOND); // warmup
-    cluster.open_window();
-
-    if a.timeline {
+    if timeline {
         println!("{:>5} {:>10}", "sec", "ktps");
     }
     let obs = cluster.observer();
-    let mut prev = cluster.node(obs).executed_txns();
-    for sec in 1..=a.secs {
-        if let Some((g, at)) = a.crash_group {
-            if sec == at {
-                cluster.crash_group(g);
-                if a.timeline {
-                    println!("# group {g} crashed");
-                }
+    let (measured, _) = run::measure_with(&mut cluster, SECOND, |c| {
+        let mut prev = c.node(obs).executed_txns();
+        run::sample(c, SECOND, (1 + secs) * SECOND, |c| {
+            if !timeline {
+                return;
             }
-        }
-        cluster.run_until((1 + sec) * SECOND);
-        if a.timeline {
-            let now = cluster.node(obs).executed_txns();
+            let sec = c.now() / SECOND - 1;
+            if let Some((g, _)) = crash_group.filter(|&(_, at)| at == sec) {
+                println!("# group {g} crashed");
+            }
+            let now = c.node(obs).executed_txns();
             println!("{sec:>5} {:>10.2}", (now - prev) as f64 / 1000.0);
             prev = now;
-        }
-    }
-    let report = cluster.close_window();
+        })
+    });
+    let report = measured.report;
 
     println!("throughput        : {:.2} ktps", report.throughput.ktps());
     println!("entries executed  : {}", report.entries_executed);

@@ -18,78 +18,12 @@
 //!     --protocol massbft --groups 4,4,4 --secs 2 --seed 1 [--debug]
 //! ```
 
-use massbft_bench::report::cli;
-use massbft_core::cluster::{Cluster, ClusterConfig, Region};
-use massbft_core::protocol::Protocol;
-use massbft_sim_net::NodeId;
+use massbft_bench::report::cli::Flags;
+use massbft_bench::run;
+use massbft_core::cluster::{Cluster, ClusterConfig};
+use massbft_sim_net::{NodeId, SECOND};
 use massbft_telemetry as telemetry;
 use massbft_telemetry::export;
-use massbft_workloads::WorkloadKind;
-
-#[derive(Debug)]
-struct Args {
-    protocol: Protocol,
-    groups: Vec<usize>,
-    region: Region,
-    workload: WorkloadKind,
-    secs: u64,
-    seed: u64,
-    arrival_tps: f64,
-    max_batch: usize,
-    out: String,
-    debug: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace [--protocol massbft|baseline|geobft|steward|iss|br|ebr]
-             [--groups 4,4,4] [--workload ycsb-a|ycsb-b|smallbank|tpcc]
-             [--region nationwide|worldwide] [--secs N] [--seed N]
-             [--arrival-tps N] [--max-batch N] [--out PREFIX] [--debug]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        protocol: Protocol::MassBft,
-        groups: vec![4, 4, 4],
-        region: Region::Nationwide,
-        workload: WorkloadKind::YcsbA,
-        secs: 2,
-        seed: 1,
-        arrival_tps: 10_000.0,
-        max_batch: 200,
-        out: "TRACE_geo".to_string(),
-        debug: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--protocol" => {
-                args.protocol = cli::protocol(&val()).unwrap_or_else(|| usage());
-            }
-            "--groups" => {
-                args.groups = cli::groups(&val()).unwrap_or_else(|| usage());
-            }
-            "--workload" => {
-                args.workload = cli::workload(&val()).unwrap_or_else(|| usage());
-            }
-            "--region" => {
-                args.region = cli::region(&val()).unwrap_or_else(|| usage());
-            }
-            "--secs" => args.secs = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--arrival-tps" => args.arrival_tps = val().parse().unwrap_or_else(|_| usage()),
-            "--max-batch" => args.max_batch = val().parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = val(),
-            "--debug" => args.debug = true,
-            _ => usage(),
-        }
-    }
-    args
-}
 
 /// `|a - b|` within 1% of the larger magnitude (or within 1 µs for
 /// near-zero phases).
@@ -99,37 +33,45 @@ fn within_one_percent(a: f64, b: f64) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut f = Flags::from_env("trace");
+    let protocol = f.protocol();
+    let groups = f.groups();
+    let workload = f.workload();
+    let region = f.region();
+    let secs: u64 = f.value("--secs", "N", 2);
+    let seed: u64 = f.value("--seed", "N", 1);
+    let arrival_tps: f64 = f.value("--arrival-tps", "N", 10_000.0);
+    let max_batch: usize = f.value("--max-batch", "N", 200);
+    let out: String = f.value("--out", "PREFIX", "TRACE_geo".to_string());
+    let debug = f.switch("--debug");
+    f.done();
 
     // Size the ring generously: a few seconds of spans across every node
     // fits comfortably in 2^20 slots, and a drop would make the printed
     // breakdown partial (we check and warn below).
     telemetry::configure_ring(1 << 20);
-    telemetry::set_verbosity(if args.debug {
+    telemetry::set_verbosity(if debug {
         telemetry::Verbosity::Debug
     } else {
         telemetry::Verbosity::Spans
     });
 
-    let cfg = match args.region {
-        Region::Nationwide => ClusterConfig::nationwide(&args.groups, args.protocol),
-        Region::Worldwide => ClusterConfig::worldwide(&args.groups, args.protocol),
-    }
-    .workload(args.workload)
-    .seed(args.seed)
-    .arrival_tps(args.arrival_tps)
-    .max_batch(args.max_batch);
+    let cfg = ClusterConfig::in_region(region, &groups, protocol)
+        .workload(workload)
+        .seed(seed)
+        .arrival_tps(arrival_tps)
+        .max_batch(max_batch);
 
     eprintln!(
         "tracing {} on {:?} groups ({:?}, {:?}), {}s measured ...",
-        args.protocol.name(),
-        args.groups,
-        args.region,
-        args.workload,
-        args.secs
+        protocol.name(),
+        groups,
+        region,
+        workload,
+        secs
     );
     let mut cluster = Cluster::new(cfg);
-    let report = cluster.run_secs(args.secs);
+    let report = run::measure(&mut cluster, SECOND, secs * SECOND).report;
 
     let drained = telemetry::drain();
     if drained.dropped > 0 {
@@ -141,8 +83,8 @@ fn main() {
     }
 
     // Export both formats.
-    let jsonl_path = format!("{}.jsonl", args.out);
-    let json_path = format!("{}.json", args.out);
+    let jsonl_path = format!("{out}.jsonl");
+    let json_path = format!("{out}.json");
     let jsonl = export::to_jsonl(&drained.events);
     std::fs::write(&jsonl_path, &jsonl).expect("write jsonl");
     let chrome = export::to_chrome_trace(&drained.events);

@@ -16,7 +16,9 @@
 #![warn(missing_docs)]
 
 pub mod report;
+pub mod run;
 
+use massbft_core::adversary::FaultEvent;
 use massbft_core::cluster::{Cluster, ClusterConfig, Report};
 use massbft_core::protocol::{PhaseBreakdown, Protocol};
 use massbft_sim_net::{NodeId, SECOND};
@@ -77,9 +79,9 @@ pub const WORKLOADS: [WorkloadKind; 4] = [
     WorkloadKind::TpcC,
 ];
 
+/// A fresh cluster, 1 s of warm-up, `secs` measured.
 fn measure(cfg: ClusterConfig, secs: u64) -> Report {
-    let mut c = Cluster::new(cfg);
-    c.run_secs(secs)
+    run::measure(&mut Cluster::new(cfg), SECOND, secs * SECOND).report
 }
 
 /// Latency is measured in a separate light-load run (1k tps per group):
@@ -89,9 +91,7 @@ fn measure(cfg: ClusterConfig, secs: u64) -> Report {
 /// queues short at the latency operating point (its Baseline batches are
 /// 37 txns vs MassBFT's 270 under the same 20 ms timeout, §VI-A).
 fn measure_latency_ms(cfg: ClusterConfig, secs: u64) -> f64 {
-    let light = cfg.arrival_tps(1_000.0).max_batch(100);
-    let mut c = Cluster::new(light);
-    c.run_secs(secs).mean_latency_ms
+    measure(cfg.arrival_tps(1_000.0).max_batch(100), secs).mean_latency_ms
 }
 
 /// Fig. 1b — GeoBFT-style leader replication throughput collapsing as
@@ -352,29 +352,35 @@ pub fn fig15(scale: Scale) -> (Vec<TimelinePoint>, u64, u64) {
         .workload(WorkloadKind::YcsbA)
         .byzantine(&byz, byz_at * SECOND)
         .seed(1);
+    // The crashed group must not contain the observer. The crash lands
+    // at the start of second `crash_at`.
+    let cfg = cfg.fault_at(
+        (crash_at - 1) * SECOND,
+        FaultEvent::CrashGroup(groups.len() as u32 - 1),
+    );
     let mut c = Cluster::new(cfg);
     let obs = c.observer();
     let rep = NodeId::new(0, 0);
-    let mut points = Vec::new();
     let mut last_txns = 0u64;
     let mut last_lat_count = 0usize;
-    for sec in 1..=total {
-        if sec == crash_at {
-            // The crashed group must not contain the observer.
-            c.crash_group(groups.len() as u32 - 1);
-        }
-        c.run_until(sec * SECOND);
+    let points = run::sample(&mut c, SECOND, total * SECOND, |c| {
         let txns = c.node(obs).executed_txns();
         let lat = c.node(rep).latency();
-        let lat_ms = lat.mean_from(last_lat_count) / 1000.0;
-        last_lat_count = lat.count();
-        points.push(TimelinePoint {
-            sec,
-            ktps: (txns - last_txns) as f64 / 1000.0,
-            latency_ms: lat_ms,
-        });
+        let reading = (
+            (txns - last_txns) as f64 / 1000.0,
+            lat.mean_from(last_lat_count) / 1000.0,
+        );
         last_txns = txns;
-    }
+        last_lat_count = lat.count();
+        reading
+    })
+    .into_iter()
+    .map(|(t, (ktps, latency_ms))| TimelinePoint {
+        sec: t / SECOND,
+        ktps,
+        latency_ms,
+    })
+    .collect();
     (points, byz_at, crash_at)
 }
 

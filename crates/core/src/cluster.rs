@@ -26,6 +26,17 @@ pub enum Region {
     Worldwide,
 }
 
+impl Region {
+    /// The preset's name as the CLIs and the `BENCH_*.json` documents
+    /// spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Region::Nationwide => "nationwide",
+            Region::Worldwide => "worldwide",
+        }
+    }
+}
+
 /// Everything needed to stand up one experiment.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -56,8 +67,14 @@ impl ClusterConfig {
 
     /// Worldwide cluster with the given group sizes.
     pub fn worldwide(group_sizes: &[usize], protocol: Protocol) -> Self {
+        Self::in_region(Region::Worldwide, group_sizes, protocol)
+    }
+
+    /// Cluster on the given latency preset, for callers that hold the
+    /// region as a value.
+    pub fn in_region(region: Region, group_sizes: &[usize], protocol: Protocol) -> Self {
         ClusterConfig {
-            region: Region::Worldwide,
+            region,
             ..Self::nationwide(group_sizes, protocol)
         }
     }

@@ -4,7 +4,7 @@
 //! over a virtual-time event heap; this crate runs the *same* actors
 //! over real `std::net` TCP connections with real threads and a real
 //! clock — the repo's first wall-clock throughput numbers come from
-//! here (`BENCH_wallclock.json`, see `crates/bench/src/bin/wallclock.rs`).
+//! here (`BENCH_wallclock.json`, see `crates/bench/src/bin/sweep.rs`).
 //!
 //! Architecture (DESIGN.md §5f):
 //! - [`frame`]: length-prefixed codec whose body size equals the

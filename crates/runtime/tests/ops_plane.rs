@@ -73,6 +73,12 @@ fn ops_plane_serves_metrics_traces_and_flight_dumps() {
         Some("histogram")
     );
     assert!(exp.value("telemetry_ring_dropped").is_some());
+    for progressed in [
+        "core_entry_executed_txns",
+        "core_entry_commit_latency_us_count",
+    ] {
+        assert!(exp.value(progressed) > Some(0.0), "{progressed} is zero");
+    }
     let views = exp.series("consensus_pbft_view");
     assert_eq!(views.len(), 6, "one view gauge per node");
     assert!(views

@@ -23,15 +23,21 @@ fi
 
 # Size ratchet: the protocol node was one 2 440-line file once; its parts
 # (and everything else in core) stay small enough to read in one sitting.
-echo "==> no file under crates/core/src above 1000 non-test lines"
+# The bench programs share one runner and one flag reader (run.rs,
+# report.rs); a tighter limit there keeps them from forking back into
+# per-program copies.
 oversized=0
-while IFS= read -r -d '' file; do
-  read -r lines _ < <(scripts/loc.sh "$file")
-  if ((lines > 1000)); then
-    echo "error: $file has $lines non-test lines (scripts/loc.sh)" >&2
-    oversized=1
-  fi
-done < <(find crates/core/src -name '*.rs' -print0)
+for limit in crates/core/src:1000 crates/bench/src:600; do
+  dir=${limit%:*} max=${limit#*:}
+  echo "==> no file under $dir above $max non-test lines"
+  while IFS= read -r -d '' file; do
+    read -r lines _ < <(scripts/loc.sh "$file")
+    if ((lines > max)); then
+      echo "error: $file has $lines non-test lines (scripts/loc.sh)" >&2
+      oversized=1
+    fi
+  done < <(find "$dir" -name '*.rs' -print0)
+done
 ((oversized == 0)) || exit 1
 
 if [[ $fast -eq 0 ]]; then
@@ -67,14 +73,15 @@ EOF
   fi
   rm -rf "${tracedir}"
 
-  # Scale-sweep gate: the scale bench's smoke mode runs the 4x4
+  # Scale-sweep gate: the simulator sweep's smoke mode runs the 4x4
   # nationwide and 8x8 worldwide points twice each on one seed and exits
-  # non-zero on a determinism divergence (ledger head or final virtual
-  # time) or a blown wall-clock budget. Reduced rate/length vs the full
-  # sweep keeps the gate fast; the topology is the full bench topology.
+  # non-zero on a determinism divergence (ledger head, event count or
+  # final virtual time) or a blown wall-clock budget. Reduced rate/length
+  # vs the full sweep keeps the gate fast; the topology is the full bench
+  # topology.
   echo "==> scale sweep smoke test"
   scaledir=$(mktemp -d)
-  cargo run --release -q -p massbft-bench --bin scale -- \
+  cargo run --release -q -p massbft-bench --bin sweep -- --driver sim \
     --smoke --secs 1 --arrival-tps 1000 --budget-secs 240 \
     --out "${scaledir}/BENCH_scale.json"
   [[ -s "${scaledir}/BENCH_scale.json" ]]
@@ -89,12 +96,6 @@ EOF
   echo "==> execution phase-regression gate"
   cargo run --release -q -p massbft-bench --bin execution -- --gate
 
-  # Simulator microbench: prints the before/after events-per-second line
-  # for each hot-path case (informational — absolute numbers vary across
-  # hosts, so this does not gate).
-  echo "==> simulator microbench (before/after)"
-  cargo run --release -q -p massbft-bench --bin sim_micro -- --secs 1
-
   # Wall-clock runtime gates (real TCP over loopback, real threads):
   #
   # 1. Cross-driver equivalence: the simulator and the TCP runtime must
@@ -103,7 +104,7 @@ EOF
   #    but named here so a failure is attributable).
   # 2. TCP fault-matrix subset: crash + view-change takeover and
   #    partition/heal over real sockets.
-  # 3. Wallclock bench smoke: one nationwide point, short window; exits
+  # 3. TCP sweep smoke: one nationwide point, short window; exits
   #    non-zero on inconsistency, zero progress, or a blown budget.
   echo "==> cross-driver equivalence (sim vs TCP runtime)"
   cargo test -q --release --test cross_driver
@@ -111,9 +112,9 @@ EOF
   echo "==> TCP fault-matrix subset"
   cargo test -q --release -p massbft-runtime --test tcp_faults
 
-  echo "==> wallclock bench smoke test"
+  echo "==> TCP sweep smoke test"
   walldir=$(mktemp -d)
-  cargo run --release -q -p massbft-bench --bin wallclock -- \
+  cargo run --release -q -p massbft-bench --bin sweep -- --driver tcp \
     --smoke --budget-secs 240 --out "${walldir}/BENCH_wallclock.json"
   [[ -s "${walldir}/BENCH_wallclock.json" ]]
   rm -rf "${walldir}"
@@ -128,8 +129,8 @@ EOF
   # Ops-plane gate: an in-process cluster scraped through its real HTTP
   # endpoints — /metrics golden series, /status rows for every node,
   # /trace stitched into cross-node spans, and a forced flight-recorder
-  # dump. (wallclock --smoke above additionally scrapes /metrics,
-  # /status and /trace from its own live run before passing verdict.)
+  # dump. (The same endpoints are asserted in tier-1 by
+  # crates/runtime/tests/ops_plane.rs.)
   echo "==> observability selftest"
   obsdir=$(mktemp -d)
   cargo run --release -q -p massbft-bench --bin obs -- \
