@@ -11,10 +11,10 @@
 //!
 //! The implementation covers leader election (with pre-set initial
 //! leadership so each group starts leading its own instance), log
-//! replication with pipelining, commit-index advancement, follower log
-//! repair, and leadership transfer back to a recovered owner. Membership
-//! change and snapshotting are out of scope: the paper's deployments have
-//! a fixed group roster.
+//! replication with pipelining, commit-index advancement and follower log
+//! repair. Membership change, snapshotting and handing leadership back to
+//! a recovered owner are out of scope: the paper's deployments have a
+//! fixed group roster, and a takeover leader keeps the instance.
 
 use massbft_telemetry::registry::{counter, Counter};
 use std::collections::BTreeMap;
@@ -111,10 +111,6 @@ pub enum RaftMsg<T> {
         /// hint to back off to (on failure).
         match_index: u64,
     },
-    /// Leadership transfer request: the current leader asks `target` (the
-    /// recovered owner) to start an election immediately (paper §V-C:
-    /// "G_j transfers the leadership of G_i's Raft instance back to G_i").
-    TimeoutNow,
 }
 
 /// Member roles.
@@ -389,18 +385,6 @@ impl<T: Clone> RaftNode<T> {
         out
     }
 
-    /// Leader API: ask `target` to take over leadership (used when a
-    /// crashed instance owner recovers).
-    pub fn transfer_leadership(&mut self, target: MemberId) -> Vec<RaftOutput<T>> {
-        if self.role != RaftRole::Leader || target == self.cfg.me {
-            return Vec::new();
-        }
-        vec![RaftOutput::Send {
-            to: target,
-            msg: RaftMsg::TimeoutNow,
-        }]
-    }
-
     /// Handles a message from `from`.
     pub fn step(&mut self, from: MemberId, msg: RaftMsg<T>) -> Vec<RaftOutput<T>> {
         match msg {
@@ -422,7 +406,6 @@ impl<T: Clone> RaftNode<T> {
                 success,
                 match_index,
             } => self.on_append_resp(from, term, success, match_index),
-            RaftMsg::TimeoutNow => self.on_election_timeout(),
         }
     }
 
@@ -906,33 +889,6 @@ mod tests {
         assert_eq!(net.nodes[&0].last_index(), 1);
         assert_eq!(net.nodes[&0].entry(1).unwrap().data, 200);
         assert_eq!(net.committed[&0], vec![(1, 200)]);
-    }
-
-    #[test]
-    fn leadership_transfer_to_recovered_owner() {
-        let mut net = Net::new(3, Some(0));
-        net.propose(0, 1).unwrap();
-        net.run();
-        // 0 crashes; 1 takes over.
-        net.down.insert(0);
-        net.timeout(1);
-        net.run();
-        net.propose(1, 2).unwrap();
-        net.run();
-        // 0 recovers; 1 hands leadership back.
-        net.down.remove(&0);
-        let outs = net.nodes.get_mut(&1).unwrap().on_heartbeat_timeout();
-        net.absorb(1, outs);
-        net.run();
-        let outs = net.nodes.get_mut(&1).unwrap().transfer_leadership(0);
-        net.absorb(1, outs);
-        net.run();
-        assert!(net.nodes[&0].is_leader());
-        assert!(!net.nodes[&1].is_leader());
-        // And the restored owner can commit.
-        net.propose(0, 3).unwrap();
-        net.run();
-        assert!(net.committed[&2].contains(&(3, 3)));
     }
 
     #[test]

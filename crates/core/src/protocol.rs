@@ -126,8 +126,6 @@ pub struct ProtocolParams {
     /// Client request arrival rate per group, transactions/second
     /// (open-loop; the pending pool is capped so saturation sheds load).
     pub arrival_tps: f64,
-    /// Per-transaction signature verification CPU (local consensus).
-    pub sig_verify_us: Time,
     /// ISS epoch length.
     pub epoch_us: Time,
     /// Overlapped VTS assignment (Fig. 7b, 2 RTT) when true; serial
@@ -175,7 +173,6 @@ impl ProtocolParams {
                 Protocol::Baseline | Protocol::GeoBft | Protocol::Iss | Protocol::Steward => 8,
             },
             arrival_tps: 100_000.0,
-            sig_verify_us: 50,
             epoch_us: 100 * MILLISECOND,
             overlap_vts: true,
             workload: WorkloadKind::YcsbA,
@@ -199,10 +196,9 @@ impl ProtocolParams {
         NodeId::new(g, 0)
     }
 
-    /// Approximate certificate wire size for group `g` (2f+1 signatures à
-    /// 72 bytes + header).
+    /// Wire size of a certificate of group `g` (2f+1 signatures).
     pub fn cert_size(&self, g: u32) -> usize {
-        quorum(self.group_sizes[g as usize]) * 72 + 40
+        crate::wire::cert_wire(quorum(self.group_sizes[g as usize]))
     }
 }
 
@@ -428,7 +424,7 @@ impl Node {
             dissemination: Dissemination::new(id, params.clone(), registry),
             global: (local.is_rep()).then(|| GlobalLayer::new(id, params.clone())),
             local,
-            store: EntryStore::new(),
+            store: EntryStore::new(params.ng()),
             sequencer,
             params,
         }
@@ -468,6 +464,12 @@ impl Node {
     /// (Fig. 11). `None` when no entries completed or on non-reps.
     pub fn phase_breakdown(&self) -> Option<PhaseBreakdown> {
         self.sequencer.phase_breakdown()
+    }
+
+    /// Entries this node keeps a record of that have yet to execute: flat
+    /// in run length (memory assertions in tests).
+    pub fn entry_records(&self) -> usize {
+        self.store.live_records()
     }
 
     /// The node's current local PBFT view (liveness assertions in tests).
@@ -602,8 +604,7 @@ impl Node {
             return;
         };
         let (id, now) = (rec.id(), ctx.now());
-        *self.store.cert_mut(id) = Some(cert.clone());
-        self.hold_content(rec);
+        self.hold_content(rec, Some(cert.clone()));
         if let Some(m) = self.sequencer.marks(id) {
             m.certified = Some(now);
         }
@@ -635,7 +636,7 @@ impl Node {
 
         if !protocol.uses_raft() {
             // GeoBFT has no global consensus: local certification == commit.
-            self.commit(id);
+            self.apply_feed(ctx, vec![FeedEvent::Committed(id)]);
         } else if !protocol.single_master() || self.id.group == 0 {
             // Propose the entry commitment in our own entry instance; a
             // Steward group other than the master's forwarded it instead.
@@ -643,61 +644,45 @@ impl Node {
                 global.propose_entry(ctx, &mut down, id);
             }
         }
-        self.advance(ctx);
+        self.sequencer.advance(ctx, &mut self.store);
     }
 
     // --- entries --------------------------------------------------------------
 
     /// Stores a validated entry and counts it off the appends held for it.
-    fn hold_content(&mut self, rec: EntryRecord) {
+    fn hold_content(&mut self, rec: EntryRecord, cert: Option<QuorumCert>) {
         let id = rec.id();
-        self.store.hold(rec);
+        self.store.hold(rec, cert);
         if let Some(global) = &mut self.global {
             global.note_safe(id);
         }
     }
 
-    /// The entry is committed: appends held for it need wait no longer.
-    /// An acting representative drains its pipeline window here rather
-    /// than on execution: it cannot count on ever executing (stamps fed
-    /// out while the group had no representative are unrecoverable), and
-    /// the window must not wedge the whole group's proposal stream.
-    fn note_commit(&mut self, id: EntryId) {
-        match &mut self.global {
-            Some(global) => global.note_safe(id),
-            None => self.local.release_window(id),
-        }
-    }
-
-    /// Commits without global consensus (GeoBFT).
-    fn commit(&mut self, id: EntryId) {
-        self.note_commit(id);
-        self.sequencer.on_committed(&mut self.store, id);
-    }
-
-    /// Ordering events from the group's representative.
+    /// Ordering events from the group's representative — or, without
+    /// global consensus (GeoBFT), the commit that certification or arrival
+    /// is. Appends held for a committed entry need wait no longer. An
+    /// acting representative drains its pipeline window here rather than
+    /// on execution: it cannot count on ever executing (stamps fed out
+    /// while the group had no representative are unrecoverable), and the
+    /// window must not wedge the whole group's proposal stream.
     fn apply_feed(&mut self, ctx: &mut Ctx<Msg>, events: Vec<FeedEvent>) {
         for ev in &events {
             if let FeedEvent::Committed(id) = ev {
-                self.note_commit(*id);
+                match &mut self.global {
+                    Some(global) => global.note_safe(*id),
+                    None => self.local.release_window(*id),
+                }
             }
         }
         self.sequencer.ingest(&mut self.store, events);
-        self.advance(ctx);
-    }
-
-    /// Orders and executes what became ready.
-    fn advance(&mut self, ctx: &mut Ctx<Msg>) {
-        let height = self.sequencer.ledger.height();
         self.sequencer.advance(ctx, &mut self.store);
-        if let Some(global) = &mut self.global {
-            global.forget_executed(self.sequencer.executed_since(height));
-        }
     }
 
-    /// What executed during the handler that is ending leaves the
-    /// pipeline window and the chunk assemblers.
-    fn release_executed(&mut self, height: u64) {
+    /// The one retirement, at the end of every handler: what executed
+    /// since the ledger stood at `height` leaves the pipeline window and
+    /// the chunk assemblers. Its record went as it executed
+    /// ([`EntryStore::finish`]), and nothing else is kept per entry.
+    fn retire_executed(&mut self, height: u64) {
         for id in self.sequencer.executed_since(height) {
             if id.gid == self.id.group {
                 self.local.release_window(id);
@@ -707,9 +692,9 @@ impl Node {
     }
 
     /// Entry content became available (rebuilt or copied).
-    fn on_entry_content(&mut self, ctx: &mut Ctx<Msg>, rec: EntryRecord) {
+    fn on_entry_content(&mut self, ctx: &mut Ctx<Msg>, rec: EntryRecord, cert: QuorumCert) {
         let id = rec.id();
-        self.hold_content(rec);
+        self.hold_content(rec, Some(cert));
         if let Some((global, mut down)) = self.global() {
             // Replay Raft appends that were held awaiting this content.
             global.replay_held(ctx, &mut down);
@@ -719,10 +704,10 @@ impl Node {
         }
         if !self.params.protocol.uses_raft() {
             // GeoBFT: content arrival is commitment.
-            self.commit(id);
+            self.apply_feed(ctx, vec![FeedEvent::Committed(id)]);
         }
         self.sequencer.on_content(&mut self.store, id);
-        self.advance(ctx);
+        self.sequencer.advance(ctx, &mut self.store);
     }
 
     fn on_chunk(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, chunk: ChunkMsg, cert: QuorumCert) {
@@ -734,8 +719,7 @@ impl Node {
             .dissemination
             .on_chunk(ctx, &self.store, from, chunk, cert, reshare);
         if let Some((rec, cert)) = rebuilt {
-            *self.store.cert_mut(rec.id()) = Some(cert);
-            self.on_entry_content(ctx, rec);
+            self.on_entry_content(ctx, rec, cert);
         }
     }
 
@@ -755,14 +739,13 @@ impl Node {
         };
         if relayed {
             // Steward master: sequence the entry another group forwarded.
-            self.hold_content(rec);
+            self.hold_content(rec, None);
             if let Some((global, mut down)) = self.global() {
                 global.propose_entry(ctx, &mut down, id);
             }
-            self.advance(ctx);
+            self.sequencer.advance(ctx, &mut self.store);
         } else {
-            self.store.cert_mut(id).get_or_insert(cert);
-            self.on_entry_content(ctx, rec);
+            self.on_entry_content(ctx, rec, cert);
         }
     }
 
@@ -845,7 +828,7 @@ impl Actor for Node {
                 }
             }
         }
-        self.release_executed(height);
+        self.retire_executed(height);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, token: u64) {
@@ -881,7 +864,7 @@ impl Actor for Node {
             }
             _ => {}
         }
-        self.release_executed(height);
+        self.retire_executed(height);
     }
 }
 

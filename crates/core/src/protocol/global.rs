@@ -1,7 +1,9 @@
 //! The global layer of an original representative: the Raft instances it
 //! takes part in, vector-timestamp stamping, the direct accept tally, and
 //! the appends it withholds until their entries are safely replicated
-//! (§V-A–C).
+//! (§V-A–C). What it keeps is per group and per instance; what it knows of
+//! one entry — who holds it, whom it was stamped for — is in that entry's
+//! record in the [`EntryStore`], and goes when the entry executes.
 //!
 //! Instances are numbered in one place, here. With `ng` groups, *entry
 //! instance* `g < ng` is the Raft log of group `g`'s entry commitments,
@@ -23,10 +25,9 @@ use super::{
 };
 use crate::{entry::EntryId, held::HeldAppends};
 use massbft_consensus::raft::{RaftConfig, RaftMsg, RaftNode, RaftOutput};
-use massbft_db::hash::FastMap;
 use massbft_sim_net::{Ctx, NodeId, Time, MILLISECOND};
 use massbft_telemetry as telemetry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Raft election timeout (global instances).
@@ -60,28 +61,14 @@ pub(super) struct GlobalLayer {
     /// Stamps awaiting replication, keyed by the stamp stream that will
     /// carry them.
     pending_stamps: BTreeMap<u32, Vec<(EntryId, u64)>>,
-    /// `(entry, group)`: the entry was already stamped here on that
-    /// group's behalf — dedup across Raft retransmissions, and per group
-    /// because a takeover leader stamps the same entry for several clocks.
-    /// Keyed by entry first: an executed entry's range is dropped.
-    stamped: BTreeSet<(EntryId, u32)>,
     /// clk of this group = seq of last own entry committed globally.
     clock: u64,
     /// Frozen clocks of taken-over stamp streams (§V-C, crashed groups).
     frozen_clocks: BTreeMap<u32, u64>,
     /// Last append heard per instance (election monitoring).
     last_append: BTreeMap<u32, Time>,
-    /// Entries committed globally but not yet executed locally (stamped on
-    /// takeover so ordering can resume; duplicates are harmless).
-    unexecuted: BTreeSet<EntryId>,
     /// Highest committed seq per group (crash takeover: frozen clock).
     committed_high: BTreeMap<u32, u64>,
-    /// Direct-accept tallies per entry (§V-C): which groups are known to
-    /// hold it. The proposing group counts implicitly.
-    accept_tally: FastMap<EntryId, BTreeSet<u32>>,
-    /// Foreign entries this representative re-proposed after taking over a
-    /// crashed group's entry instance (dedup across content re-arrivals).
-    proposed_foreign: BTreeSet<EntryId>,
     /// Raft appends carrying entries whose content has not arrived yet:
     /// the accept is withheld until the entry is safe (Lemma V.1), indexed
     /// by the entries they wait on.
@@ -111,14 +98,10 @@ impl GlobalLayer {
             rafts: (0..instances).map(raft).collect(),
             params,
             pending_stamps: BTreeMap::new(),
-            stamped: BTreeSet::new(),
             clock: 0,
             frozen_clocks: BTreeMap::new(),
             last_append: BTreeMap::new(),
-            unexecuted: BTreeSet::new(),
             committed_high: BTreeMap::new(),
-            accept_tally: FastMap::default(),
-            proposed_foreign: BTreeSet::new(),
             held: HeldAppends::new(),
         }
     }
@@ -163,8 +146,8 @@ impl GlobalLayer {
     /// with its own clock, or a crashed group whose stamp stream this one
     /// leads, with its frozen clock — once per pair, and queues the stamp
     /// on that group's stream. `false` if the pair was stamped before.
-    fn stamp(&mut self, on_behalf_of: u32, id: EntryId, ts: u64) -> bool {
-        if !self.stamped.insert((id, on_behalf_of)) {
+    fn stamp(&mut self, store: &mut EntryStore, on_behalf_of: u32, id: EntryId, ts: u64) -> bool {
+        if !store.mark_stamped(id, on_behalf_of) {
             return false;
         }
         let stream = self.stamp_stream(on_behalf_of);
@@ -176,29 +159,18 @@ impl GlobalLayer {
     }
 
     /// Stamps a foreign entry with this group's clock.
-    fn stamp_with_clock(&mut self, now: Time, id: EntryId) {
+    fn stamp_with_clock(&mut self, store: &mut EntryStore, now: Time, id: EntryId) {
         let ts = self.clock;
-        if self.stamp(self.me.group, id, ts) {
+        if self.stamp(store, self.me.group, id, ts) {
             span(self.me, now, telemetry::EventKind::VtsAssigned, id, ts);
         }
     }
 
-    /// The entry is known committed: remember it for a later takeover.
+    /// The entry is known committed: should its group crash, the clock we
+    /// freeze for it stands no lower.
     fn note_committed(&mut self, id: EntryId) {
         let high = self.committed_high.entry(id.gid).or_insert(0);
         *high = (*high).max(id.seq);
-        self.unexecuted.insert(id);
-    }
-
-    /// The entries executed: drop what was kept for them.
-    pub(super) fn forget_executed(&mut self, executed: impl Iterator<Item = EntryId>) {
-        for id in executed {
-            self.unexecuted.remove(&id);
-            self.accept_tally.remove(&id);
-            while let Some(&pair) = self.stamped.range((id, 0)..=(id, u32::MAX)).next() {
-                self.stamped.remove(&pair);
-            }
-        }
     }
 
     /// Flushes pending stamps on the streams we lead as stamp-only
@@ -251,13 +223,13 @@ impl GlobalLayer {
         let single_master = self.params.protocol.single_master();
         let instance = if single_master { 0 } else { id.gid };
         if !single_master && id.gid != self.me.group {
-            if !self.proposed_foreign.insert(id) {
+            if !down.store.mark_reproposed(id) {
                 return;
             }
             // Takeover self-stamp: the proposer's own append never loops
             // back through `on_raft_msg`, so without this the entry's
             // timestamp vector would miss our component.
-            self.stamp(self.me.group, id, self.clock);
+            self.stamp(down.store, self.me.group, id, self.clock);
         }
         let cmd = GlobalCmd {
             entry: Some((id, digest)),
@@ -269,7 +241,7 @@ impl GlobalLayer {
     /// Re-proposes a crashed group's certified-but-uncommitted entries
     /// whose content we hold, if we are the elected takeover leader of
     /// that group's entry instance. Called on takeover election and on
-    /// each foreign content arrival; `proposed_foreign` dedups.
+    /// each foreign content arrival; the entry's record dedups.
     pub(super) fn propose_foreign_ready(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -322,7 +294,7 @@ impl GlobalLayer {
                     }
                 }
                 RaftOutput::Committed { data, .. } => {
-                    self.on_global_commit(ctx.now(), down.sequencer, instance, data, &mut feed);
+                    self.on_global_commit(ctx.now(), down, instance, data, &mut feed);
                 }
                 RaftOutput::BecameLeader(_) => {
                     self.on_became_instance_leader(ctx, down, instance);
@@ -340,7 +312,7 @@ impl GlobalLayer {
     fn on_global_commit(
         &mut self,
         now: Time,
-        seq: &mut Sequencer,
+        down: &mut Downstream<'_>,
         instance: u32,
         cmd: GlobalCmd,
         feed: &mut Vec<FeedEvent>,
@@ -353,13 +325,13 @@ impl GlobalLayer {
             if id.gid == self.me.group {
                 // Our own entry committed: advance our clock (§V-B).
                 self.clock = self.clock.max(id.seq);
-                if let Some(m) = seq.marks(id) {
+                if let Some(m) = down.sequencer.marks(id) {
                     m.committed = Some(now);
                 }
             } else if !self.params.overlap_vts {
                 // Serial VTS assignment (Fig. 7a): stamp only after the
                 // entry achieves consensus, costing an extra round.
-                self.stamp_with_clock(now, id);
+                self.stamp_with_clock(down.store, now, id);
             }
             // Takeover stamping (§V-C, crashed groups): if we lead
             // foreign stamp streams, stamp every committed entry on
@@ -370,7 +342,7 @@ impl GlobalLayer {
                 .map(|(&g, &clk)| (g, clk))
                 .collect();
             for (g, clk) in frozen {
-                self.stamp(g, id, clk);
+                self.stamp(down.store, g, id, clk);
             }
         }
         // Stamp commands only travel on stamp streams; the stamping group
@@ -385,10 +357,11 @@ impl GlobalLayer {
 
     /// Crash takeover (§V-C, Crashed Groups). On becoming leader of a
     /// foreign group's *stamp stream*, freeze that group's clock at its
-    /// last committed seq and stamp all known-unexecuted entries on its
-    /// behalf. On becoming leader of its *entry instance*, re-propose the
-    /// crashed group's certified entries we already rebuilt, so their
-    /// commitment (and hence ordering) keeps progressing.
+    /// last committed seq and stamp every entry committed but yet to
+    /// execute here on its behalf, so ordering can resume. On becoming
+    /// leader of its *entry instance*, re-propose the crashed group's
+    /// certified entries we already rebuilt, so their commitment (and
+    /// hence ordering) keeps progressing.
     fn on_became_instance_leader(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -405,11 +378,10 @@ impl GlobalLayer {
         }
         let frozen = self.committed_high.get(&owner).copied().unwrap_or(0);
         self.frozen_clocks.insert(owner, frozen);
-        let targets: Vec<EntryId> = (self.unexecuted.iter().copied())
-            .filter(|e| e.gid != owner)
-            .collect();
-        for id in targets {
-            self.stamp(owner, id, frozen);
+        for id in down.store.committed_unexecuted() {
+            if id.gid != owner {
+                self.stamp(down.store, owner, id, frozen);
+            }
         }
     }
 
@@ -450,9 +422,7 @@ impl GlobalLayer {
         }
         let Downstream { store, sequencer } = down;
         sequencer.ingest(store, events);
-        let height = sequencer.ledger.height();
         sequencer.advance(ctx, store);
-        self.forget_executed(sequencer.executed_since(height));
     }
 
     // --- inbound ------------------------------------------------------------
@@ -521,7 +491,7 @@ impl GlobalLayer {
             // takeover.
             for id in appended {
                 if id.gid != self.me.group {
-                    self.stamp_with_clock(ctx.now(), id);
+                    self.stamp_with_clock(down.store, ctx.now(), id);
                 }
             }
         }
@@ -545,18 +515,12 @@ impl GlobalLayer {
         let quorum = self.ng() as usize / 2 + 1; // f_g + 1 with n_g >= 2 f_g + 1
         let mut feed = Vec::new();
         let replicated: Vec<EntryId> = (entries.into_iter())
-            .filter(|&id| {
-                let tally = self.accept_tally.entry(id).or_default();
-                tally.insert(from_group);
-                tally.insert(id.gid); // the proposer holds its own entry
-                tally.len() >= quorum
-            })
+            .filter(|&id| down.store.note_holder(id, from_group, quorum))
             .collect();
         for id in replicated {
-            self.accept_tally.remove(&id);
             // Stamp without content (the §V-C fast path).
             if id.gid != self.me.group {
-                self.stamp_with_clock(ctx.now(), id);
+                self.stamp_with_clock(down.store, ctx.now(), id);
             }
             // Majority-accepted == committed under Raft's election
             // restriction; surface it to the ordering layer now.
@@ -644,7 +608,12 @@ mod tests {
         let params = Arc::new(ProtocolParams::new(Protocol::MassBft, &[4, 4, 4]));
         let global = GlobalLayer::new(ME, params.clone());
         let sequencer = Sequencer::new(ME, &params);
-        (global, EntryStore::new(), sequencer, Ctx::new_driver(0, ME))
+        (
+            global,
+            EntryStore::new(3),
+            sequencer,
+            Ctx::new_driver(0, ME),
+        )
     }
 
     fn down<'a>(store: &'a mut EntryStore, sequencer: &'a mut Sequencer) -> Downstream<'a> {
@@ -715,7 +684,7 @@ mod tests {
     fn a_retransmitted_append_is_stamped_once() {
         let (mut global, mut store, mut seq, mut ctx) = rep();
         let id = EntryId::new(0, 1);
-        store.hold(record(id));
+        store.hold(record(id), None);
         let from = NodeId::new(0, 0);
         for _ in 0..3 {
             global.on_raft_msg(
@@ -748,9 +717,12 @@ mod tests {
             .iter()
             .filter(|(_, m)| matches!(m, Msg::AcceptNotice { .. }));
         assert_eq!(notices.count(), 3 * 2, "to both other representatives");
-        // Execution drops the dedup state, and with it the memory.
-        global.forget_executed([id].into_iter());
-        assert!(global.stamped.is_empty());
+        // The dedup state is the entry's record: it goes when the entry
+        // executes.
+        assert!(!store.mark_stamped(id, ME.group) && store.live_records() == 1);
+        let taken = store.take_runnable(id).expect("held");
+        store.finish(taken);
+        assert_eq!(store.live_records(), 0);
     }
 
     #[test]
@@ -760,7 +732,7 @@ mod tests {
         // highest of group 2.
         let committed = [EntryId::new(0, 1), EntryId::new(2, 7)];
         for id in committed {
-            store.hold(record(id));
+            store.hold(record(id), None);
             let from = NodeId::new(id.gid, 0);
             global.on_raft_msg(
                 &mut ctx,
@@ -797,7 +769,7 @@ mod tests {
         // So is whatever commits from now on — our own entries included —
         // and the orphaned group is fed the commits.
         let own = EntryId::new(1, 1);
-        store.hold(record(own));
+        store.hold(record(own), None);
         sent(&mut ctx);
         global.propose_entry(&mut ctx, &mut down(&mut store, &mut seq), own);
         let ack = RaftMsg::AppendResp {
@@ -832,7 +804,8 @@ mod tests {
         global.on_accept_notice(&mut ctx, &mut down(&mut store, &mut seq), 2, vec![id]);
         assert!(store.is_committed(id) && !store.has(id));
         assert_eq!(stamps_on_stream(&global, 1), [(id, 0)]);
-        assert!(global.unexecuted.contains(&id) && global.accept_tally.is_empty());
+        assert_eq!(store.committed_unexecuted(), [id]);
+        assert!(!store.note_holder(id, id.gid, 2), "the tally started over");
         // The group learns of the commit over LAN.
         let feeds = sent(&mut ctx).into_iter().filter(|(dst, m)| {
             let commit = matches!(m, Msg::Feed { events } if matches!(events[..], [FeedEvent::Committed(e)] if e == id));
@@ -868,10 +841,10 @@ mod tests {
         // Neither is accepted, announced or stamped: nobody may count on an
         // entry this group cannot supply.
         assert_eq!(global.held_appends(), 2);
-        assert!(sent(&mut ctx).is_empty() && global.stamped.is_empty());
+        assert!(sent(&mut ctx).is_empty() && store.live_records() == 0);
         // Content lands out of order; nothing moves until something is ready.
         for id in [second, first] {
-            store.hold(record(id));
+            store.hold(record(id), None);
             global.note_safe(id);
         }
         global.replay_held(&mut ctx, &mut down(&mut store, &mut seq));

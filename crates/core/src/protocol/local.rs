@@ -31,6 +31,8 @@ const VIEW_TIMEOUT_MAX_US: Time = 2000 * MILLISECOND;
 const CHECKPOINT_INTERVAL: u64 = 64;
 /// Pending-pool cap, in maximum-size batches; arrivals beyond it are shed.
 const POOL_BATCHES: usize = 4;
+/// Per-transaction signature verification CPU, virtual microseconds.
+const SIG_VERIFY_US: Time = 50;
 
 /// The client side of a representative: open-loop arrivals, the pending
 /// pool, the pipeline window and (ISS) the epoch barrier.
@@ -324,7 +326,7 @@ impl LocalConsensus {
         let (id, txns) = decode_batch(payload).map(|(id, reqs)| (id, reqs.len()))?;
         debug_assert_eq!(id.gid, self.me.group);
         self.own_seq_high = self.own_seq_high.max(id.seq);
-        ctx.spend_cpu(txns as Time * self.params.sig_verify_us);
+        ctx.spend_cpu(txns as Time * SIG_VERIFY_US);
         // The one hash of a local entry at this node: proposal, ledger and
         // archive all read the record.
         let rec = EntryRecord::hash(payload.clone()).expect("decoded above");

@@ -4,8 +4,8 @@
 //! pipeline, the hash-chained ledger, and what the harness measures —
 //! executed counts, commit latency and the Fig. 11 phase breakdown.
 //!
-//! The ledger doubles as the log of what executed: the other parts drop
-//! their per-entry state for [`Sequencer::executed_since`] a height.
+//! The ledger doubles as the log of what executed: the node retires
+//! [`Sequencer::executed_since`] a height at the end of every handler.
 
 use super::{span, store::EntryStore, FeedEvent, Msg, PhaseBreakdown, Protocol, ProtocolParams};
 use crate::{
@@ -293,7 +293,7 @@ impl Sequencer {
             id,
             result.committed as u64,
         );
-        store.finish(&rec);
+        store.finish(rec);
 
         if id.gid != self.me.group {
             return;
@@ -349,7 +349,11 @@ mod tests {
     fn sequencer(protocol: Protocol, groups: &[usize]) -> (Sequencer, EntryStore, Ctx<Msg>) {
         let params = ProtocolParams::new(protocol, groups);
         let sequencer = Sequencer::new(ME, &params);
-        (sequencer, EntryStore::new(), Ctx::new_driver(0, ME))
+        (
+            sequencer,
+            EntryStore::new(groups.len()),
+            Ctx::new_driver(0, ME),
+        )
     }
 
     /// An entry of `txns` YCSB transactions.
@@ -371,13 +375,13 @@ mod tests {
         seq.advance(&mut ctx, &mut store);
         assert_eq!((seq.queued(), seq.executed_entries), (0, 0));
         // Content without the other group's: the round is incomplete.
-        store.hold(record(a, 3));
+        store.hold(record(a, 3), None);
         seq.on_content(&mut store, a);
         seq.advance(&mut ctx, &mut store);
         assert_eq!((seq.queued(), seq.executed_entries), (0, 0));
         // Content first, commit second works the same way round.
         let mut late = sequencer(Protocol::Baseline, &[4, 4]);
-        late.1.hold(record(a, 3));
+        late.1.hold(record(a, 3), None);
         late.0.on_content(&mut late.1, a);
         late.0.on_committed(&mut late.1, a);
         assert!(
@@ -385,7 +389,7 @@ mod tests {
             "fed on commit"
         );
         // The whole round executes at once, in group order.
-        store.hold(record(b, 2));
+        store.hold(record(b, 2), None);
         seq.on_content(&mut store, b);
         seq.advance(&mut ctx, &mut store);
         assert_eq!(seq.executed_since(0).collect::<Vec<_>>(), [a, b]);
@@ -415,7 +419,7 @@ mod tests {
         let m = seq.marks(own).expect("kept");
         (m.created, m.certified, m.committed) = (Some(1_000), Some(1_250), Some(1_750));
         for id in [own, foreign] {
-            store.hold(record(id, 1));
+            store.hold(record(id, 1), None);
         }
         // Ordered at 3 000 while the content is there: executed at once.
         ctx.set_now(3_000);
@@ -449,7 +453,7 @@ mod tests {
         assert_eq!(seq.repair_tick(&store), None, "first sighting");
         assert_eq!(seq.repair_tick(&store), Some(id));
         assert_eq!(seq.repair_tick(&store), Some(id), "until it arrives");
-        store.hold(record(id, 1));
+        store.hold(record(id, 1), None);
         assert_eq!(seq.repair_tick(&store), None);
     }
 }

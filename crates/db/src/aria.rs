@@ -268,7 +268,7 @@ impl AriaExecutor {
                 }
                 outcomes.push(o);
             }
-            store.apply_writes(&self.pool, &writes);
+            store.apply_writes(&writes);
         } else {
             let chunk = effects.len().div_ceil(lanes);
             let rsv_ref = &rsv;

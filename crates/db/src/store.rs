@@ -125,58 +125,21 @@ impl KvStore {
         self.version += 1;
     }
 
-    /// Applies a batch's committed writes, fanning shard groups out over
-    /// `pool`. Within one transaction, writes arrive in program order and
-    /// land in the same shard bucket in that order, so repeated writes of
-    /// one key keep last-write-wins semantics; across transactions the WAW
-    /// check has already ensured disjoint key sets, so the shard-parallel
-    /// apply is order-independent. Falls back to serial puts for small
-    /// write sets or a serial pool.
-    pub(crate) fn apply_writes(&mut self, pool: &WorkerPool, writes: &[(&Key, &Value)]) {
-        if pool.is_serial() || writes.len() < crate::pool::MIN_CHUNK * 2 {
-            for &(k, v) in writes {
-                self.put(k.clone(), v.clone());
-            }
-            return;
-        }
-        let mut buckets: Vec<Vec<(&Key, &Value)>> = vec![Vec::new(); SHARDS];
+    /// Applies a batch's committed writes in slice order — the serial
+    /// executor's apply. Within one transaction writes arrive in program
+    /// order, so repeated writes of one key keep last-write-wins semantics.
+    pub(crate) fn apply_writes(&mut self, writes: &[(&Key, &Value)]) {
         for &(k, v) in writes {
-            buckets[shard_of(k)].push((k, v));
+            self.put(k.clone(), v.clone());
         }
-        let lanes = pool.workers().min(SHARDS);
-        let group = SHARDS.div_ceil(lanes);
-        // Each lane folds its fingerprint delta into its own slot; XOR is
-        // commutative, so combining the slots afterwards is lane-order
-        // independent and matches what serial puts would have produced.
-        let mut deltas = vec![0u64; SHARDS.div_ceil(group)];
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-            .shards
-            .chunks_mut(group)
-            .zip(buckets.chunks(group))
-            .zip(deltas.iter_mut())
-            .map(|((shard_group, bucket_group), delta)| {
-                Box::new(move || {
-                    let mut d = 0u64;
-                    for (shard, bucket) in shard_group.iter_mut().zip(bucket_group) {
-                        for &(k, v) in bucket {
-                            d ^= pair_hash(k, v);
-                            if let Some(old) = shard.insert(k.clone(), v.clone()) {
-                                d ^= pair_hash(k, &old);
-                            }
-                        }
-                    }
-                    *delta = d;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_tasks(tasks);
-        self.content_acc ^= deltas.into_iter().fold(0, |a, d| a ^ d);
     }
 
     /// Applies a batch's committed writes from per-lane, per-shard buckets
     /// (`lane_buckets[lane][shard]`) as produced by the executor's fused
-    /// commit pass — the writes arrive pre-sharded, so this skips the
-    /// serial re-bucketing scan [`KvStore::apply_writes`] pays. Within one
+    /// commit pass, fanning shard groups out over `pool` (serial puts for
+    /// small write sets or a serial pool). Each lane folds its fingerprint
+    /// delta into its own slot; XOR is commutative, so combining the slots
+    /// afterwards matches what serial puts would have produced. Within one
     /// shard, lanes apply in lane order; lane order is ascending
     /// transaction id and each lane's bucket preserves program order, so
     /// repeated writes of one key keep last-write-wins semantics. Across
@@ -308,7 +271,8 @@ mod tests {
         let keys: Vec<Key> = (32..200u32).map(|i| i.to_le_bytes().to_vec()).collect();
         let vals: Vec<Value> = (32..200u32).map(|i| vec![!i as u8; 8]).collect();
         let writes: Vec<(&Key, &Value)> = keys.iter().zip(vals.iter()).collect();
-        s.apply_writes(&WorkerPool::new(4), &writes);
+        s.apply_writes(&writes[..100]);
+        s.apply_sharded(&WorkerPool::new(4), &bucketed(&writes[100..], 2));
         assert_eq!(s.content_hash(), s.recompute_content_hash());
 
         // An empty store built by deleting everything matches a fresh one.
@@ -331,6 +295,24 @@ mod tests {
         assert!(hit.len() > SHARDS / 2, "only {} shards hit", hit.len());
     }
 
+    /// `writes` dealt out in runs to `lanes` commit lanes, each bucketed by
+    /// shard — what the executor's fused commit pass hands over.
+    fn bucketed<'a>(
+        writes: &[(&'a Key, &'a Value)],
+        lanes: usize,
+    ) -> Vec<Vec<Vec<(&'a Key, &'a Value)>>> {
+        let mut lane_buckets = vec![vec![Vec::new(); SHARDS]; lanes];
+        for (run, lane) in writes
+            .chunks(writes.len().div_ceil(lanes))
+            .zip(&mut lane_buckets)
+        {
+            for &(k, v) in run {
+                lane[shard_of(k)].push((k, v));
+            }
+        }
+        lane_buckets
+    }
+
     #[test]
     fn parallel_apply_matches_serial_puts() {
         let keys: Vec<Key> = (0..500u32).map(|i| i.to_le_bytes().to_vec()).collect();
@@ -342,7 +324,7 @@ mod tests {
             serial.put(k.clone(), v.clone());
         }
         let mut parallel = KvStore::new();
-        parallel.apply_writes(&WorkerPool::new(4), &writes);
+        parallel.apply_sharded(&WorkerPool::new(4), &bucketed(&writes, 4));
 
         assert_eq!(serial.len(), parallel.len());
         assert_eq!(serial.content_hash(), parallel.content_hash());
@@ -375,8 +357,9 @@ mod tests {
 
     #[test]
     fn parallel_apply_keeps_last_write_wins_within_txn_order() {
-        // Same key written twice in the slice (as one txn's program order
-        // would produce): the later value must win, even on the pool path.
+        // Same key written twice — within one lane (as one txn's program
+        // order would produce) and across two (lane order is txn order):
+        // the later value must win, even on the pool path.
         let key: Key = b"dup".to_vec();
         let v1: Value = b"first".to_vec();
         let v2: Value = b"second".to_vec();
@@ -385,8 +368,10 @@ mod tests {
         let mut writes: Vec<(&Key, &Value)> = vec![(&key, &v1)];
         writes.extend(filler_keys.iter().map(|k| (k, &filler_val)));
         writes.push((&key, &v2));
-        let mut s = KvStore::new();
-        s.apply_writes(&WorkerPool::new(8), &writes);
-        assert_eq!(s.get(b"dup"), Some(&v2));
+        for lanes in [1, 2] {
+            let mut s = KvStore::new();
+            s.apply_sharded(&WorkerPool::new(8), &bucketed(&writes, lanes));
+            assert_eq!(s.get(b"dup"), Some(&v2));
+        }
     }
 }

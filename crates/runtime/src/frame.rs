@@ -92,7 +92,6 @@ const R_REQUEST_VOTE: u8 = 0;
 const R_VOTE: u8 = 1;
 const R_APPEND: u8 = 2;
 const R_APPEND_RESP: u8 = 3;
-const R_TIMEOUT_NOW: u8 = 4;
 
 // ---------------------------------------------------------------- encode
 
@@ -331,7 +330,6 @@ pub fn encode_frame_traced(msg: &Msg, ctx: Option<wire::TraceCtx>) -> Result<Byt
                     e.u8(*success as u8);
                     e.u64(*match_index);
                 }
-                RaftMsg::TimeoutNow => e.u8(R_TIMEOUT_NOW),
             }
         }
         Msg::Feed { events } => {
@@ -684,7 +682,6 @@ pub fn decode_msg_traced(body: &Bytes) -> Result<(Msg, Option<wire::TraceCtx>), 
                     success: d.u8()? != 0,
                     match_index: d.u64()?,
                 },
-                R_TIMEOUT_NOW => RaftMsg::TimeoutNow,
                 t => return Err(FrameError::BadTag(t)),
             };
             Msg::Raft {

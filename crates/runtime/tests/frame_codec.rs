@@ -162,11 +162,6 @@ fn sample_msgs() -> Vec<Msg> {
             },
             cert_bytes: 0,
         },
-        Msg::Raft {
-            instance: 2,
-            rmsg: RaftMsg::TimeoutNow,
-            cert_bytes: 0,
-        },
         Msg::Feed {
             events: vec![
                 FeedEvent::Committed(EntryId::new(1, 5)),
@@ -288,6 +283,28 @@ fn trace_ctx_out_of_range_is_omitted() {
     assert_eq!(traced.as_slice(), encode_frame(&msg).unwrap().as_slice());
     let (_, got) = decode_msg_traced(&traced.slice(FRAME_HEADER..)).expect("decodes");
     assert_eq!(got, None);
+}
+
+/// Raft sub-tag 4 was the leadership-transfer request, which nothing
+/// sent: a frame carrying it is malformed now, like any unknown sub-tag.
+#[test]
+fn retired_raft_sub_tag_is_rejected() {
+    let vote = Msg::Raft {
+        instance: 2,
+        rmsg: RaftMsg::Vote {
+            term: 5,
+            granted: true,
+        },
+        cert_bytes: 0,
+    };
+    let frame = encode_frame(&vote).expect("encodes");
+    // Body: tag, instance (4), cert_bytes (4), then the Raft sub-tag.
+    let sub_tag = FRAME_HEADER + 9;
+    assert_eq!(frame[sub_tag], 1, "R_VOTE");
+    let mut raw = frame.to_vec();
+    raw[sub_tag] = 4;
+    let body = Bytes::from(raw).slice(FRAME_HEADER..);
+    assert!(matches!(decode_msg(&body), Err(FrameError::BadTag(4))));
 }
 
 #[test]

@@ -225,3 +225,41 @@ fn equivocating_primary_cannot_fork_the_ledger() {
     }
     assert!(c.check_consistency());
 }
+
+/// ROADMAP item 10: every per-entry structure has an owner and a death. A
+/// node's record of an entry goes when the entry executes, so after a
+/// group crash and the takeover of its instances the survivors hold
+/// records for what is in flight — the pipeline windows — and not for what
+/// has executed, whether the run is 5 s long or 15 s.
+#[test]
+fn per_entry_state_is_flat_in_run_length() {
+    let cfg = small(Protocol::MassBft).workload(WorkloadKind::SmallBank);
+    let in_flight = 3 * cfg.params.pipeline_window;
+    let mut c = Cluster::new(cfg);
+    c.run_until(SECOND / 2);
+    c.crash_group(2);
+    let survivors: Vec<NodeId> = (0..2)
+        .flat_map(|g| (0..4).map(move |i| NodeId::new(g, i)))
+        .collect();
+    let records_at = |c: &mut Cluster, secs: u64| -> Vec<usize> {
+        c.run_until(secs * SECOND);
+        let nodes = survivors.iter().map(|&id| c.node(id));
+        nodes.map(|n| n.entry_records()).collect()
+    };
+    let short = records_at(&mut c, 5);
+    let executed_short = c.node(c.observer()).executed_entries();
+    let long = records_at(&mut c, 15);
+    let executed = c.node(c.observer()).executed_entries();
+    assert!(
+        executed > 2 * executed_short && executed > 10 * in_flight as u64,
+        "the survivors stopped executing: {executed_short} then {executed} entries"
+    );
+    for (id, (short, long)) in survivors.iter().zip(short.iter().zip(&long)) {
+        assert!(
+            *long <= in_flight && *short <= in_flight,
+            "{id:?} keeps {short} records at 5 s and {long} at 15 s with {executed} entries \
+             executed: more than the {in_flight} three pipeline windows hold"
+        );
+    }
+    assert!(c.check_consistency());
+}
