@@ -1,13 +1,16 @@
 //! Capture an entry-lifecycle trace of a geo-distributed run.
 //!
 //! Runs a deterministic cluster simulation with telemetry spans enabled,
-//! then exports the drained event stream as:
+//! then stitches the drained event stream (`massbft_telemetry::stitch`,
+//! the path `obs` takes for a TCP `/trace` scrape) and exports:
 //!
 //! - `TRACE_geo.json` — Chrome `trace_event` JSON, loadable in Perfetto
-//!   (ui.perfetto.dev) or `chrome://tracing`: one track per node, one
-//!   async span per entry covering Submitted → Executed, with instant
-//!   events for each lifecycle phase.
-//! - `TRACE_geo.jsonl` — one raw event per line, for ad-hoc analysis.
+//!   (ui.perfetto.dev) or `chrome://tracing`: one track per node with an
+//!   instant event per lifecycle phase and per message on an entry's data
+//!   path, one async span per entry on the cluster track, and a flow
+//!   arrow per paired hop.
+//! - `TRACE_geo.jsonl` — one raw event per line, for ad-hoc analysis
+//!   (`--debug` adds a line for every message and timer).
 //!
 //! It also prints the Fig. 11 per-phase latency breakdown derived from
 //! the trace, and cross-checks it against the protocol layer's own
@@ -22,8 +25,7 @@ use massbft_bench::report::cli::Flags;
 use massbft_bench::run;
 use massbft_core::cluster::{Cluster, ClusterConfig};
 use massbft_sim_net::{NodeId, SECOND};
-use massbft_telemetry as telemetry;
-use massbft_telemetry::export;
+use massbft_telemetry::{self as telemetry, export, stitch};
 
 /// `|a - b|` within 1% of the larger magnitude (or within 1 µs for
 /// near-zero phases).
@@ -74,25 +76,31 @@ fn main() {
     let report = run::measure(&mut cluster, SECOND, secs * SECOND).report;
 
     let drained = telemetry::drain();
-    if drained.dropped > 0 {
+    let stream = stitch::NodeStream {
+        source: "simulation".into(),
+        events: drained.events,
+        dropped: drained.dropped,
+    };
+    if stream.dropped > 0 {
         eprintln!(
             "warning: ring wrapped, {} events lost — raise the ring capacity \
              or shorten the run; the breakdown below is partial",
-            drained.dropped
+            stream.dropped
         );
     }
 
     // Export both formats.
     let jsonl_path = format!("{out}.jsonl");
     let json_path = format!("{out}.json");
-    let jsonl = export::to_jsonl(&drained.events);
+    let jsonl = export::to_jsonl(&stream.events);
     std::fs::write(&jsonl_path, &jsonl).expect("write jsonl");
-    let chrome = export::to_chrome_trace(&drained.events);
+    let stitched = stitch::stitch(std::slice::from_ref(&stream));
+    let chrome = stitch::to_chrome_trace(&stitched);
     std::fs::write(&json_path, &chrome).expect("write chrome trace");
 
     // Round-trip / structural validation of what we just wrote.
     let reparsed = export::parse_jsonl(&jsonl).expect("jsonl round-trip");
-    assert_eq!(reparsed.len(), drained.events.len(), "jsonl round-trip");
+    assert_eq!(reparsed.len(), stream.events.len(), "jsonl round-trip");
     let summary = match export::validate_chrome_trace(&chrome) {
         Ok(s) => s,
         Err(e) => {
@@ -102,10 +110,16 @@ fn main() {
     };
 
     println!(
-        "captured {} events ({} entry spans across {} node tracks)",
-        drained.events.len(),
+        "captured {} events ({} entry spans across {} tracks, {} hops paired, {} orphaned)",
+        stream.events.len(),
         summary.spans,
-        summary.tracks
+        summary.tracks,
+        stitched.total_hops(),
+        stitched
+            .entries
+            .values()
+            .map(|e| e.orphan_hops)
+            .sum::<usize>()
     );
     println!("  {json_path}   (load in ui.perfetto.dev or chrome://tracing)");
     println!("  {jsonl_path}  (one event per line)");
@@ -122,7 +136,7 @@ fn main() {
     );
 
     // Fig. 11 table from the trace, across every group's own entries.
-    let Some(bd) = export::breakdown(&drained.events) else {
+    let Some(bd) = export::breakdown(&stream.events) else {
         eprintln!("error: no complete entry lifecycle in the trace");
         std::process::exit(1);
     };
@@ -145,7 +159,7 @@ fn main() {
         eprintln!("error: representative recorded no phase breakdown");
         std::process::exit(1);
     };
-    let g0_events: Vec<telemetry::Event> = drained
+    let g0_events: Vec<telemetry::Event> = stream
         .events
         .iter()
         .filter(|e| e.entry.0 == rep.group)
@@ -182,7 +196,7 @@ fn main() {
             if agree { "ok" } else { "MISMATCH" }
         );
     }
-    if !ok && drained.dropped == 0 {
+    if !ok && stream.dropped == 0 {
         eprintln!("error: trace-derived breakdown disagrees with node accounting");
         std::process::exit(1);
     }

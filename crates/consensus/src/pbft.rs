@@ -258,11 +258,6 @@ impl PbftReplica {
         self.cfg.primary_of(self.view)
     }
 
-    /// Number of instances committed but possibly not yet garbage-collected.
-    pub fn committed_count(&self) -> u64 {
-        self.exec_seq - 1
-    }
-
     /// Whether a view change is currently in progress.
     pub fn in_view_change(&self) -> bool {
         self.in_view_change

@@ -106,11 +106,6 @@ impl ExecutionPipeline {
         &self.store
     }
 
-    /// Mutable store access (initial-state loading in tests/tools).
-    pub fn store_mut(&mut self) -> &mut KvStore {
-        &mut self.store
-    }
-
     /// Configured Aria worker lanes.
     pub fn workers(&self) -> usize {
         self.executor.workers()

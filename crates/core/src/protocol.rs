@@ -303,6 +303,10 @@ impl SimMessage for Msg {
         // produces frame bodies of exactly this many bytes per variant.
         crate::wire::msg_wire_size(self)
     }
+
+    fn trace_entry(&self) -> Option<(u32, u64)> {
+        crate::wire::trace_entry(self).map(|id| (id.gid, id.seq))
+    }
 }
 
 // Timer tokens.

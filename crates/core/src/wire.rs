@@ -10,9 +10,9 @@
 //!
 //! Historically the sizes were magic numbers inlined in `protocol.rs`
 //! (`cert.signatures.len() * 72 + 40`, …). They live here now, and the
-//! frame codec pads each variant's encoding up to exactly the modeled
-//! size, so a cross-driver test can assert `encoded body length ==
-//! wire_size()` per variant (see `crates/runtime/src/frame.rs`).
+//! frame codec zero-pads each variant's encoding up to exactly the
+//! modeled size, so a cross-driver test can assert `encoded body length
+//! == wire_size()` per variant (see `crates/runtime/src/frame.rs`).
 //!
 //! Two overheads were raised (by 4 bytes per item) when the codec was
 //! written, because no honest encoding fits the old model: a
@@ -103,72 +103,9 @@ pub fn chunk_wire(data_len: usize, proof_steps: usize) -> usize {
     data_len + proof_steps * PROOF_STEP_WIRE + CHUNK_OVERHEAD
 }
 
-/// Encoded size of a [`TraceCtx`]: magic (1) + hop (1) + origin group
-/// (2) + origin node (1) + entry gid (2) + entry seq (4). Chosen to fit
-/// the *tightest* pad slack any variant leaves between its natural
-/// encoding and its modeled wire size (`PrePrepare`: exactly 11 bytes),
-/// so embedding a context never changes a frame's length.
-pub const TRACE_CTX_WIRE: usize = 11;
-/// First byte of an embedded trace context. Frame padding is otherwise
-/// all-zero, so a non-zero magic distinguishes "context present" from
-/// "plain padding" without any length change.
-pub const TRACE_CTX_MAGIC: u8 = 0xA7;
-
-/// Compact cross-node trace context (ISSUE 9): rides in the zero pad of
-/// entry-bearing TCP frames, identifying the originating node, the
-/// entry, and how many hops the entry's data has taken so far. Purely
-/// observational — decoding it (or ignoring it) never changes protocol
-/// behaviour, and the frame body stays byte-for-byte the modeled size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Group of the node that started the span (hop 0 sender).
-    pub origin_group: u16,
-    /// Node index of the origin within its group.
-    pub origin_node: u8,
-    /// The entry the frame carries data for.
-    pub entry: EntryId,
-    /// Hop counter: 0 at the origin, +1 per store-and-forward relay.
-    pub hop: u8,
-}
-
-impl TraceCtx {
-    /// Serializes into the fixed 11-byte form, or `None` when a field
-    /// exceeds the compact ranges (gid ≥ 2^16, seq ≥ 2^32 — far beyond
-    /// anything a run produces; tracing is skipped rather than lied
-    /// about).
-    pub fn encode(&self) -> Option<[u8; TRACE_CTX_WIRE]> {
-        let gid = u16::try_from(self.entry.gid).ok()?;
-        let seq = u32::try_from(self.entry.seq).ok()?;
-        let mut b = [0u8; TRACE_CTX_WIRE];
-        b[0] = TRACE_CTX_MAGIC;
-        b[1] = self.hop;
-        b[2..4].copy_from_slice(&self.origin_group.to_le_bytes());
-        b[4] = self.origin_node;
-        b[5..7].copy_from_slice(&gid.to_le_bytes());
-        b[7..11].copy_from_slice(&seq.to_le_bytes());
-        Some(b)
-    }
-
-    /// Parses an 11-byte slice; `None` when the magic is absent (plain
-    /// zero padding).
-    pub fn decode(b: &[u8]) -> Option<TraceCtx> {
-        if b.len() != TRACE_CTX_WIRE || b[0] != TRACE_CTX_MAGIC {
-            return None;
-        }
-        Some(TraceCtx {
-            hop: b[1],
-            origin_group: u16::from_le_bytes([b[2], b[3]]),
-            origin_node: b[4],
-            entry: EntryId {
-                gid: u16::from_le_bytes([b[5], b[6]]) as u32,
-                seq: u32::from_le_bytes([b[7], b[8], b[9], b[10]]) as u64,
-            },
-        })
-    }
-}
-
 /// The entry a message carries data for, if the message is part of an
-/// entry's cross-node data path (and therefore worth a trace context).
+/// entry's cross-node data path: what `SimMessage::trace_entry` answers
+/// for [`Msg`], and so what the drivers' send and deliver probes record.
 /// Control traffic (votes, heartbeats, Raft internals, feeds) returns
 /// `None` — its spans are reconstructed from per-node probes instead.
 pub fn trace_entry(msg: &Msg) -> Option<EntryId> {

@@ -217,11 +217,6 @@ impl AriaExecutor {
         self
     }
 
-    /// Whether the deterministic abort fallback is enabled.
-    pub fn fallback_enabled(&self) -> bool {
-        self.fallback
-    }
-
     /// Configured worker lanes.
     pub fn workers(&self) -> usize {
         self.pool.workers()

@@ -24,22 +24,20 @@
 //! fire timers → route the commands under one clock stamp → flush what
 //! is due, one write per peer. The reactor is the only thread that
 //! touches its node's outbound sockets ([`crate::net`] has the thread
-//! model and why its blocking writes cannot deadlock).
+//! model and why its blocking writes cannot deadlock). Each message it
+//! hands to the node and each one it routes is recorded with the probes
+//! the simulator calls (`massbft_sim_net::fault`), so a `/trace` scrape
+//! stitches into the same cross-node picture as a simulator trace.
 
-use crate::frame::{decode_msg_traced, encode_frame_traced, FRAME_HEADER};
+use crate::frame::{decode_msg, encode_frame, FRAME_HEADER};
 use crate::net::{spawn_acceptor, Event, InboxStats, NetHandle, Shared};
 use crate::ops::{self, OpsConfig, OpsHandle};
 use crate::wheel::TimerWheel;
-use bytes::Bytes;
 use massbft_core::adversary::FaultEvent;
 use massbft_core::cluster::{ClusterConfig, Driver, Harness, Report, Traffic};
-use massbft_core::entry::EntryId;
 use massbft_core::protocol::{Msg, Node};
-use massbft_core::wire;
 use massbft_crypto::KeyRegistry;
-use massbft_sim_net::{Actor, Command, Ctx, NodeId, Time, Topology};
-use massbft_telemetry as telemetry;
-use std::collections::{HashMap, VecDeque};
+use massbft_sim_net::{probe_deliver, probe_send, Actor, Command, Ctx, NodeId, Time, Topology};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -86,69 +84,8 @@ impl HostSpec {
 
 enum Pending {
     Timer(u64),
-    /// A `SendAfter` whose network entry was postponed: the frame is
-    /// pre-encoded, the destination resolved at fire time.
-    Send(NodeId, Bytes),
-}
-
-/// How many in-flight entries a reactor remembers trace contexts for.
-/// Entries churn through in seconds; 1024 comfortably covers every
-/// benched pipeline depth while bounding memory.
-const TRACE_HOPS_CAP: usize = 1024;
-
-/// Per-reactor FIFO memory of received trace contexts, so a frame that
-/// *relays* an entry's data continues the origin's span (hop + 1)
-/// instead of starting a fresh one. Purely observational.
-struct TraceHops {
-    map: HashMap<EntryId, (u16, u8, u8)>,
-    order: VecDeque<EntryId>,
-}
-
-impl TraceHops {
-    fn new() -> Self {
-        TraceHops {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// Remembers the context of a received frame. First receipt wins
-    /// (the shortest path to this node); the stitcher grounds a relayed
-    /// send on *any* prior receive of `hop - 1` here, which the kept
-    /// entry satisfies.
-    fn record(&mut self, c: wire::TraceCtx) {
-        if self.map.contains_key(&c.entry) {
-            return;
-        }
-        if self.order.len() >= TRACE_HOPS_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
-        self.order.push_back(c.entry);
-        self.map
-            .insert(c.entry, (c.origin_group, c.origin_node, c.hop));
-    }
-
-    /// The context to embed when this node sends data for `entry`:
-    /// continue a received span at `hop + 1`, or start one at hop 0
-    /// with this node as origin.
-    fn ctx_for(&self, me: NodeId, entry: EntryId) -> wire::TraceCtx {
-        match self.map.get(&entry) {
-            Some(&(og, on, hop)) => wire::TraceCtx {
-                origin_group: og,
-                origin_node: on,
-                entry,
-                hop: hop.saturating_add(1),
-            },
-            None => wire::TraceCtx {
-                origin_group: me.group as u16,
-                origin_node: me.node as u8,
-                entry,
-                hop: 0,
-            },
-        }
-    }
+    /// A `SendAfter` whose network entry was postponed.
+    Send(NodeId, Msg),
 }
 
 struct LocalNode {
@@ -346,7 +283,6 @@ impl TcpDriver {
                 net: NetHandle::new(id, Arc::clone(&shared)),
                 wheel: TimerWheel::new(shared.now_us()),
                 ctx: Ctx::new_driver(shared.now_us(), id),
-                hops: TraceHops::new(),
                 shared: Arc::clone(&shared),
                 id,
                 node: Arc::clone(&node),
@@ -499,7 +435,6 @@ struct Reactor {
     net: NetHandle,
     wheel: TimerWheel<Pending>,
     ctx: Ctx<Msg>,
-    hops: TraceHops,
 }
 
 impl Reactor {
@@ -557,24 +492,10 @@ impl Reactor {
         if (msgs > 0 || timers) && !self.shared.is_crashed(self.id) {
             let mut n = self.node.lock().expect("node lock");
             for Event { from, msgs } in events.drain(..) {
-                for (msg, tctx) in msgs {
-                    if let Some(c) = tctx.filter(|_| from != self.id) {
-                        self.hops.record(c);
-                        if telemetry::enabled() {
-                            telemetry::emit(telemetry::Event {
-                                at: self.shared.now_us(),
-                                kind: telemetry::EventKind::HopRecv,
-                                node: (self.id.group, self.id.node),
-                                entry: (c.entry.gid, c.entry.seq),
-                                value: telemetry::pack_hop_value(
-                                    c.hop,
-                                    c.origin_group,
-                                    c.origin_node,
-                                ),
-                            });
-                        }
-                    }
-                    self.ctx.set_now(self.shared.now_us());
+                for msg in msgs {
+                    let now = self.shared.now_us();
+                    probe_deliver(now, from, self.id, &msg);
+                    self.ctx.set_now(now);
                     n.on_message(&mut self.ctx, from, msg);
                 }
             }
@@ -596,25 +517,15 @@ impl Reactor {
     fn route_and_flush(&mut self, fired: &mut Vec<Pending>) {
         let stamp = self.shared.now_us();
         for p in fired.drain(..) {
-            if let Pending::Send(dst, frame) = p {
+            if let Pending::Send(dst, msg) = p {
                 // Route-time crash gating happens inside send.
-                self.send_frame(dst, frame, stamp);
+                self.send(&[dst], &msg, stamp);
             }
         }
         for cmd in self.ctx.take_commands() {
             match cmd {
-                Command::Send { dst, msg } => {
-                    if let Some(frame) = self.encode(&msg) {
-                        self.send_frame(dst, frame, stamp);
-                    }
-                }
-                Command::SendMany { dsts, msg } => {
-                    if let Some(frame) = self.encode(&msg) {
-                        for dst in dsts {
-                            self.send_frame(dst, frame.clone(), stamp);
-                        }
-                    }
-                }
+                Command::Send { dst, msg } => self.send(&[dst], &msg, stamp),
+                Command::SendMany { dsts, msg } => self.send(&dsts, &msg, stamp),
                 Command::SetTimer { delay, token } => {
                     self.wheel
                         .insert(stamp.saturating_add(delay), Pending::Timer(token));
@@ -623,59 +534,38 @@ impl Reactor {
                 // virtual cost model would double-count it.
                 Command::SpendCpu(_) => {}
                 Command::SendAfter { delay, dst, msg } => {
-                    if let Some(frame) = self.encode(&msg) {
-                        self.wheel
-                            .insert(stamp.saturating_add(delay), Pending::Send(dst, frame));
-                    }
+                    self.wheel
+                        .insert(stamp.saturating_add(delay), Pending::Send(dst, msg));
                 }
             }
         }
         self.net.flush(self.shared.now_us());
     }
 
-    fn send_frame(&mut self, dst: NodeId, frame: Bytes, stamp: Time) {
-        if dst != self.id {
-            self.net.send(dst, frame, stamp);
-        } else if !self.shared.is_crashed(self.id) {
-            // Decode round-trips the frame; loopback traffic is rare (the
-            // protocol broadcasts exclude self) so the cost is negligible
-            // and the path stays uniform with remote delivery. The
-            // embedded trace context (if any) rides along; the reactor
-            // ignores self-hops.
-            if let Ok(m) = decode_msg_traced(&frame.slice(FRAME_HEADER..)) {
-                self.inbox.enqueued.fetch_add(1, Ordering::Relaxed);
-                let _ = self.self_tx.send(Event {
-                    from: self.id,
-                    msgs: vec![m],
-                });
-            }
-        }
-    }
-
-    /// Encodes a message, embedding (and probing) a trace context when
-    /// the message carries entry data and telemetry is on. The frame
-    /// length is identical either way — the context lives in the zero
-    /// pad.
-    fn encode(&self, msg: &Msg) -> Option<Bytes> {
-        let mut tctx = None;
-        if telemetry::enabled() {
-            if let Some(entry) = wire::trace_entry(msg) {
-                tctx = Some(self.hops.ctx_for(self.id, entry));
-            }
-        }
-        let Ok(frame) = encode_frame_traced(msg, tctx) else {
+    /// Encodes `msg` once and routes the frame to every destination,
+    /// recording each departure with the shared send probe.
+    fn send(&mut self, dsts: &[NodeId], msg: &Msg, stamp: Time) {
+        let Ok(frame) = encode_frame(msg) else {
             debug_assert!(false, "protocol produced unencodable message");
-            return None;
+            return;
         };
-        if let Some(c) = tctx {
-            telemetry::emit(telemetry::Event {
-                at: self.shared.now_us(),
-                kind: telemetry::EventKind::HopSend,
-                node: (self.id.group, self.id.node),
-                entry: (c.entry.gid, c.entry.seq),
-                value: telemetry::pack_hop_value(c.hop, c.origin_group, c.origin_node),
-            });
+        for &dst in dsts {
+            if dst != self.id {
+                let is_wan = self.shared.topo.is_wan(self.id, dst);
+                probe_send(stamp, self.id, dst, is_wan, msg);
+                self.net.send(dst, frame.clone(), stamp);
+            } else if !self.shared.is_crashed(self.id) {
+                // Decode round-trips the frame; loopback traffic is rare (the
+                // protocol broadcasts exclude self) so the cost is negligible
+                // and the path stays uniform with remote delivery.
+                if let Ok(m) = decode_msg(&frame.slice(FRAME_HEADER..)) {
+                    self.inbox.enqueued.fetch_add(1, Ordering::Relaxed);
+                    let _ = self.self_tx.send(Event {
+                        from: self.id,
+                        msgs: vec![m],
+                    });
+                }
+            }
         }
-        Some(frame)
     }
 }

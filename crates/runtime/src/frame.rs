@@ -6,7 +6,9 @@
 //! size the simulator's byte-accounting model assigns the message
 //! (`massbft_core::wire::msg_wire_size`). That identity is what makes
 //! wall-clock byte counts comparable with simulated `wan_bytes`, and a
-//! unit test here asserts it per variant.
+//! test (`tests/frame_codec.rs`) asserts it per variant. The pad is
+//! always zero: nothing rides in it, and how a message travelled is
+//! observed by the drivers' probes, not carried in the frame.
 //!
 //! Layout rules:
 //! - natural fields first, one zero-pad run at the end of the body (the
@@ -161,18 +163,6 @@ impl Enc {
 /// ready to hand to per-peer send queues; broadcasting clones refcounts,
 /// not buffers.
 pub fn encode_frame(msg: &Msg) -> Result<Bytes, FrameError> {
-    encode_frame_traced(msg, None)
-}
-
-/// [`encode_frame`] with an optional trace context riding in the final
-/// [`wire::TRACE_CTX_WIRE`] bytes of the zero pad (ISSUE 9). The frame
-/// length is **identical** with or without a context — the context only
-/// rewrites pad bytes the model already charges for — so byte accounting
-/// and cross-driver identity are untouched. When the variant's pad slack
-/// is too small for a context (or the context's fields overflow its
-/// compact ranges), the context is silently omitted: tracing is best-
-/// effort, framing is not.
-pub fn encode_frame_traced(msg: &Msg, ctx: Option<wire::TraceCtx>) -> Result<Bytes, FrameError> {
     let body_len = wire::msg_wire_size(msg);
     if body_len > MAX_FRAME {
         return Err(FrameError::BadLength(body_len));
@@ -387,14 +377,6 @@ pub fn encode_frame_traced(msg: &Msg, ctx: Option<wire::TraceCtx>) -> Result<Byt
         return Err(FrameError::Unencodable("model smaller than encoding"));
     }
     e.buf.resize(FRAME_HEADER + body_len, 0);
-    if let Some(ctx) = ctx {
-        if body_len - natural >= wire::TRACE_CTX_WIRE {
-            if let Some(enc) = ctx.encode() {
-                let end = FRAME_HEADER + body_len;
-                e.buf[end - wire::TRACE_CTX_WIRE..end].copy_from_slice(&enc);
-            }
-        }
-    }
     Ok(Bytes::from(e.buf))
 }
 
@@ -514,21 +496,12 @@ impl<'a> Dec<'a> {
 /// Decodes one frame body (everything after the length prefix). Payload
 /// fields are zero-copy slices of `body`. Trailing padding is ignored.
 pub fn decode_msg(body: &Bytes) -> Result<Msg, FrameError> {
-    decode_msg_traced(body).map(|(msg, _)| msg)
-}
-
-/// [`decode_msg`] plus the embedded [`wire::TraceCtx`], if the sender
-/// attached one. The context lives in the last [`wire::TRACE_CTX_WIRE`]
-/// pad bytes, which are encoder-controlled exactly when the pad is at
-/// least that large — the same condition the encoder used — so payload
-/// bytes can never masquerade as a context.
-pub fn decode_msg_traced(body: &Bytes) -> Result<(Msg, Option<wire::TraceCtx>), FrameError> {
     let mut d = Dec {
         frame: body,
         pos: 0,
     };
     let tag = d.u8()?;
-    let msg = match tag {
+    Ok(match tag {
         T_PREPREPARE => {
             let view = d.u64()?;
             let seq = d.u64()?;
@@ -733,13 +706,7 @@ pub fn decode_msg_traced(body: &Bytes) -> Result<(Msg, Option<wire::TraceCtx>), 
             epoch: d.u64()?,
         },
         t => return Err(FrameError::BadTag(t)),
-    };
-    let ctx = if body.len() - d.pos >= wire::TRACE_CTX_WIRE {
-        wire::TraceCtx::decode(&body.as_slice()[body.len() - wire::TRACE_CTX_WIRE..])
-    } else {
-        None
-    };
-    Ok((msg, ctx))
+    })
 }
 
 // ------------------------------------------------------------ reassembly

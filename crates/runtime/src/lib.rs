@@ -25,10 +25,11 @@
 //!   fault schedules run unchanged on either driver.
 //! - [`ops`]: the live ops plane (ISSUE 9) — per-process HTTP/1.0
 //!   introspection endpoints (`/metrics`, `/health`, `/status`,
-//!   `/trace`) and the anomaly-triggered flight recorder. Frames
-//!   optionally carry an 11-byte cross-node trace context in their zero
-//!   padding (`massbft_core::wire::TraceCtx`), which
-//!   `massbft_telemetry::stitch` merges into distributed spans.
+//!   `/trace`) and the anomaly-triggered flight recorder. The reactor
+//!   records every send and deliver with the probes the simulator uses
+//!   (`massbft_sim_net::fault`); `massbft_telemetry::stitch` pairs them
+//!   into cross-node hops and merges `/trace` scrapes into distributed
+//!   spans. Frames carry nothing for it.
 //!
 //! [`Node`]: massbft_core::protocol::Node
 
@@ -39,9 +40,6 @@ pub mod ops;
 pub mod wheel;
 
 pub use cluster::{Cluster, HostSpec, TcpDriver};
-pub use frame::{
-    decode_msg, decode_msg_traced, encode_frame, encode_frame_traced, FrameBuffer, FrameError,
-    MAX_FRAME,
-};
+pub use frame::{decode_msg, encode_frame, FrameBuffer, FrameError, MAX_FRAME};
 pub use ops::{http_get, OpsConfig, OpsHandle};
 pub use wheel::TimerWheel;

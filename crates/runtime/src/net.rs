@@ -26,10 +26,9 @@
 //! `net.frames_in`/`out`, `net.coalesced_writes` (writes that carried
 //! >= 2 frames) and the per-link `net.queue.*` depth gauges.
 
-use crate::frame::{decode_msg_traced, FrameBuffer, FRAME_HEADER};
+use crate::frame::{decode_msg, FrameBuffer, FRAME_HEADER};
 use bytes::Bytes;
 use massbft_core::protocol::Msg;
-use massbft_core::wire::TraceCtx;
 use massbft_sim_net::{DenseIndex, FaultRng, FaultState, NodeId, Routing, Time, Topology};
 use massbft_telemetry::registry::{self, Counter, Gauge};
 use std::collections::VecDeque;
@@ -67,9 +66,8 @@ const WRITE_STALL: Duration = Duration::from_secs(5);
 pub struct Event {
     /// Sending node.
     pub from: NodeId,
-    /// The messages, each with the trace context its frame padding
-    /// carried, if any (observability only).
-    pub msgs: Vec<(Msg, Option<TraceCtx>)>,
+    /// The messages.
+    pub msgs: Vec<Msg>,
 }
 
 /// Inbox accounting for one reactor: messages enqueued by readers (and
@@ -531,7 +529,7 @@ fn read_frames(shared: &Shared, mut stream: &TcpStream, tx: &Sender<Event>, inbo
             match fb.next_frame() {
                 Ok(Some(body)) => {
                     frames += 1;
-                    match decode_msg_traced(&body) {
+                    match decode_msg(&body) {
                         Ok(m) => msgs.push(m),
                         Err(_) => intact = false,
                     }

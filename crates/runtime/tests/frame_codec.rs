@@ -21,8 +21,7 @@ use massbft_crypto::keys::NodeId;
 use massbft_crypto::merkle::ProofStep;
 use massbft_crypto::{Digest, MerkleProof, QuorumCert, Signature};
 use massbft_runtime::frame::{
-    decode_msg, decode_msg_traced, encode_frame, encode_frame_traced, FrameBuffer, FrameError,
-    FRAME_HEADER, MAX_FRAME,
+    decode_msg, encode_frame, FrameBuffer, FrameError, FRAME_HEADER, MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -183,16 +182,26 @@ fn sample_msgs() -> Vec<Msg> {
     ]
 }
 
-/// Satellite: the frame body is byte-for-byte as large as the wire
-/// model says — per variant, no drift allowed in either direction.
+/// The frame body is byte-for-byte as large as the wire model says —
+/// per variant, no drift allowed in either direction — and everything
+/// past the natural encoding is zero: nothing rides in the pad. The
+/// natural encoding ends where the decoder stops needing bytes.
 #[test]
-fn encoded_body_matches_wire_model_per_variant() {
+fn encoded_body_matches_wire_model_and_pad_is_zero_per_variant() {
     for (i, msg) in sample_msgs().iter().enumerate() {
         let frame = encode_frame(msg).expect("sample must encode");
+        let body = frame.slice(FRAME_HEADER..);
         assert_eq!(
-            frame.len() - FRAME_HEADER,
+            body.len(),
             wire::msg_wire_size(msg),
             "variant #{i} body size disagrees with wire model"
+        );
+        let natural = (1..=body.len())
+            .find(|&n| decode_msg(&body.slice(..n)).is_ok())
+            .expect("the whole body decodes");
+        assert!(
+            body[natural..].iter().all(|&b| b == 0),
+            "variant #{i} pad is not all zero"
         );
     }
 }
@@ -209,80 +218,6 @@ fn roundtrip_reencodes_identically() {
             "variant #{i} not stable under decode∘encode"
         );
     }
-}
-
-/// ISSUE 9 acceptance: attaching a trace context never changes a
-/// frame's length (the context rides in already-modeled pad bytes), and
-/// the decoded message re-encodes to the *untraced* frame bytes — so
-/// cross-driver byte identity is untouched by observability.
-#[test]
-fn trace_ctx_keeps_frame_bytes_and_length_identical() {
-    let ctx = wire::TraceCtx {
-        origin_group: 2,
-        origin_node: 1,
-        entry: EntryId::new(2, 17),
-        hop: 3,
-    };
-    for (i, msg) in sample_msgs().iter().enumerate() {
-        let plain = encode_frame(msg).expect("encodes");
-        let traced = encode_frame_traced(msg, Some(ctx)).expect("encodes traced");
-        assert_eq!(plain.len(), traced.len(), "variant #{i} length changed");
-        let (decoded, got) = decode_msg_traced(&traced.slice(FRAME_HEADER..)).expect("decodes");
-        if let Some(got) = got {
-            assert_eq!(got, ctx, "variant #{i} context corrupted");
-        }
-        let re = encode_frame(&decoded).expect("re-encodes");
-        assert_eq!(
-            re.as_slice(),
-            plain.as_slice(),
-            "variant #{i} message fields perturbed by context"
-        );
-    }
-}
-
-/// Entry-bearing variants all leave enough pad for the context; the
-/// tightest variant of all (PrePrepare, 11 bytes of slack) fits it
-/// exactly.
-#[test]
-fn trace_ctx_round_trips_on_data_path_variants() {
-    let ctx = wire::TraceCtx {
-        origin_group: 1,
-        origin_node: 0,
-        entry: EntryId::new(1, 9),
-        hop: 0,
-    };
-    let mut covered = 0;
-    for msg in &sample_msgs() {
-        let interesting = wire::trace_entry(msg).is_some()
-            || matches!(msg, Msg::Pbft(PbftMsg::PrePrepare { .. }));
-        if !interesting {
-            continue;
-        }
-        let traced = encode_frame_traced(msg, Some(ctx)).expect("encodes");
-        let (_, got) = decode_msg_traced(&traced.slice(FRAME_HEADER..)).expect("decodes");
-        assert_eq!(got, Some(ctx), "context lost on {msg:?}");
-        covered += 1;
-    }
-    assert_eq!(covered, 4); // PrePrepare, Chunk, Entry, EntryRequest
-}
-
-/// Out-of-range context fields (gid ≥ 2^16, seq ≥ 2^32) skip embedding
-/// instead of truncating — an untraced frame, not a lying one.
-#[test]
-fn trace_ctx_out_of_range_is_omitted() {
-    let msg = Msg::EntryRequest {
-        id: EntryId::new(2, 44),
-    };
-    let ctx = wire::TraceCtx {
-        origin_group: 0,
-        origin_node: 0,
-        entry: EntryId::new(2, 1 << 40),
-        hop: 0,
-    };
-    let traced = encode_frame_traced(&msg, Some(ctx)).expect("encodes");
-    assert_eq!(traced.as_slice(), encode_frame(&msg).unwrap().as_slice());
-    let (_, got) = decode_msg_traced(&traced.slice(FRAME_HEADER..)).expect("decodes");
-    assert_eq!(got, None);
 }
 
 /// Raft sub-tag 4 was the leadership-transfer request, which nothing

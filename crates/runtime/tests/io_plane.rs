@@ -86,7 +86,7 @@ impl Link {
             match self.rx.recv_timeout(Duration::from_secs(10)) {
                 Ok(Event { from, msgs }) => {
                     assert_eq!(from, A);
-                    got.extend(msgs.into_iter().map(|(m, _)| m));
+                    got.extend(msgs);
                 }
                 Err(e) => panic!("inbox dried up after {} of {n} messages: {e}", got.len()),
             }

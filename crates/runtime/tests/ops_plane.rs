@@ -115,6 +115,16 @@ fn ops_plane_serves_metrics_traces_and_flight_dumps() {
         spanned > 0,
         "no committed entry shows a multi-node lifecycle"
     );
+    // Hop numbers and origins are derived, as for a simulator trace
+    // (`tests/stitched_trace.rs`): a re-share inside a receiving group
+    // continues the chain a node of the entry's own group started.
+    let relayed = st.committed().any(|e| {
+        let gid = e.entry.0;
+        e.hops
+            .iter()
+            .any(|h| h.hop > 0 && h.from.0 != gid && h.origin.0 == gid)
+    });
+    assert!(relayed, "no relayed re-share continues its origin's chain");
     let summary =
         export::validate_chrome_trace(&stitch::to_chrome_trace(&st)).expect("chrome trace");
     assert_eq!(summary.spans, st.entries.len(), "one span per entry");

@@ -20,9 +20,16 @@
 //!
 //! A crashed source sends nothing and a node's message to itself never
 //! touches a link; both callers settle those two cases before asking.
+//!
+//! The same seam is where a message is *observed*: [`probe_send`] when it
+//! leaves a node and [`probe_deliver`] when the destination's handler is
+//! about to get it, called by both drivers. Neither the message nor its
+//! wire format knows about tracing; `massbft_telemetry::stitch` pairs
+//! the two records per link and derives hop numbers and origins.
 
 use crate::topology::DenseIndex;
-use crate::{NodeId, Time};
+use crate::{NodeId, SimMessage, Time};
+use massbft_telemetry::{self as telemetry, EventKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Probabilistic fault model for a link: each routed message is dropped
@@ -316,6 +323,47 @@ impl FaultState {
                 .saturating_add(self.send_delay[self.index.of(src)]),
         }
     }
+}
+
+/// Records that `msg` left `src` for `dst`. With telemetry off this is
+/// one relaxed load and a branch; the message is asked for its entry and
+/// size only when the event will be kept.
+#[inline]
+pub fn probe_send<M: SimMessage>(at: Time, src: NodeId, dst: NodeId, is_wan: bool, msg: &M) {
+    let kind = if is_wan {
+        EventKind::NetWanSend
+    } else {
+        EventKind::NetLanSend
+    };
+    probe(at, kind, src, dst, msg);
+}
+
+/// Records that `msg` from `src` is being handed to `dst`'s handler.
+/// Costs what [`probe_send`] costs.
+#[inline]
+pub fn probe_deliver<M: SimMessage>(at: Time, src: NodeId, dst: NodeId, msg: &M) {
+    probe(at, EventKind::NetDeliver, dst, src, msg);
+}
+
+/// Records a hop event of `kind` at `node` about a message to or from
+/// `peer`: one on an entry's data path at `Spans`, any other only at
+/// `Debug`.
+#[inline]
+pub(crate) fn probe<M: SimMessage>(at: Time, kind: EventKind, node: NodeId, peer: NodeId, msg: &M) {
+    if !telemetry::enabled() {
+        return;
+    }
+    let entry = msg.trace_entry();
+    if entry.is_none() && !telemetry::net_enabled() {
+        return;
+    }
+    telemetry::emit(telemetry::Event {
+        at,
+        kind,
+        node: (node.group, node.node),
+        entry: entry.unwrap_or((0, 0)),
+        value: telemetry::pack_hop_value((peer.group, peer.node), msg.wire_size() as u64),
+    });
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@ pub mod sim;
 pub mod topology;
 
 pub use fault::{
-    FaultEvent, FaultRng, FaultSchedule, FaultState, LinkFault, Routing, ScheduledFault,
+    probe_deliver, probe_send, FaultEvent, FaultRng, FaultSchedule, FaultState, LinkFault, Routing,
+    ScheduledFault,
 };
 pub use massbft_crypto::keys::NodeId;
 pub use metrics::Metrics;
@@ -53,4 +54,12 @@ pub const MILLISECOND: Time = 1_000;
 pub trait SimMessage: Clone {
     /// Serialized size in bytes (headers included, approximately).
     fn wire_size(&self) -> usize;
+
+    /// The entry `(gid, seq)` this message carries data for, when it is
+    /// part of an entry's cross-node data path. The send and deliver
+    /// probes record it, so a trace can follow the entry from node to
+    /// node; control traffic answers `None`.
+    fn trace_entry(&self) -> Option<(u32, u64)> {
+        None
+    }
 }

@@ -25,7 +25,7 @@
 //! layout: dense per-node flags, cold ordered maps behind `is_empty()`.
 
 use crate::{
-    fault::{FaultEvent, FaultRng, FaultState, Routing},
+    fault::{probe, probe_deliver, probe_send, FaultEvent, FaultRng, FaultState, Routing},
     metrics::Metrics,
     topology::{DenseIndex, Topology},
     NodeId, SimMessage, Time,
@@ -33,22 +33,6 @@ use crate::{
 use massbft_telemetry as telemetry;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Emits a network event into the global telemetry ring — the
-/// machine-parseable replacement for ad-hoc debug printing. Call sites
-/// check [`telemetry::net_enabled`] first ([`telemetry::Verbosity::Debug`]
-/// only; otherwise a single relaxed load + branch), so a message's wire
-/// size is not computed for nobody. The event's `node` is the source, its
-/// `entry` field carries the destination, `value` the wire size.
-fn record_trace(at: Time, kind: telemetry::EventKind, src: NodeId, dst: NodeId, bytes: usize) {
-    telemetry::emit_net(telemetry::Event {
-        at,
-        kind,
-        node: (src.group, src.node),
-        entry: (dst.group, dst.node as u64),
-        value: bytes as u64,
-    });
-}
 
 /// Protocol logic for one node.
 pub trait Actor {
@@ -330,13 +314,6 @@ impl<A: Actor> Simulation<A> {
         &self.actors[self.idx(id)]
     }
 
-    /// Mutable access to a node's actor (measurement helpers only — do
-    /// not drive protocol logic through this).
-    pub fn actor_mut(&mut self, id: NodeId) -> &mut A {
-        let i = self.idx(id);
-        &mut self.actors[i]
-    }
-
     /// Iterates over all actors.
     pub fn actors(&self) -> impl Iterator<Item = (&NodeId, &A)> {
         self.ids.iter().zip(self.actors.iter())
@@ -449,10 +426,7 @@ impl<A: Actor> Simulation<A> {
                 let di = self.idx(dst);
                 if self.faults.is_crashed(dst) {
                     self.metrics.dropped_messages += 1;
-                    if telemetry::net_enabled() {
-                        let kind = telemetry::EventKind::NetDrop;
-                        record_trace(self.now, kind, src, dst, msg.wire_size());
-                    }
+                    probe(self.now, telemetry::EventKind::NetDrop, dst, src, &msg);
                     return;
                 }
                 // CPU model: if the receiver is busy, push the delivery to
@@ -463,10 +437,7 @@ impl<A: Actor> Simulation<A> {
                     self.push_event(free, seq, EventKind::Deliver { src, dst, msg });
                     return;
                 }
-                if telemetry::net_enabled() {
-                    let kind = telemetry::EventKind::NetDeliver;
-                    record_trace(self.now, kind, src, dst, msg.wire_size());
-                }
+                probe_deliver(self.now, src, dst, &msg);
                 let mut ctx = Ctx {
                     now: self.now,
                     self_id: dst,
@@ -486,10 +457,13 @@ impl<A: Actor> Simulation<A> {
                 if self.faults.is_crashed(node) {
                     return;
                 }
-                if telemetry::net_enabled() {
-                    let kind = telemetry::EventKind::NetTimer;
-                    record_trace(self.now, kind, node, node, 0);
-                }
+                telemetry::emit_net(telemetry::Event {
+                    at: self.now,
+                    kind: telemetry::EventKind::NetTimer,
+                    node: (node.group, node.node),
+                    entry: (0, 0),
+                    value: 0,
+                });
                 let mut ctx = Ctx {
                     now: self.now,
                     self_id: node,
@@ -586,14 +560,12 @@ impl<A: Actor> Simulation<A> {
             // injected link fault: it counts as a plain drop.
             if verdict != Routing::Partitioned {
                 self.metrics.faults_dropped += 1;
-                if telemetry::net_enabled() {
-                    let kind = telemetry::EventKind::NetDrop;
-                    record_trace(self.now, kind, src, dst, size);
-                }
+                probe(self.now, telemetry::EventKind::NetDrop, src, dst, &msg);
             }
             return;
         };
         self.metrics.faults_jittered += jittered as u64;
+        probe_send(self.now, src, dst, is_wan, &msg);
         let si = self.idx(src);
         let di = self.idx(dst);
         let arrival = if is_wan {
@@ -612,10 +584,6 @@ impl<A: Actor> Simulation<A> {
                 start
             };
             self.metrics.record_wan_send(si, size as u64);
-            if telemetry::net_enabled() {
-                let kind = telemetry::EventKind::NetWanSend;
-                record_trace(self.now, kind, src, dst, size);
-            }
             start + tx + self.topology.latency(src, dst)
         } else {
             // LAN: high bandwidth, no per-node queue modelled (2.5 Gbps is
@@ -623,10 +591,6 @@ impl<A: Actor> Simulation<A> {
             // serialization time still counts toward delivery.
             let tx = self.topology.lan_tx_time(size);
             self.metrics.record_lan_send(si, size as u64);
-            if telemetry::net_enabled() {
-                let kind = telemetry::EventKind::NetLanSend;
-                record_trace(self.now, kind, src, dst, size);
-            }
             self.now + tx + self.topology.latency(src, dst)
         };
         // Adversarial sender delay and fault jitter extend the flight

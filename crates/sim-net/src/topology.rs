@@ -260,13 +260,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Sets an explicit one-way latency matrix (microseconds).
-    pub fn wan_latency_matrix(mut self, matrix: Vec<Vec<Time>>) -> Self {
-        assert_eq!(matrix.len(), self.group_sizes.len());
-        self.wan_latency_us = Some(matrix);
-        self
-    }
-
     /// Sets the default per-node WAN uplink bandwidth in Mbps.
     pub fn wan_bandwidth_mbps(mut self, mbps: u64) -> Self {
         self.default_wan_bw_bps = mbps * 1_000_000;
@@ -276,12 +269,6 @@ impl TopologyBuilder {
     /// Overrides one node's WAN bandwidth in Mbps (Fig. 14).
     pub fn node_bandwidth_mbps(mut self, id: NodeId, mbps: u64) -> Self {
         self.wan_bw_overrides.insert(id, mbps * 1_000_000);
-        self
-    }
-
-    /// Sets the LAN bandwidth in Gbps.
-    pub fn lan_bandwidth_gbps(mut self, gbps: u64) -> Self {
-        self.lan_bw_bps = gbps * 1_000_000_000;
         self
     }
 

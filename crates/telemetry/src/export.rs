@@ -1,11 +1,10 @@
-//! Trace exporters: JSONL event logs and Chrome `trace_event` JSON.
+//! The JSONL event log, the validator for the Chrome `trace_event`
+//! documents [`crate::stitch::to_chrome_trace`] writes, and the Fig. 11
+//! breakdown.
 //!
-//! The Chrome format loads directly in Perfetto (<https://ui.perfetto.dev>)
-//! or `about://tracing`: one track (process) per node, one async span per
-//! entry per node bracketing its lifecycle, and an instant event per
-//! phase boundary. [`validate_chrome_trace`] re-parses our own output
-//! and proves it structurally sound (balanced `b`/`e` pairs, monotone
-//! timestamps per track) — used by the golden tests and by
+//! [`validate_chrome_trace`] re-parses our own output and proves it
+//! structurally sound (balanced `b`/`e` and `s`/`f` pairs, monotone
+//! timestamps per track) — used by the golden test and by
 //! `scripts/check.sh` via the trace bin.
 //!
 //! [`breakdown`] reduces a drained event stream to the paper's Fig. 11
@@ -14,25 +13,40 @@
 //! same run.
 
 use crate::json::{self, Value};
-use crate::{Event, EventKind, Time};
+use crate::{pack_hop_value, unpack_hop_value, Event, EventKind, Time};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Appends an event's kind-specific payload as JSON members: a hop
+/// kind's peer and byte count by name, any other kind's `value`.
+pub(crate) fn write_payload(out: &mut String, ev: &Event) {
+    let _ = if ev.kind.is_hop() {
+        let (peer, bytes) = unpack_hop_value(ev.value);
+        write!(out, r#""peer":[{},{}],"bytes":{bytes}"#, peer.0, peer.1)
+    } else {
+        write!(out, r#""value":{}"#, ev.value)
+    };
+}
+
 /// Serializes events as JSONL: one self-describing JSON object per line.
+/// A send, deliver or drop names its peer and size
+/// (`"peer":[g,n],"bytes":N`), so the log greps by node without
+/// unpacking anything.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for ev in events {
-        let _ = writeln!(
+        let _ = write!(
             out,
-            r#"{{"at":{},"kind":"{}","node":[{},{}],"entry":[{},{}],"value":{}}}"#,
+            r#"{{"at":{},"kind":"{}","node":[{},{}],"entry":[{},{}],"#,
             ev.at,
             ev.kind.name(),
             ev.node.0,
             ev.node.1,
             ev.entry.0,
-            ev.entry.1,
-            ev.value
+            ev.entry.1
         );
+        write_payload(&mut out, ev);
+        out.push_str("}\n");
     }
     out
 }
@@ -75,126 +89,21 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
             .ok_or_else(|| format!("line {}: unknown kind {kind_name:?}", lineno + 1))?;
         let node = pair("node")?;
         let entry = pair("entry")?;
+        let value = if kind.is_hop() {
+            let peer = pair("peer")?;
+            pack_hop_value((peer.0 as u32, peer.1 as u32), num("bytes")?)
+        } else {
+            num("value")?
+        };
         out.push(Event {
             at: num("at")?,
             kind,
             node: (node.0 as u32, node.1 as u32),
             entry: (entry.0 as u32, entry.1),
-            value: num("value")?,
+            value,
         });
     }
     Ok(out)
-}
-
-/// Sequential Chrome pid per node, deterministic (node-sorted).
-fn node_pids(events: &[Event]) -> BTreeMap<(u32, u32), u64> {
-    let mut pids = BTreeMap::new();
-    for ev in events {
-        pids.entry(ev.node).or_insert(0);
-    }
-    for (i, pid) in pids.values_mut().enumerate() {
-        *pid = i as u64 + 1;
-    }
-    pids
-}
-
-/// Renders events as Chrome `trace_event` JSON (Perfetto-loadable).
-///
-/// Layout: one process per node (named `node <g>/<n>`), an async
-/// `b`/`e` span per `(node, entry)` bracketing that entry's lifecycle on
-/// that node, and an instant event per recorded phase boundary. Network
-/// debug events become instant events in the `net` category.
-pub fn to_chrome_trace(events: &[Event]) -> String {
-    let pids = node_pids(events);
-
-    // First/last lifecycle timestamp per (node, entry) → async span.
-    type SpanKey = ((u32, u32), (u32, u64));
-    let mut spans: BTreeMap<SpanKey, (Time, Time)> = BTreeMap::new();
-    for ev in events {
-        if ev.entry == (0, 0) || !EventKind::LIFECYCLE.contains(&ev.kind) {
-            continue;
-        }
-        let span = spans.entry((ev.node, ev.entry)).or_insert((ev.at, ev.at));
-        span.0 = span.0.min(ev.at);
-        span.1 = span.1.max(ev.at);
-    }
-
-    let mut out = String::with_capacity(events.len() * 160);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&s);
-    };
-
-    for (node, pid) in &pids {
-        push(
-            format!(
-                r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"node {}/{}"}}}}"#,
-                node.0, node.1
-            ),
-            &mut out,
-            &mut first,
-        );
-        push(
-            format!(
-                r#"{{"name":"process_sort_index","ph":"M","pid":{pid},"tid":0,"args":{{"sort_index":{pid}}}}}"#
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-
-    // (ts, serialized) for all timed records, then emit time-sorted so
-    // every track's timestamps are monotone.
-    let mut timed: Vec<(Time, u8, String)> = Vec::with_capacity(events.len() + spans.len() * 2);
-    for (&(node, entry), &(start, end)) in &spans {
-        let pid = pids[&node];
-        let id = format!("p{pid}-{}.{}", entry.0, entry.1);
-        let name = format!("entry {}:{}", entry.0, entry.1);
-        timed.push((
-            start,
-            0, // "b" sorts before same-ts instants
-            format!(
-                r#"{{"name":"{name}","cat":"entry","ph":"b","id":"{id}","ts":{start},"pid":{pid},"tid":0}}"#
-            ),
-        ));
-        timed.push((
-            end,
-            2, // "e" sorts after same-ts instants
-            format!(
-                r#"{{"name":"{name}","cat":"entry","ph":"e","id":"{id}","ts":{end},"pid":{pid},"tid":0}}"#
-            ),
-        ));
-    }
-    for ev in events {
-        let pid = pids[&ev.node];
-        let cat = if EventKind::LIFECYCLE.contains(&ev.kind) {
-            "phase"
-        } else if ev.kind.is_view_event() {
-            "view"
-        } else {
-            "net"
-        };
-        timed.push((
-            ev.at,
-            1,
-            format!(
-                r#"{{"name":"{}","cat":"{cat}","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"entry":"{}:{}","value":{}}}}}"#,
-                ev.kind.name(), ev.at, ev.entry.0, ev.entry.1, ev.value
-            ),
-        ));
-    }
-    timed.sort_by_key(|t| (t.0, t.1));
-    for (_, _, s) in timed {
-        push(s, &mut out, &mut first);
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 /// What [`validate_chrome_trace`] proves about a trace document.
@@ -204,7 +113,7 @@ pub struct TraceSummary {
     pub tracks: usize,
     /// Balanced async spans (`b`/`e` pairs).
     pub spans: usize,
-    /// Balanced flow arrows (`s`/`f` pairs — WAN hops in stitched traces).
+    /// Balanced flow arrows (`s`/`f` pairs — the paired hops).
     pub flows: usize,
     /// Instant events per phase name.
     pub kind_counts: BTreeMap<String, u64>,
@@ -444,6 +353,18 @@ mod tests {
             mk(220, EventKind::Certified, (0, 0), 0),
             mk(230, EventKind::Encoded, (0, 0), 4096),
             mk(240, EventKind::WanTransferStart, (0, 0), 4096),
+            mk(
+                241,
+                EventKind::NetWanSend,
+                (0, 0),
+                pack_hop_value((1, 0), 1400),
+            ),
+            mk(
+                399,
+                EventKind::NetDeliver,
+                (1, 0),
+                pack_hop_value((0, 0), 1400),
+            ),
             mk(400, EventKind::ChunkRebuilt, (1, 0), 4096),
             mk(520, EventKind::GlobalCommit, (0, 0), 0),
             mk(530, EventKind::GlobalCommit, (1, 0), 0),
@@ -460,6 +381,10 @@ mod tests {
         assert_eq!(text.lines().count(), events.len());
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, events);
+        // A hop's peer and size are named fields, not a packed number.
+        let send = text.lines().find(|l| l.contains("net_wan_send")).unwrap();
+        assert!(send.ends_with(r#""entry":[0,1],"peer":[1,0],"bytes":1400}"#));
+        assert!(!send.contains("value"));
     }
 
     #[test]
@@ -470,41 +395,11 @@ mod tests {
         )
         .is_err());
         assert!(parse_jsonl("not json").is_err());
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_and_complete() {
-        let trace = to_chrome_trace(&lifecycle_events());
-        let summary = validate_chrome_trace(&trace).unwrap();
-        assert_eq!(summary.tracks, 2); // nodes (0,0) and (1,0)
-        assert_eq!(summary.spans, 2); // one async span per (node, entry)
-        assert_eq!(summary.kind_counts["submitted"], 1);
-        assert_eq!(summary.kind_counts["executed"], 2);
-    }
-
-    // Golden-file shape test: the exact serialization of a tiny trace.
-    // If the emitter changes representation, this fails loudly so the
-    // change is a conscious one (Perfetto compatibility is at stake).
-    #[test]
-    fn chrome_trace_golden() {
-        let events = vec![Event {
-            at: 7,
-            kind: EventKind::Submitted,
-            node: (0, 0),
-            entry: (0, 1),
-            value: 2,
-        }];
-        let golden = concat!(
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"node 0/0\"}},\n",
-            "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"sort_index\":1}},\n",
-            "{\"name\":\"entry 0:1\",\"cat\":\"entry\",\"ph\":\"b\",\"id\":\"p1-0.1\",\"ts\":7,\"pid\":1,\"tid\":0},\n",
-            "{\"name\":\"submitted\",\"cat\":\"phase\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":0,\"args\":{\"entry\":\"0:1\",\"value\":2}},\n",
-            "{\"name\":\"entry 0:1\",\"cat\":\"entry\",\"ph\":\"e\",\"id\":\"p1-0.1\",\"ts\":7,\"pid\":1,\"tid\":0}\n",
-            "]}\n",
-        );
-        assert_eq!(to_chrome_trace(&events), golden);
-        validate_chrome_trace(golden).unwrap();
+        // A hop kind must name its peer.
+        assert!(parse_jsonl(
+            "{\"at\":1,\"kind\":\"net_deliver\",\"node\":[0,0],\"entry\":[0,0],\"value\":0}"
+        )
+        .is_err());
     }
 
     #[test]

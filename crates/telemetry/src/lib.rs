@@ -15,11 +15,13 @@
 //!   log-bucketed histograms with p50/p95/p99 queries. The legacy stat
 //!   surfaces (`massbft-core::stats`, `massbft-db::stats`,
 //!   `massbft-sim-net::Metrics`) are thin facades over this registry.
-//! - **Exporters** ([`export`]): JSONL event logs and Chrome
-//!   `trace_event` JSON loadable in Perfetto / `about://tracing` — one
-//!   track per node, one async span per entry — plus the per-phase
-//!   latency-breakdown table the `trace` bench binary prints (paper
-//!   Fig. 11).
+//! - **Exporters** ([`export`], [`stitch`]): JSONL event logs, the
+//!   per-phase latency-breakdown table the `trace` bench binary prints
+//!   (paper Fig. 11), and the stitcher that merges per-node streams by
+//!   entry, pairs the drivers' send and deliver records into cross-node
+//!   hops and writes Chrome `trace_event` JSON loadable in Perfetto /
+//!   `about://tracing` — one track per node, one async span per entry,
+//!   one flow arrow per hop.
 //!
 //! # Quickstart
 //!
@@ -65,17 +67,21 @@ pub enum Verbosity {
     Quiet = 0,
     /// Entry-lifecycle span events and registry metrics.
     Spans = 1,
-    /// Spans plus per-message network debug events (deliveries, drops,
-    /// WAN/LAN sends, timer fires) — the machine-parseable replacement
-    /// for println spelunking in the simulator.
+    /// Spans plus a hop event for every message, not only those on an
+    /// entry's data path, and timer fires — the machine-parseable
+    /// replacement for println spelunking, in either driver.
     Debug = 2,
 }
 
 /// One phase boundary (or debug occurrence) in an entry's life.
 ///
-/// The first block mirrors the paper's latency decomposition (Fig. 11);
-/// the `Net*` kinds are simulator debug events only recorded at
-/// [`Verbosity::Debug`].
+/// The first block mirrors the paper's latency decomposition (Fig. 11).
+/// The four hop kinds (`NetWanSend`, `NetLanSend`, `NetDeliver`,
+/// `NetDrop`) are recorded by both drivers at the routing seam
+/// (`massbft_sim_net::fault`): at [`Verbosity::Spans`] for messages on
+/// an entry's data path, whose `entry` names it, and at
+/// [`Verbosity::Debug`] for every message. Their `value` is the peer and
+/// the modelled wire size ([`pack_hop_value`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -105,13 +111,14 @@ pub enum EventKind {
     Ordered = 11,
     /// Entry executed by the Aria pipeline at this node.
     Executed = 12,
-    /// Debug: message enqueued on a WAN uplink.
+    /// A message left this node for the peer over a WAN link.
     NetWanSend = 13,
-    /// Debug: message enqueued on a LAN link.
+    /// A message left this node for the peer over a LAN link.
     NetLanSend = 14,
-    /// Debug: message delivered to its destination handler.
+    /// A message from the peer was handed to this node's handler.
     NetDeliver = 15,
-    /// Debug: message dropped (crash or partition).
+    /// A message to or from the peer was dropped here (crashed
+    /// destination or an injected link fault).
     NetDrop = 16,
     /// Debug: timer fired.
     NetTimer = 17,
@@ -124,13 +131,6 @@ pub enum EventKind {
     /// View-change driver: replica adopted a new view via `NewView`
     /// (`value` = the adopted view).
     NewViewAdopted = 20,
-    /// A frame carrying this entry left a node over TCP with a trace
-    /// context attached (`value` = packed hop/origin, see
-    /// [`pack_hop_value`]). Recorded by the runtime driver only.
-    HopSend = 21,
-    /// A frame carrying this entry arrived at a node over TCP with a
-    /// trace context attached (`value` = packed hop/origin).
-    HopRecv = 22,
 }
 
 impl EventKind {
@@ -175,8 +175,6 @@ impl EventKind {
             EventKind::ViewStallDetected => "view_stall_detected",
             EventKind::ViewChangeStarted => "view_change_started",
             EventKind::NewViewAdopted => "new_view_adopted",
-            EventKind::HopSend => "hop_send",
-            EventKind::HopRecv => "hop_recv",
         }
     }
 
@@ -186,6 +184,18 @@ impl EventKind {
         matches!(
             self,
             EventKind::ViewStallDetected | EventKind::ViewChangeStarted | EventKind::NewViewAdopted
+        )
+    }
+
+    /// Whether this is a hop kind: a message seen leaving, arriving or
+    /// dropped at a node, with the peer and byte count in `value`.
+    pub(crate) fn is_hop(&self) -> bool {
+        matches!(
+            self,
+            EventKind::NetWanSend
+                | EventKind::NetLanSend
+                | EventKind::NetDeliver
+                | EventKind::NetDrop
         )
     }
 
@@ -199,7 +209,7 @@ impl EventKind {
     }
 }
 
-const ALL_KINDS: [EventKind; 23] = [
+const ALL_KINDS: [EventKind; 21] = [
     EventKind::Submitted,
     EventKind::PbftPrePrepare,
     EventKind::PbftPrepare,
@@ -221,19 +231,21 @@ const ALL_KINDS: [EventKind; 23] = [
     EventKind::ViewStallDetected,
     EventKind::ViewChangeStarted,
     EventKind::NewViewAdopted,
-    EventKind::HopSend,
-    EventKind::HopRecv,
 ];
 
-/// Packs the `value` payload of a hop event: low 8 bits carry the hop
-/// counter, the next 16 the origin group, the next 8 the origin node.
-pub fn pack_hop_value(hop: u8, origin_group: u16, origin_node: u8) -> u64 {
-    (hop as u64) | ((origin_group as u64) << 8) | ((origin_node as u64) << 24)
+/// Packs the `value` payload of a hop event (the `Net*` send, deliver
+/// and drop kinds): the low 32 bits carry the message's modelled wire
+/// size, the next 16 the peer's node index, the top 16 the peer's group.
+pub fn pack_hop_value(peer: (u32, u32), bytes: u64) -> u64 {
+    (bytes & 0xFFFF_FFFF) | ((peer.1 as u64 & 0xFFFF) << 32) | ((peer.0 as u64) << 48)
 }
 
-/// Inverse of [`pack_hop_value`]: `(hop, origin_group, origin_node)`.
-pub fn unpack_hop_value(v: u64) -> (u8, u16, u8) {
-    (v as u8, (v >> 8) as u16, (v >> 24) as u8)
+/// Inverse of [`pack_hop_value`]: `(peer, bytes)`.
+pub fn unpack_hop_value(v: u64) -> ((u32, u32), u64) {
+    (
+        ((v >> 48) as u32, (v >> 32) as u32 & 0xFFFF),
+        v & 0xFFFF_FFFF,
+    )
 }
 
 /// One telemetry event: a phase boundary stamped with virtual time.
@@ -246,10 +258,11 @@ pub struct Event {
     /// The node it happened on, as `(group, index)`.
     pub node: (u32, u32),
     /// The entry it concerns, as `(gid, seq)` — `(0, 0)` for events not
-    /// tied to an entry (network debug events use the destination node).
+    /// tied to an entry.
     pub entry: (u32, u64),
     /// Kind-specific payload: bytes for transfers, the clock value for
-    /// `VtsAssigned`, committed transactions for `Executed`, 0 otherwise.
+    /// `VtsAssigned`, committed transactions for `Executed`, peer and
+    /// bytes for hop kinds ([`pack_hop_value`]), 0 otherwise.
     pub value: u64,
 }
 

@@ -1,21 +1,23 @@
-//! Cross-node trace stitching (ISSUE 9 tentpole §2).
+//! Cross-node trace stitching.
 //!
-//! The per-node exporters in [`crate::export`] draw one async span per
-//! `(node, entry)`; a committed entry therefore appears as N disjoint
-//! spans with no causal thread between them. This module merges
-//! per-node event streams (JSONL dumps or live `/trace` scrapes) **by
-//! entry id** into one distributed span per entry, and pairs the
-//! [`crate::EventKind::HopSend`] / [`crate::EventKind::HopRecv`] probes
-//! the TCP runtime records into WAN flow arrows between node tracks.
+//! A node's events say what happened *there*; a committed entry therefore
+//! appears as N disjoint per-node histories with no causal thread between
+//! them. This module merges per-node event streams (a drained simulator
+//! ring, JSONL dumps, live `/trace` scrapes) **by entry id** into one
+//! distributed span per entry, and pairs the send and deliver records
+//! both drivers' probes leave (`massbft_sim_net::fault`) into hops
+//! between node tracks. Nothing about a hop travels with the message:
+//! which send a deliver answers is decided per link, and hop numbers
+//! and origins are a walk over the send → deliver → send chain.
 //!
 //! Loss is declared, never papered over: each input stream carries its
-//! own ring-wraparound count, the stitched result sums them, and hop
-//! events that lost their causal partner are counted as orphans instead
-//! of being force-paired to the wrong span.
+//! own ring-wraparound count, the stitched result sums them, and a
+//! deliver whose send is missing is counted as an orphan instead of
+//! being force-paired to another link's send.
 
+use crate::export::write_payload;
 use crate::{unpack_hop_value, Event, EventKind, Time};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One node-local event stream: a `/trace` scrape or a JSONL dump.
 #[derive(Debug, Clone, Default)]
@@ -28,16 +30,20 @@ pub struct NodeStream {
     pub dropped: u64,
 }
 
-/// A matched WAN hop: a frame carrying the entry left `from` and was
-/// decoded at `to`.
+/// A matched hop: a message carrying the entry left `from` and was
+/// handed to `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// Sending node.
     pub from: (u32, u32),
     /// Receiving node.
     pub to: (u32, u32),
-    /// Hop counter carried in the trace context (0 = origin send).
+    /// How many deliveries of the entry led up to this send: 0 when
+    /// `from` had not received the entry before sending, else one more
+    /// than the hop that first brought it there.
     pub hop: u8,
+    /// The node whose hop-0 send starts the chain this hop is on.
+    pub origin: (u32, u32),
     /// Send timestamp (sender's clock), µs.
     pub send_at: Time,
     /// Receive timestamp (receiver's clock), µs.
@@ -57,13 +63,11 @@ pub struct StitchedEntry {
     pub nodes: BTreeSet<(u32, u32)>,
     /// All events for the entry, `(at, kind)`-sorted.
     pub events: Vec<Event>,
-    /// Matched WAN hops, send-time order.
+    /// Matched hops, send-time order.
     pub hops: Vec<Hop>,
-    /// Hop events whose causal partner is missing: a `HopRecv` with no
-    /// earlier matching `HopSend`, or a relayed `HopSend` (hop > 0)
-    /// with no prior `HopRecv` of hop-1 at the same node. Non-zero with
-    /// `dropped == 0` means mis-ordered probes; with loss it means the
-    /// partner was overwritten — reported, not mis-stitched.
+    /// Delivers that no recorded send on their link accounts for. With
+    /// ring loss the send was overwritten — reported, not mis-stitched;
+    /// with `dropped == 0` it is a copy a duplicating link fault made.
     pub orphan_hops: usize,
     /// Whether the entry reached global commit or execution anywhere.
     pub committed: bool,
@@ -88,10 +92,14 @@ impl Stitched {
         self.entries.values().filter(|e| e.committed)
     }
 
-    /// `true` when every hop event found its causal partner. Expected
-    /// to hold whenever [`Stitched::dropped`] is zero.
+    /// `true` when no deliver is an orphan and every hop was sent no
+    /// later than it was received. Expected to hold whenever
+    /// [`Stitched::dropped`] is zero *and* every stream was stamped by
+    /// one clock; pairing itself never compares two nodes' timestamps.
     pub fn hops_ordered(&self) -> bool {
-        self.entries.values().all(|e| e.orphan_hops == 0)
+        self.entries
+            .values()
+            .all(|e| e.orphan_hops == 0 && e.hops.iter().all(|h| h.send_at <= h.recv_at))
     }
 
     /// Total matched hops across all entries.
@@ -101,10 +109,7 @@ impl Stitched {
 }
 
 fn is_entry_event(ev: &Event) -> bool {
-    ev.entry != (0, 0)
-        && (EventKind::LIFECYCLE.contains(&ev.kind)
-            || ev.kind == EventKind::HopSend
-            || ev.kind == EventKind::HopRecv)
+    ev.entry != (0, 0) && (EventKind::LIFECYCLE.contains(&ev.kind) || ev.kind.is_hop())
 }
 
 /// Merges per-node streams into one distributed trace.
@@ -148,67 +153,127 @@ pub fn stitch(streams: &[NodeStream]) -> Stitched {
     out
 }
 
-/// Pairs each `HopRecv` with the closest preceding `HopSend` carrying
-/// the same hop counter and origin (one send fans out to many receivers
-/// on a broadcast, so sends are not consumed). Relayed sends (hop > 0)
-/// additionally need a prior hop-1 receive at the sending node to count
-/// as causally grounded.
-fn pair_hops(e: &mut StitchedEntry) {
-    let sends: Vec<&Event> = e
-        .events
-        .iter()
-        .filter(|ev| ev.kind == EventKind::HopSend)
-        .collect();
-    let recvs: Vec<&Event> = e
-        .events
-        .iter()
-        .filter(|ev| ev.kind == EventKind::HopRecv)
-        .collect();
-    let mut hops = Vec::new();
-    let mut orphans = 0usize;
-    for r in &recvs {
-        let (hop, og, on) = unpack_hop_value(r.value);
-        let m = sends
-            .iter()
-            .filter(|s| {
-                let (sh, sg, sn) = unpack_hop_value(s.value);
-                (sh, sg, sn) == (hop, og, on) && s.at <= r.at && s.node != r.node
-            })
-            .max_by_key(|s| s.at);
-        match m {
-            Some(s) => hops.push(Hop {
-                from: s.node,
-                to: r.node,
-                hop,
-                send_at: s.at,
-                recv_at: r.at,
-            }),
-            None => orphans += 1,
-        }
-    }
-    for s in &sends {
-        let (hop, _, _) = unpack_hop_value(s.value);
-        if hop == 0 {
-            continue; // origin send needs no predecessor
-        }
-        let grounded = recvs.iter().any(|r| {
-            let (rh, _, _) = unpack_hop_value(r.value);
-            rh + 1 == hop && r.node == s.node && r.at <= s.at
-        });
-        if !grounded {
-            orphans += 1;
-        }
-    }
-    hops.sort_by_key(|h| (h.send_at, h.recv_at));
-    e.hops = hops;
-    e.orphan_hops = orphans;
+/// One recorded send of the entry, with the hop number and origin
+/// [`pair_hops`] derives for it.
+struct Sent {
+    node: (u32, u32),
+    at: Time,
+    hop: u8,
+    origin: (u32, u32),
+    /// The send that first brought the entry to `node`, if one did
+    /// before this send left.
+    via: Option<usize>,
 }
 
-/// Renders a stitched trace as Chrome `trace_event` JSON: **one** async
-/// span per entry on a synthetic `cluster` track (pid 0) bracketing the
-/// entry's earliest-to-latest activity across every node, per-node
-/// instant tracks exactly like [`crate::export::to_chrome_trace`], and
-/// a flow arrow (`ph:"s"` → `ph:"f"`) per matched WAN hop. The
+/// Pairs the entry's delivers with its sends and numbers the hops.
+///
+/// Pairing is per link: the k-th deliver at `to` from `from` answers the
+/// k-th send at `from` to `to` (a link is FIFO per lane and its two ends
+/// each have one clock, so neither order needs the other's timestamps);
+/// a deliver beyond the sends recorded on its link is an orphan. A send
+/// is hop 0 with its own node as origin unless the node had received the
+/// entry by then, in which case it continues the chain of the node's
+/// first receipt — compared on that node's clock only.
+fn pair_hops(e: &mut StitchedEntry) {
+    type Node = (u32, u32);
+    let mut sends: Vec<Sent> = Vec::new();
+    let mut link_sends: BTreeMap<(Node, Node), VecDeque<usize>> = BTreeMap::new();
+    for ev in &e.events {
+        if matches!(ev.kind, EventKind::NetWanSend | EventKind::NetLanSend) {
+            let (peer, _) = unpack_hop_value(ev.value);
+            link_sends
+                .entry((ev.node, peer))
+                .or_default()
+                .push_back(sends.len());
+            sends.push(Sent {
+                node: ev.node,
+                at: ev.at,
+                hop: 0,
+                origin: ev.node,
+                via: None,
+            });
+        }
+    }
+
+    // Node → when the entry first arrived, from whom, by which send.
+    let mut first_receipt: BTreeMap<Node, (Time, Node, Option<usize>)> = BTreeMap::new();
+    let mut paired: Vec<(usize, Node, Time)> = Vec::new();
+    for ev in &e.events {
+        let (peer, _) = unpack_hop_value(ev.value);
+        // A node's message to itself never crossed a link.
+        if ev.kind != EventKind::NetDeliver || peer == ev.node {
+            continue;
+        }
+        let send = link_sends
+            .get_mut(&(peer, ev.node))
+            .and_then(VecDeque::pop_front);
+        match send {
+            Some(s) => paired.push((s, ev.node, ev.at)),
+            None => e.orphan_hops += 1,
+        }
+        first_receipt.entry(ev.node).or_insert((ev.at, peer, send));
+    }
+
+    for s in &mut sends {
+        match first_receipt.get(&s.node) {
+            Some(&(at, _, via @ Some(_))) if at <= s.at => s.via = via,
+            // Received from a peer whose send is lost: one hop at least.
+            Some(&(at, peer, None)) if at <= s.at => (s.hop, s.origin) = (1, peer),
+            _ => {}
+        }
+    }
+    // Hop numbers and origins flow down the chain. On one clock the list
+    // is in causal order and the first round settles it; the bound stops
+    // a cycle that mispairing under ring loss could fake.
+    for _ in 0..sends.len() {
+        let mut changed = false;
+        for i in 0..sends.len() {
+            let Some(via) = sends[i].via else { continue };
+            let derived = (sends[via].hop.saturating_add(1), sends[via].origin);
+            changed |= derived != (sends[i].hop, sends[i].origin);
+            (sends[i].hop, sends[i].origin) = derived;
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    e.hops = paired
+        .into_iter()
+        .map(|(s, to, recv_at)| Hop {
+            from: sends[s].node,
+            to,
+            hop: sends[s].hop,
+            origin: sends[s].origin,
+            send_at: sends[s].at,
+            recv_at,
+        })
+        .collect();
+    e.hops.sort_by_key(|h| (h.send_at, h.recv_at));
+}
+
+/// One instant event on a node's track.
+fn instant(ev: &Event, cat: &str, pid: u64) -> String {
+    let mut s = format!(
+        r#"{{"name":"{}","cat":"{cat}","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"entry":"{}:{}","#,
+        ev.kind.name(),
+        ev.at,
+        ev.entry.0,
+        ev.entry.1
+    );
+    write_payload(&mut s, ev);
+    s.push_str("}}");
+    s
+}
+
+/// Renders a stitched trace as Chrome `trace_event` JSON (loadable in
+/// Perfetto or `about://tracing`): **one** async span per entry on a
+/// synthetic `cluster` track (pid 0) bracketing the entry's
+/// earliest-to-latest activity across every node, one process per node
+/// (named `node <g>/<n>`) with an instant event per recorded phase
+/// boundary, hop or debug occurrence, and a flow arrow (`ph:"s"` →
+/// `ph:"f"`) per matched hop. A hop that reads backwards — its two ends
+/// stamped by the clocks of different processes — gets no arrow. The
 /// cluster track's metadata declares the summed ring loss.
 pub fn to_chrome_trace(st: &Stitched) -> String {
     let mut pids: BTreeMap<(u32, u32), u64> = BTreeMap::new();
@@ -255,6 +320,8 @@ pub fn to_chrome_trace(st: &Stitched) -> String {
         );
     }
 
+    // (ts, rank, serialized) for all timed records, then emitted
+    // time-sorted so every track's timestamps are monotone.
     let mut timed: Vec<(Time, u8, String)> = Vec::new();
     for e in st.entries.values() {
         let id = format!("x{}.{}", e.entry.0, e.entry.1);
@@ -277,31 +344,18 @@ pub fn to_chrome_trace(st: &Stitched) -> String {
             ),
         ));
         for ev in &e.events {
-            let pid = pids[&ev.node];
-            let cat = match ev.kind {
-                EventKind::HopSend | EventKind::HopRecv => "hop",
-                _ => "phase",
-            };
-            timed.push((
-                ev.at,
-                1,
-                format!(
-                    r#"{{"name":"{}","cat":"{cat}","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"entry":"{}:{}","value":{}}}}}"#,
-                    ev.kind.name(),
-                    ev.at,
-                    ev.entry.0,
-                    ev.entry.1,
-                    ev.value
-                ),
-            ));
+            let cat = if ev.kind.is_hop() { "hop" } else { "phase" };
+            timed.push((ev.at, 1, instant(ev, cat, pids[&ev.node])));
         }
-        for (i, h) in e.hops.iter().enumerate() {
+        let forward = e.hops.iter().filter(|h| h.send_at <= h.recv_at);
+        for (i, h) in forward.enumerate() {
             let fid = format!("w{}.{}-{i}", e.entry.0, e.entry.1);
+            let cat = if h.from.0 != h.to.0 { "wan" } else { "lan" };
             timed.push((
                 h.send_at,
                 2,
                 format!(
-                    r#"{{"name":"hop{}","cat":"wan","ph":"s","id":"{fid}","ts":{},"pid":{},"tid":0}}"#,
+                    r#"{{"name":"hop{}","cat":"{cat}","ph":"s","id":"{fid}","ts":{},"pid":{},"tid":0}}"#,
                     h.hop, h.send_at, pids[&h.from]
                 ),
             ));
@@ -309,31 +363,19 @@ pub fn to_chrome_trace(st: &Stitched) -> String {
                 h.recv_at,
                 2,
                 format!(
-                    r#"{{"name":"hop{}","cat":"wan","ph":"f","bp":"e","id":"{fid}","ts":{},"pid":{},"tid":0}}"#,
+                    r#"{{"name":"hop{}","cat":"{cat}","ph":"f","bp":"e","id":"{fid}","ts":{},"pid":{},"tid":0}}"#,
                     h.hop, h.recv_at, pids[&h.to]
                 ),
             ));
         }
     }
     for ev in &st.loose {
-        let pid = pids[&ev.node];
         let cat = if ev.kind.is_view_event() {
             "view"
         } else {
             "net"
         };
-        timed.push((
-            ev.at,
-            1,
-            format!(
-                r#"{{"name":"{}","cat":"{cat}","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"entry":"{}:{}","value":{}}}}}"#,
-                ev.kind.name(),
-                ev.at,
-                ev.entry.0,
-                ev.entry.1,
-                ev.value
-            ),
-        ));
+        timed.push((ev.at, 1, instant(ev, cat, pids[&ev.node])));
     }
     timed.sort_by_key(|t| (t.0, t.1));
     for (_, _, s) in timed {
@@ -341,25 +383,6 @@ pub fn to_chrome_trace(st: &Stitched) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// Serializes a stitched trace summary as a JSON object (for
-/// BENCH_obs.json and flight-recorder dumps).
-pub fn summary_json(st: &Stitched) -> String {
-    let committed = st.committed().count();
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        r#"{{"sources":{},"entries":{},"committed":{},"hops":{},"orphan_hops":{},"ring_dropped":{},"hops_ordered":{}}}"#,
-        st.sources,
-        st.entries.len(),
-        committed,
-        st.total_hops(),
-        st.entries.values().map(|e| e.orphan_hops).sum::<usize>(),
-        st.dropped,
-        st.hops_ordered()
-    );
-    s
 }
 
 #[cfg(test)]
@@ -379,39 +402,46 @@ mod tests {
         }
     }
 
+    /// A 4 KiB message of `entry` seen at `node`, going to or coming
+    /// from `peer`.
+    fn hop(
+        at: Time,
+        kind: EventKind,
+        node: (u32, u32),
+        peer: (u32, u32),
+        entry: (u32, u64),
+    ) -> Event {
+        ev(at, kind, node, entry, pack_hop_value(peer, 4096))
+    }
+
+    fn stream(source: &str, events: Vec<Event>) -> NodeStream {
+        NodeStream {
+            source: source.into(),
+            events,
+            dropped: 0,
+        }
+    }
+
     /// Two nodes, one committed entry: origin (0,0) runs local PBFT,
-    /// ships over WAN to (1,0), which rebuilds and commits.
+    /// ships over WAN to (1,0), which rebuilds, re-shares and commits.
     fn two_node_streams() -> Vec<NodeStream> {
         let e = (0u32, 1u64);
-        let h0 = pack_hop_value(0, 0, 0);
-        let h1 = pack_hop_value(1, 0, 0);
         let a = vec![
             ev(100, EventKind::Submitted, (0, 0), e, 3),
             ev(200, EventKind::Certified, (0, 0), e, 0),
             ev(210, EventKind::Encoded, (0, 0), e, 4096),
-            ev(220, EventKind::HopSend, (0, 0), e, h0),
+            hop(220, EventKind::NetWanSend, (0, 0), (1, 0), e),
             ev(900, EventKind::GlobalCommit, (0, 0), e, 0),
             ev(950, EventKind::Executed, (0, 0), e, 3),
         ];
         let b = vec![
-            ev(400, EventKind::HopRecv, (1, 0), e, h0),
+            hop(400, EventKind::NetDeliver, (1, 0), (0, 0), e),
             ev(450, EventKind::ChunkRebuilt, (1, 0), e, 4096),
-            ev(460, EventKind::HopSend, (1, 0), e, h1),
+            hop(460, EventKind::NetLanSend, (1, 0), (1, 1), e),
             ev(910, EventKind::GlobalCommit, (1, 0), e, 0),
             ev(960, EventKind::Executed, (1, 0), e, 3),
         ];
-        vec![
-            NodeStream {
-                source: "node0".into(),
-                events: a,
-                dropped: 0,
-            },
-            NodeStream {
-                source: "node1".into(),
-                events: b,
-                dropped: 0,
-            },
-        ]
+        vec![stream("node0", a), stream("node1", b)]
     }
 
     #[test]
@@ -425,6 +455,7 @@ mod tests {
         assert_eq!(e.hops.len(), 1);
         assert_eq!(e.hops[0].from, (0, 0));
         assert_eq!(e.hops[0].to, (1, 0));
+        assert_eq!((e.hops[0].hop, e.hops[0].origin), (0, (0, 0)));
         assert!(st.hops_ordered(), "orphans: {}", e.orphan_hops);
 
         let trace = to_chrome_trace(&st);
@@ -432,19 +463,56 @@ mod tests {
         assert_eq!(sum.spans, 1, "exactly one async span per entry");
         assert_eq!(sum.flows, 1);
         assert_eq!(sum.tracks, 3); // cluster + two nodes
+        assert_eq!(sum.kind_counts["submitted"], 1);
+        assert_eq!(sum.kind_counts["executed"], 2);
+    }
+
+    /// The two processes' clocks differ by a second, so the WAN deliver
+    /// is stamped before its send. Pairing is per link and grounding per
+    /// node, so nothing is orphaned and the relay still reads as hop 1
+    /// of the origin's chain; only the single-clock check objects.
+    #[test]
+    fn pairing_never_compares_clocks_of_different_processes() {
+        const SKEW: Time = 1_000_000;
+        let e = (0u32, 1u64);
+        let a = vec![
+            ev(SKEW + 100, EventKind::Submitted, (0, 0), e, 3),
+            hop(SKEW + 220, EventKind::NetWanSend, (0, 0), (1, 0), e),
+        ];
+        let b = vec![
+            hop(400, EventKind::NetDeliver, (1, 0), (0, 0), e),
+            hop(460, EventKind::NetLanSend, (1, 0), (1, 1), e),
+            hop(800, EventKind::NetDeliver, (1, 1), (1, 0), e),
+            ev(960, EventKind::Executed, (1, 1), e, 3),
+        ];
+        let st = stitch(&[stream("proc0", a), stream("proc1", b)]);
+        let en = &st.entries[&e];
+        assert_eq!(en.orphan_hops, 0);
+        assert_eq!(st.total_hops(), 2);
+        let wan = en.hops.iter().find(|h| h.from == (0, 0)).unwrap();
+        assert_eq!((wan.to, wan.hop, wan.origin), ((1, 0), 0, (0, 0)));
+        assert_eq!((wan.send_at, wan.recv_at), (SKEW + 220, 400));
+        let lan = en.hops.iter().find(|h| h.from == (1, 0)).unwrap();
+        assert_eq!((lan.to, lan.hop, lan.origin), ((1, 1), 1, (0, 0)));
+        assert!(!st.hops_ordered(), "the WAN hop reads backwards");
+        // The backwards hop gets no arrow; the document stays valid.
+        let sum = validate_chrome_trace(&to_chrome_trace(&st)).unwrap();
+        assert_eq!(sum.flows, 1);
     }
 
     #[test]
     fn orphan_recv_is_counted_not_mispaired() {
         let mut streams = two_node_streams();
-        // Lose the origin HopSend, as a wrapped ring would.
-        streams[0].events.retain(|e| e.kind != EventKind::HopSend);
+        // Lose the origin's send, as a wrapped ring would.
+        streams[0]
+            .events
+            .retain(|e| e.kind != EventKind::NetWanSend);
         streams[0].dropped = 1;
         let st = stitch(&streams);
         assert_eq!(st.dropped, 1);
         let e = &st.entries[&(0, 1)];
-        // The (1,0) recv lost its partner; the hop-1 relay send is still
-        // grounded by that recv. No fabricated pair appears.
+        // The (1,0) deliver lost its partner; the relay send on another
+        // link is not borrowed for it. No fabricated pair appears.
         assert_eq!(e.hops.len(), 0);
         assert_eq!(e.orphan_hops, 1);
         assert!(!st.hops_ordered());
@@ -485,23 +553,53 @@ mod tests {
     #[test]
     fn broadcast_send_pairs_with_every_receiver() {
         let e = (2u32, 7u64);
-        let h0 = pack_hop_value(0, 2, 0);
-        let streams = vec![NodeStream {
-            source: "all".into(),
-            events: vec![
+        let st = stitch(&[stream(
+            "all",
+            vec![
                 ev(10, EventKind::Submitted, (2, 0), e, 0),
-                ev(20, EventKind::HopSend, (2, 0), e, h0),
-                ev(30, EventKind::HopRecv, (0, 0), e, h0),
-                ev(35, EventKind::HopRecv, (1, 0), e, h0),
+                hop(20, EventKind::NetWanSend, (2, 0), (0, 0), e),
+                hop(20, EventKind::NetWanSend, (2, 0), (1, 0), e),
+                hop(30, EventKind::NetDeliver, (0, 0), (2, 0), e),
+                hop(35, EventKind::NetDeliver, (1, 0), (2, 0), e),
                 ev(90, EventKind::Executed, (2, 0), e, 1),
             ],
-            dropped: 0,
-        }];
-        let st = stitch(&streams);
+        )]);
         let en = &st.entries[&e];
         assert_eq!(en.hops.len(), 2);
         assert_eq!(en.orphan_hops, 0);
         let tos: Vec<_> = en.hops.iter().map(|h| h.to).collect();
         assert_eq!(tos, vec![(0, 0), (1, 0)]);
+    }
+
+    // Golden-file shape test: the exact serialization of a tiny trace.
+    // If the emitter changes representation, this fails loudly so the
+    // change is a conscious one (Perfetto compatibility is at stake).
+    #[test]
+    fn chrome_trace_golden() {
+        let e = (0u32, 1u64);
+        let st = stitch(&[stream(
+            "golden",
+            vec![
+                ev(7, EventKind::Submitted, (0, 0), e, 2),
+                hop(8, EventKind::NetWanSend, (0, 0), (1, 0), e),
+                hop(20, EventKind::NetDeliver, (1, 0), (0, 0), e),
+            ],
+        )]);
+        let golden = concat!(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cluster (ring_dropped=0)\"}},\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"node 0/0\"}},\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"node 1/0\"}},\n",
+            "{\"name\":\"entry 0:1\",\"cat\":\"entry\",\"ph\":\"b\",\"id\":\"x0.1\",\"ts\":7,\"pid\":0,\"tid\":0,\"args\":{\"nodes\":2}},\n",
+            "{\"name\":\"submitted\",\"cat\":\"phase\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":0,\"args\":{\"entry\":\"0:1\",\"value\":2}},\n",
+            "{\"name\":\"net_wan_send\",\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":8,\"pid\":1,\"tid\":0,\"args\":{\"entry\":\"0:1\",\"peer\":[1,0],\"bytes\":4096}},\n",
+            "{\"name\":\"hop0\",\"cat\":\"wan\",\"ph\":\"s\",\"id\":\"w0.1-0\",\"ts\":8,\"pid\":1,\"tid\":0},\n",
+            "{\"name\":\"net_deliver\",\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":20,\"pid\":2,\"tid\":0,\"args\":{\"entry\":\"0:1\",\"peer\":[0,0],\"bytes\":4096}},\n",
+            "{\"name\":\"hop0\",\"cat\":\"wan\",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"w0.1-0\",\"ts\":20,\"pid\":2,\"tid\":0},\n",
+            "{\"name\":\"entry 0:1\",\"cat\":\"entry\",\"ph\":\"e\",\"id\":\"x0.1\",\"ts\":20,\"pid\":0,\"tid\":0}\n",
+            "]}\n",
+        );
+        assert_eq!(to_chrome_trace(&st), golden);
+        validate_chrome_trace(golden).unwrap();
     }
 }

@@ -49,10 +49,12 @@ echo "==> cargo test -q (tier-1)"
 cargo test -q --workspace
 
 if [[ $fast -eq 0 ]]; then
-  # Telemetry gate: capture a short trace and validate the emitted JSON.
-  # The bin itself exits non-zero if the Chrome trace is structurally
-  # invalid or the trace-derived breakdown disagrees with the protocol
-  # layer's accounting by more than 1%.
+  # Telemetry gate: capture a short simulator trace and validate the
+  # emitted JSON, down to the flow arrows the stitcher draws between node
+  # tracks and the ring loss the cluster track declares. The bin itself
+  # exits non-zero if the Chrome trace is structurally invalid or the
+  # trace-derived breakdown disagrees with the protocol layer's
+  # accounting by more than 1%.
   echo "==> trace capture smoke test"
   tracedir=$(mktemp -d)
   cargo run --release -q -p massbft-bench --bin trace -- \
@@ -68,7 +70,12 @@ assert all("ph" in e and "pid" in e for e in events), "malformed event"
 phases = {e["name"] for e in events if e.get("cat") == "phase"}
 spans = sum(1 for e in events if e["ph"] == "b")
 assert spans and {"submitted", "certified", "executed"} <= phases, phases
-print(f"    trace JSON valid: {len(events)} records, {spans} spans")
+starts = {e["id"] for e in events if e["ph"] == "s"}
+flows = starts & {e["id"] for e in events if e["ph"] == "f"}
+assert flows, "no flow pair: the stitcher paired no hop"
+tracks = [e["args"]["name"] for e in events if e["ph"] == "M" and e["name"] == "process_name"]
+assert any(t.startswith("cluster") and "ring_dropped=" in t for t in tracks), tracks
+print(f"    trace JSON valid: {len(events)} records, {spans} spans, {len(flows)} flow arrows")
 EOF
   fi
   rm -rf "${tracedir}"
