@@ -1,11 +1,15 @@
-//! Hardware-accelerated kernels for the MassBFT data plane.
+//! Hardware-accelerated kernels for the MassBFT data plane, and the one
+//! system call the TCP runtime needs that `std` does not wrap.
 //!
-//! The rest of the workspace is `#![forbid(unsafe_code)]`; this crate is
-//! the one deliberate exception. It quarantines the small amount of
-//! `unsafe` needed to call x86-64 SIMD intrinsics behind runtime CPU
-//! feature detection, so `massbft-crypto` and `massbft-codec` can stay
-//! fully safe while the replication hot path uses the hardware the
-//! evaluation machines actually have:
+//! The rest of the workspace is `#![forbid(unsafe_code)]` (`scripts/
+//! check.sh` fails on `unsafe` anywhere else); this crate is the one
+//! deliberate exception, with two modules that each carry their safety
+//! argument in their docs: [`poll`] (a safe readiness wait over
+//! `ppoll(2)`, the only FFI) and `x86`, which quarantines the `unsafe`
+//! needed to call x86-64 SIMD intrinsics behind runtime CPU feature
+//! detection, so `massbft-crypto` and `massbft-codec` can stay fully safe
+//! while the replication hot path uses the hardware the evaluation
+//! machines actually have:
 //!
 //! - **SHA-256**: the SHA-NI extension (`sha256rnds2`/`sha256msg1`/
 //!   `sha256msg2`) compresses blocks ~5–8x faster than any scalar
@@ -16,7 +20,7 @@
 //!   nibble of each byte) processes 16/32 bytes per shuffle instead of one
 //!   byte per table load — the inner loop of Reed-Solomon encode/decode.
 //!
-//! Every public function returns `bool`: `true` means the kernel ran and
+//! Every kernel function returns `bool`: `true` means the kernel ran and
 //! the output is complete, `false` means the CPU lacks the feature (or the
 //! build targets a non-x86 architecture) and the caller must run its
 //! scalar fallback. Detection goes through
@@ -26,8 +30,13 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(unix)]
+pub mod poll;
 #[cfg(target_arch = "x86_64")]
 mod x86;
+
+#[cfg(unix)]
+pub use poll::{poll, PollFd};
 
 /// Cores this process may run on, resolved once per process.
 ///

@@ -12,8 +12,8 @@
 //! adds events/s and the final virtual time, so before/after refactors
 //! can prove byte-identical behavior on fixed seeds; TCP adds the
 //! *transport-truth* costs the simulator can only model: actual TCP
-//! bytes and write/read syscalls per committed transaction, frames, and
-//! the write-coalescing ratio.
+//! bytes, write/read syscalls and readiness waits per committed
+//! transaction, frames, and the write-coalescing ratio.
 //!
 //! ```text
 //! cargo run --release -p massbft-bench --bin sweep
@@ -281,6 +281,7 @@ fn run_point<'a>(p: &'a Point, args: &Args) -> PointResult<'a> {
 struct NetCounters {
     bytes: u64,
     syscalls: u64,
+    polls: u64,
     frames_out: u64,
     coalesced: u64,
 }
@@ -291,6 +292,7 @@ impl NetCounters {
         NetCounters {
             bytes: counter("net.tcp_bytes_out") + counter("net.tcp_bytes_in"),
             syscalls: counter("net.syscalls_write") + counter("net.syscalls_read"),
+            polls: counter("net.syscalls_poll"),
             frames_out: counter("net.frames_out"),
             coalesced: counter("net.coalesced_writes"),
         }
@@ -300,6 +302,7 @@ impl NetCounters {
         NetCounters {
             bytes: self.bytes - base.bytes,
             syscalls: self.syscalls - base.syscalls,
+            polls: self.polls - base.polls,
             frames_out: self.frames_out - base.frames_out,
             coalesced: self.coalesced - base.coalesced,
         }
@@ -441,6 +444,7 @@ fn point_json(r: &PointResult, args: &Args) -> Json {
             .set("committed_txns", r.txns())
             .set("tcp_bytes_per_txn", Json::fixed(r.per_txn(net.bytes), 1))
             .set("syscalls_per_txn", Json::fixed(r.per_txn(net.syscalls), 3))
+            .set("polls_per_txn", Json::fixed(r.per_txn(net.polls), 3))
             .set("frames_out", net.frames_out)
             .set("coalesce_ratio", Json::fixed(net.coalesce_ratio(), 3))
             .set("wan_bytes_per_txn", wan)
@@ -685,6 +689,7 @@ mod tests {
         let net = NetCounters {
             bytes: 1,
             syscalls: 1,
+            polls: 1,
             frames_out: 1,
             coalesced: 1,
         };

@@ -104,10 +104,13 @@ pub fn entry_digest(bytes: &[u8]) -> Digest {
 
 /// An entry's content as this node holds it: the refcounted bytes with the
 /// id in their header and their digest, both derived once, when the content
-/// is first accepted. [`EntryRecord::hash`] is the only constructor, so the
-/// digest is always what *this node* hashed out of exactly these bytes; the
-/// protocol layer stores a record only once a quorum certificate validated
-/// for that digest (rebuild, entry copy) or local PBFT certified the bytes.
+/// is first accepted. The digest is always what *this node* hashed out of
+/// exactly these bytes: [`EntryRecord::hash`] does it here, and
+/// [`EntryRecord::certified`] takes the digest PBFT on this node computed
+/// when it checked the pre-prepare (debug builds hash again to hold it to
+/// that). The protocol layer stores a record only once a quorum certificate
+/// validated for that digest (rebuild, entry copy) or local PBFT certified
+/// the bytes.
 #[derive(Debug, Clone)]
 pub struct EntryRecord {
     id: EntryId,
@@ -120,6 +123,14 @@ impl EntryRecord {
     /// are too short to have one.
     pub fn hash(bytes: Bytes) -> Option<Self> {
         let (id, digest) = (peek_entry_id(&bytes)?, entry_digest(&bytes));
+        Some(EntryRecord { id, bytes, digest })
+    }
+
+    /// A record of `bytes` whose `digest` this node's PBFT replica already
+    /// computed from them; `None` if they are too short to have an id.
+    pub fn certified(bytes: Bytes, digest: Digest) -> Option<Self> {
+        debug_assert_eq!(digest, entry_digest(&bytes));
+        let id = peek_entry_id(&bytes)?;
         Some(EntryRecord { id, bytes, digest })
     }
 

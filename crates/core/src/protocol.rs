@@ -604,7 +604,7 @@ impl Node {
         payload: Bytes,
         cert: QuorumCert,
     ) {
-        let Some((rec, txns)) = self.local.on_committed(ctx, seq, &payload) else {
+        let Some((rec, txns)) = self.local.on_committed(ctx, seq, &payload, cert.digest) else {
             return;
         };
         let (id, now) = (rec.id(), ctx.now());

@@ -10,7 +10,7 @@ use super::{lan_peers, other_reps, span, Msg, Protocol, ProtocolParams, T_BATCH,
 use crate::entry::{decode_batch, encode_batch, peek_entry_id, EntryId, EntryRecord};
 use bytes::Bytes;
 use massbft_consensus::pbft::{PbftConfig, PbftMsg, PbftOutput, PbftReplica};
-use massbft_crypto::KeyRegistry;
+use massbft_crypto::{Digest, KeyRegistry};
 use massbft_db::hash::FastMap;
 use massbft_sim_net::{Ctx, NodeId, Time, MILLISECOND};
 use massbft_telemetry as telemetry;
@@ -320,6 +320,7 @@ impl LocalConsensus {
         ctx: &mut Ctx<Msg>,
         seq: u64,
         payload: &Bytes,
+        digest: Digest,
     ) -> Option<(EntryRecord, usize)> {
         self.entry_of_seq.remove(&seq);
         self.last_progress = ctx.now();
@@ -327,9 +328,10 @@ impl LocalConsensus {
         debug_assert_eq!(id.gid, self.me.group);
         self.own_seq_high = self.own_seq_high.max(id.seq);
         ctx.spend_cpu(txns as Time * SIG_VERIFY_US);
-        // The one hash of a local entry at this node: proposal, ledger and
-        // archive all read the record.
-        let rec = EntryRecord::hash(payload.clone()).expect("decoded above");
+        // PBFT hashed the payload against the pre-prepare; that is the one
+        // hash of a local entry at this node: proposal, ledger and archive
+        // all read the record.
+        let rec = EntryRecord::certified(payload.clone(), digest).expect("decoded above");
         Some((rec, txns))
     }
 
@@ -445,8 +447,10 @@ mod tests {
             };
             for out in outputs {
                 match out {
-                    PbftOutput::Committed { seq, payload, .. } => {
-                        let (rec, _) = node.on_committed(&mut ctx, seq, &payload).expect("entry");
+                    PbftOutput::Committed { seq, payload, cert } => {
+                        let (rec, _) = node
+                            .on_committed(&mut ctx, seq, &payload, cert.digest)
+                            .expect("entry");
                         certified.push((at, rec.id()));
                     }
                     PbftOutput::EnteredView(view) => {

@@ -1,55 +1,63 @@
-//! Thread-per-node reactors behind a wall-clock [`Driver`], and the
-//! [`Cluster`] that puts `massbft_core::cluster`'s [`Harness`] on top of
-//! it, so the same experiment code, fault schedules, and adversary specs
-//! drive either the simulator or real TCP.
+//! M nodes on N readiness-driven reactor threads behind a wall-clock
+//! [`Driver`], and the [`Cluster`] that puts `massbft_core::cluster`'s
+//! [`Harness`] on top of it, so the same experiment code, fault
+//! schedules, and adversary specs drive either the simulator or real TCP.
 //!
 //! Differences from the simulator, by design:
 //! - `Ctx::now()` is wall-clock microseconds since cluster start, so
 //!   latency samples and telemetry spans measure real time.
 //! - `Command::SpendCpu` is ignored: the actors burn real CPU here, the
 //!   virtual cost model would double-count it.
-//! - Runs are *not* bit-deterministic (thread scheduling orders message
-//!   interleavings); protocol-level agreement still holds, which
-//!   `tests/cross_driver.rs` checks by comparing ledgers across
+//! - Runs are *not* bit-deterministic (readiness order and the clock
+//!   order message interleavings); protocol-level agreement still holds,
+//!   which `tests/cross_driver.rs` checks by comparing ledgers across
 //!   drivers under timing-independent configurations.
 //!
-//! Crash semantics mirror the simulator exactly: a crashed node's
-//! reactor drops inbound messages and expiring timers silently (state
-//! retained, timers consumed), and its sends are gated in
+//! Crash semantics mirror the simulator exactly: a crashed node's input
+//! (messages and expiring timers) is dropped silently (state retained,
+//! timers consumed), and its sends are gated in
 //! [`crate::net::NetHandle::send`]; recovery just clears the flag
 //! without re-running `on_start`.
 //!
-//! A reactor *turn* is: sleep until the inbox, the timer wheel or an
-//! outbound frame needs attention → drain the inbox → run the node →
-//! fire timers → route the commands under one clock stamp → flush what
-//! is due, one write per peer. The reactor is the only thread that
-//! touches its node's outbound sockets ([`crate::net`] has the thread
-//! model and why its blocking writes cannot deadlock). Each message it
-//! hands to the node and each one it routes is recorded with the probes
+//! Hosted node *i* lives on reactor *i mod N*, N =
+//! [`massbft_accel::host_cores`] capped by the number of nodes. A reactor
+//! owns its nodes' listeners, accepted connections and outbound links —
+//! all non-blocking — and one timer wheel, and alone reads, runs and
+//! writes for them. Its *turn*: wait in one `ppoll` until a socket is
+//! ready or the earliest of wheel deadline, due outbound frame and 20 ms →
+//! accept → read each readable socket once, its complete frames onto the
+//! destination node's input → expire timers → run every node that has
+//! input, under `try_lock`, and route its handlers' commands under one
+//! clock stamp → write what is due until the sockets are full. A node
+//! whose lock is held elsewhere (an ops scrape, `with_node`) keeps its
+//! input for a later turn instead of stalling its neighbours; no step
+//! blocks on a socket ([`crate::net`] has why that rules out deadlock).
+//! Every message handed to a node or routed is recorded with the probes
 //! the simulator calls (`massbft_sim_net::fault`), so a `/trace` scrape
 //! stitches into the same cross-node picture as a simulator trace.
 
-use crate::frame::{decode_msg, encode_frame, FRAME_HEADER};
-use crate::net::{spawn_acceptor, Event, InboxStats, NetHandle, Shared};
+use crate::frame::encode_frame;
+use crate::net::{Conn, NetHandle, Shared};
 use crate::ops::{self, OpsConfig, OpsHandle};
 use crate::wheel::TimerWheel;
+use massbft_accel::PollFd;
 use massbft_core::adversary::FaultEvent;
 use massbft_core::cluster::{ClusterConfig, Driver, Harness, Report, Traffic};
 use massbft_core::protocol::{Msg, Node};
 use massbft_crypto::KeyRegistry;
 use massbft_sim_net::{probe_deliver, probe_send, Actor, Command, Ctx, NodeId, Time, Topology};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Max time a reactor sleeps in `recv_timeout` before re-checking the
-/// wheel and the shutdown flag.
+/// Longest wait of a reactor with nothing due: how soon it notices the
+/// shutdown flag.
 const REACTOR_POLL_US: u64 = 20_000;
-/// Inbox events (each one read's worth of messages) drained per turn.
-const DRAIN_BATCH: usize = 64;
+/// How soon a reactor offers a node its input again after finding the
+/// node's lock held elsewhere.
+const LOCK_RETRY_US: u64 = 1_000;
 
 /// Which part of the cluster this OS process hosts (multi-process
 /// mode). The default, [`HostSpec::all`], hosts everything in-process
@@ -82,32 +90,20 @@ impl HostSpec {
     }
 }
 
-enum Pending {
-    Timer(u64),
-    /// A `SendAfter` whose network entry was postponed.
-    Send(NodeId, Msg),
-}
-
-struct LocalNode {
-    id: NodeId,
-    node: Arc<Mutex<Node>>,
-    tx: Sender<Event>,
-    inbox: Arc<InboxStats>,
-    reactor: Option<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-/// The wall-clock [`Driver`]: one loopback listener, acceptor thread and
-/// reactor thread per hosted node, the transport state they share, and
-/// the ops plane.
+/// The wall-clock [`Driver`]: one loopback listener per hosted node, the
+/// reactor threads that run them, the transport state they share, and the
+/// ops plane.
 pub struct TcpDriver {
     shared: Arc<Shared>,
-    nodes: Vec<LocalNode>,
+    /// Every hosted node's seat, dense order.
+    nodes: Vec<Arc<Seat<Node>>>,
     ops: Option<Arc<OpsHandle>>,
     /// The transport's byte counters when the traffic window opened.
     window_wan: u64,
     window_lan: u64,
     window_wan_per_node: Vec<u64>,
+    /// Last field: joined after everything above stopped using the nodes.
+    _reactors: Reactors,
 }
 
 /// A running wall-clock cluster experiment: the [`Harness`] of
@@ -117,10 +113,9 @@ pub struct Cluster(Harness<TcpDriver>);
 
 impl Cluster {
     /// Builds and starts the cluster: binds one loopback listener per
-    /// node, then spawns acceptor and reactor threads. By the time this
-    /// returns, every node has run `on_start` (or is about to; every
-    /// listener is already bound, so a reactor's first connect to any
-    /// in-process peer succeeds whichever of them runs first).
+    /// node, then spawns the reactor threads, which run every node's
+    /// `on_start` first (every listener is already bound, so a first
+    /// connect to any in-process peer succeeds whoever runs first).
     pub fn new(cfg: ClusterConfig) -> Self {
         Self::new_hosted(cfg, None)
     }
@@ -128,8 +123,16 @@ impl Cluster {
     /// Multi-process entry point: host only `spec.hosted_groups` here,
     /// with the deterministic port scheme shared by all processes.
     pub fn new_hosted(cfg: ClusterConfig, spec: Option<HostSpec>) -> Self {
+        Self::on_reactors(cfg, spec, massbft_accel::host_cores())
+    }
+
+    /// [`Cluster::new_hosted`] on `reactors` threads (at least one, at
+    /// most one per hosted node) instead of one per core: how the tests
+    /// run the N = 1 and N = 2 planes whatever the host has.
+    #[doc(hidden)]
+    pub fn on_reactors(cfg: ClusterConfig, spec: Option<HostSpec>, reactors: usize) -> Self {
         Cluster(Harness::start(cfg, |cfg, topo| {
-            TcpDriver::start(cfg, topo, spec)
+            TcpDriver::start(cfg, topo, spec, reactors)
         }))
     }
 
@@ -148,16 +151,7 @@ impl Cluster {
         if let Some(h) = &d.ops {
             return Ok(h.addr);
         }
-        let nodes = d
-            .nodes
-            .iter()
-            .map(|n| ops::NodeHandles {
-                id: n.id,
-                node: Arc::clone(&n.node),
-                inbox: Arc::clone(&n.inbox),
-            })
-            .collect();
-        let handle = ops::start(Arc::clone(&d.shared), nodes, cfg)?;
+        let handle = ops::start(Arc::clone(&d.shared), d.nodes.clone(), cfg)?;
         let addr = handle.addr;
         d.ops = Some(handle);
         Ok(addr)
@@ -181,7 +175,8 @@ impl Cluster {
 
     // The rest is the harness, method for method.
 
-    /// Runs `f` against a node's state (briefly blocking its reactor).
+    /// Runs `f` against a node's state (its input waits meanwhile; its
+    /// reactor and the reactor's other nodes do not).
     pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
         self.0.with_node(id, f)
     }
@@ -229,95 +224,37 @@ impl Cluster {
 }
 
 impl TcpDriver {
-    fn start(cfg: &ClusterConfig, topo: Topology, spec: Option<HostSpec>) -> Self {
+    fn start(cfg: &ClusterConfig, topo: Topology, spec: Option<HostSpec>, reactors: usize) -> Self {
         let spec = spec.unwrap_or_else(|| HostSpec::all(topo.group_count()));
         let registry = KeyRegistry::generate(cfg.params.seed, &cfg.params.group_sizes);
 
-        let local_ids: Vec<NodeId> = topo
-            .nodes()
-            .filter(|id| spec.hosted_groups.contains(&id.group))
-            .collect();
-
         // Bind all local listeners first so the address table is
         // complete before anything starts sending.
-        let mut listeners: Vec<(NodeId, TcpListener)> = Vec::with_capacity(local_ids.len());
+        let mut seats = Vec::new();
         let mut addrs: Vec<SocketAddr> = Vec::with_capacity(topo.node_count());
         for (dense, id) in topo.nodes().enumerate() {
-            let addr: SocketAddr = match spec.port_base {
-                Some(base) => format!("127.0.0.1:{}", base as usize + dense)
-                    .parse()
-                    .expect("loopback addr"),
-                None => "127.0.0.1:0".parse().expect("loopback addr"),
-            };
+            let port = spec.port_base.map_or(0, |base| base + dense as u16);
+            let mut addr = SocketAddr::from(([127, 0, 0, 1], port));
             if spec.hosted_groups.contains(&id.group) {
-                let l = TcpListener::bind(addr).expect("bind node listener");
-                addrs.push(l.local_addr().expect("listener addr"));
-                listeners.push((id, l));
-            } else {
-                addrs.push(addr);
+                let listener = TcpListener::bind(addr).expect("bind node listener");
+                addr = listener.local_addr().expect("listener addr");
+                let actor = Mutex::new(Node::new(id, cfg.params.clone(), registry.clone()));
+                let backlog = AtomicU64::new(0);
+                seats.push((Arc::new(Seat { id, actor, backlog }), listener));
             }
+            addrs.push(addr);
         }
-
         let shared = Shared::new(topo, addrs);
-
-        let mut nodes = Vec::with_capacity(local_ids.len());
-        let mut listeners = listeners.into_iter();
-        for id in local_ids {
-            let (lid, listener) = listeners.next().expect("listener per local node");
-            debug_assert_eq!(lid, id);
-            let (tx, rx) = mpsc::channel::<Event>();
-            let inbox = Arc::new(InboxStats::default());
-            let acceptor = spawn_acceptor(
-                Arc::clone(&shared),
-                id,
-                listener,
-                tx.clone(),
-                Arc::clone(&inbox),
-            );
-            let node = Arc::new(Mutex::new(Node::new(
-                id,
-                cfg.params.clone(),
-                registry.clone(),
-            )));
-            let reactor = Reactor {
-                net: NetHandle::new(id, Arc::clone(&shared)),
-                wheel: TimerWheel::new(shared.now_us()),
-                ctx: Ctx::new_driver(shared.now_us(), id),
-                shared: Arc::clone(&shared),
-                id,
-                node: Arc::clone(&node),
-                self_tx: tx.clone(),
-                inbox: Arc::clone(&inbox),
-            };
-            let reactor = std::thread::Builder::new()
-                .name(format!("reactor-{id}"))
-                .spawn(move || reactor.run(rx))
-                .expect("spawn reactor");
-            nodes.push(LocalNode {
-                id,
-                node,
-                tx,
-                inbox,
-                reactor: Some(reactor),
-                acceptor: Some(acceptor),
-            });
-        }
 
         TcpDriver {
             window_wan_per_node: vec![0; shared.wan_out_per_node.len()],
+            nodes: seats.iter().map(|(seat, _)| Arc::clone(seat)).collect(),
+            _reactors: Reactors::spawn(Arc::clone(&shared), seats, reactors),
             shared,
-            nodes,
             ops: None,
             window_wan: 0,
             window_lan: 0,
         }
-    }
-
-    fn local(&self, id: NodeId) -> &LocalNode {
-        self.nodes
-            .iter()
-            .find(|n| n.id == id)
-            .expect("node hosted in this process")
     }
 }
 
@@ -354,7 +291,9 @@ impl Driver for TcpDriver {
     }
 
     fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
-        f(&self.local(id).node.lock().expect("node lock"))
+        let seat = self.nodes.iter().find(|n| n.id == id);
+        let seat = seat.expect("node hosted in this process");
+        f(&seat.actor.lock().expect("node lock"))
     }
 
     fn open_window(&mut self) {
@@ -392,179 +331,310 @@ impl Driver for TcpDriver {
 }
 
 impl Drop for TcpDriver {
-    /// Deterministic teardown: when this returns, every thread the
-    /// cluster spawned has been joined and every socket is closed.
+    /// Deterministic teardown: the ops plane is joined here, the reactors
+    /// (which notice the flag within one wait) as `_reactors` drops; then
+    /// no thread of the cluster is left and every socket is closed.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.ops.take() {
             let _ = TcpStream::connect_timeout(&h.addr, Duration::from_millis(50));
             h.join();
         }
-        // Reactors first, so node state can't be touched after drop;
-        // each closes its outbound sockets as it exits.
-        for n in &mut self.nodes {
-            let wake = Event {
-                from: n.id,
-                msgs: Vec::new(),
-            };
-            let _ = n.tx.send(wake);
-            if let Some(h) = n.reactor.take() {
-                let _ = h.join();
-            }
+    }
+}
+
+/// One actor's place on a reactor, shared with whoever else reads the
+/// actor (the harness, the ops plane): its identity, its state, and the
+/// gauge of messages decoded for it but not yet handed over.
+pub struct Seat<A> {
+    /// Which node.
+    pub id: NodeId,
+    /// Its state; the reactor takes the lock with `try_lock` only.
+    pub actor: Mutex<A>,
+    /// Messages its reactor has decoded but not yet handed to it —
+    /// `inbox_depth` in `/status`, `ops.inbox.depth` in `/metrics`;
+    /// non-zero only while the lock is held elsewhere ([`crate::ops`]).
+    pub backlog: AtomicU64,
+}
+
+/// The reactor threads of one process. Dropping it stops and joins them;
+/// every socket closes with the reactor that owned it.
+pub struct Reactors {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Reactors {
+    /// Puts seat *i*, with the listener peers reach it at, on reactor *i
+    /// mod n* (`n` clamped to `1..=seats`) and starts the threads;
+    /// `on_start` is each actor's first input.
+    pub fn spawn<A>(shared: Arc<Shared>, seats: Vec<(Arc<Seat<A>>, TcpListener)>, n: usize) -> Self
+    where
+        A: Actor<Msg = Msg> + Send + 'static,
+    {
+        let n = n.clamp(1, seats.len().max(1));
+        let mut hosted: Vec<Vec<Hosted<A>>> = (0..n).map(|_| Vec::new()).collect();
+        for (i, (seat, listener)) in seats.into_iter().enumerate() {
+            listener
+                .set_nonblocking(true)
+                .expect("non-blocking listener");
+            hosted[i % n].push(Hosted {
+                net: NetHandle::new(seat.id, Arc::clone(&shared)),
+                ctx: Ctx::new_driver(shared.now_us(), seat.id),
+                seat,
+                listener,
+                conns: Vec::new(),
+                input: vec![Input::Start],
+                lock_missed: false,
+            });
         }
-        // Then the receive side: a throwaway connect unblocks each
-        // acceptor's accept(2); it shuts its accepted sockets down and
-        // joins its readers before it exits (`spawn_acceptor`).
-        for n in &mut self.nodes {
-            let addr = self.shared.addrs[self.shared.idx(n.id)];
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(50));
-            if let Some(h) = n.acceptor.take() {
-                let _ = h.join();
-            }
+        let threads = hosted.into_iter().enumerate().map(|(k, nodes)| {
+            let reactor = Reactor {
+                wheel: TimerWheel::new(shared.now_us()),
+                shared: Arc::clone(&shared),
+                nodes,
+                fds: Vec::new(),
+                tokens: Vec::new(),
+            };
+            std::thread::Builder::new()
+                .name(format!("reactor-{k}"))
+                .spawn(move || reactor.run())
+                .expect("spawn reactor")
+        });
+        Reactors {
+            threads: threads.collect(),
+            shared,
         }
     }
 }
 
-/// One node's event loop and everything only it touches.
-struct Reactor {
-    shared: Arc<Shared>,
-    id: NodeId,
-    node: Arc<Mutex<Node>>,
-    self_tx: Sender<Event>,
-    inbox: Arc<InboxStats>,
-    net: NetHandle,
-    wheel: TimerWheel<Pending>,
-    ctx: Ctx<Msg>,
+impl Drop for Reactors {
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
 }
 
-impl Reactor {
-    fn run(mut self, rx: Receiver<Event>) {
-        // on_start (the sim skips it for nodes crashed at t=0; schedules
-        // rarely do that, but mirror it anyway).
-        if !self.shared.is_crashed(self.id) {
-            let mut n = self.node.lock().expect("node lock");
-            self.ctx.set_now(self.shared.now_us());
-            n.on_start(&mut self.ctx);
-        }
-        let mut events: Vec<Event> = Vec::new();
-        let mut fired: Vec<Pending> = Vec::new();
+/// What the wheel holds, per node.
+enum Pending {
+    Timer(u64),
+    /// A `SendAfter` whose network entry was postponed.
+    Send(NodeId, Msg),
+}
+
+/// What waits for a node's handlers, in arrival order.
+enum Input {
+    /// `on_start`, every node's first input (a node crashed at t=0 drops it).
+    Start,
+    Msg(NodeId, Msg),
+    Timer(u64),
+}
+
+/// Whose descriptor an entry of the poll set is.
+enum Token {
+    Listener(usize),
+    Conn(usize, usize),
+    /// Any blocked outbound link of the node.
+    Link(usize),
+}
+
+/// A seated actor and everything only its reactor touches.
+struct Hosted<A> {
+    seat: Arc<Seat<A>>,
+    listener: TcpListener,
+    conns: Vec<Conn>,
+    net: NetHandle,
+    ctx: Ctx<Msg>,
+    input: Vec<Input>,
+    /// The last turn found the lock held and left `input` waiting.
+    lock_missed: bool,
+}
+
+/// One event loop over its share of the process's nodes.
+struct Reactor<A> {
+    shared: Arc<Shared>,
+    nodes: Vec<Hosted<A>>,
+    wheel: TimerWheel<(usize, Pending)>,
+    /// The poll set of the current turn and, entry for entry, its owners.
+    fds: Vec<PollFd>,
+    tokens: Vec<Token>,
+}
+
+impl<A: Actor<Msg = Msg>> Reactor<A> {
+    fn run(mut self) {
+        let mut fired = Vec::new();
         loop {
-            self.route_and_flush(&mut fired);
-            if self.shared.shutdown.load(Ordering::Relaxed) {
+            let now = self.shared.now_us();
+            self.nodes.iter_mut().for_each(|h| h.net.flush(now));
+            if self.shared.shutting_down() {
                 return;
             }
-            // Sleep until the next timer, the next outbound frame coming
-            // due, or an inbound event. The wheel fires on tick
-            // boundaries, so its wait has a floor; a due frame does not.
+            self.wait();
             let now = self.shared.now_us();
-            let mut wait = self
-                .wheel
-                .next_deadline()
-                .map(|d| d.saturating_sub(now))
-                .unwrap_or(REACTOR_POLL_US)
-                .clamp(100, REACTOR_POLL_US);
-            if let Some(due) = self.net.next_due() {
+            self.wheel.advance(now, &mut fired);
+            for (i, p) in fired.drain(..) {
+                match p {
+                    Pending::Timer(token) => self.nodes[i].input.push(Input::Timer(token)),
+                    // Route-time crash gating happens inside send.
+                    Pending::Send(dst, msg) => self.send(i, &[dst], &msg, now),
+                }
+            }
+            for i in 0..self.nodes.len() {
+                if !self.nodes[i].input.is_empty() {
+                    self.run_node(i);
+                }
+            }
+        }
+    }
+
+    /// The waiting and reading half of a turn. The wheel fires on tick
+    /// boundaries, so its wait has a floor; a due frame's does not.
+    fn wait(&mut self) {
+        let now = self.shared.now_us();
+        let mut wait = self
+            .wheel
+            .next_deadline()
+            .map(|d| d.saturating_sub(now))
+            .unwrap_or(REACTOR_POLL_US)
+            .clamp(100, REACTOR_POLL_US);
+        self.fds.clear();
+        self.tokens.clear();
+        for (i, h) in self.nodes.iter().enumerate() {
+            if let Some(due) = h.net.next_due() {
                 wait = wait.min(due.saturating_sub(now));
             }
-            match rx.recv_timeout(Duration::from_micros(wait)) {
-                Ok(ev) => {
-                    events.push(ev);
-                    events.extend(rx.try_iter().take(DRAIN_BATCH - 1));
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+            // A self-send is input without a socket: next turn, now.
+            if !h.input.is_empty() {
+                wait = wait.min(if h.lock_missed { LOCK_RETRY_US } else { 0 });
             }
-            self.wheel.advance(self.shared.now_us(), &mut fired);
-            self.run_node(&mut events, &mut fired);
+            self.fds.push(PollFd::new(&h.listener, false));
+            self.tokens.push(Token::Listener(i));
+            for (j, conn) in h.conns.iter().enumerate() {
+                self.fds.push(PollFd::new(&conn.stream, false));
+                self.tokens.push(Token::Conn(i, j));
+            }
+            for stream in h.net.blocked() {
+                self.fds.push(PollFd::new(stream, true));
+                self.tokens.push(Token::Link(i));
+            }
+        }
+        let counters = &self.shared.counters;
+        counters.syscalls_poll.inc();
+        let ready = massbft_accel::poll(&mut self.fds, Some(Duration::from_micros(wait)))
+            .expect("ppoll over the reactor's own descriptors");
+        if ready == 0 {
+            return;
+        }
+        let now = self.shared.now_us();
+        // Last polled first: a finished connection is `swap_remove`d on the
+        // spot, and what moves into its place was already looked at (or
+        // was accepted this turn, past every polled index).
+        for (fd, token) in self.fds.iter().zip(&self.tokens).rev() {
+            if !fd.is_ready() {
+                continue;
+            }
+            match *token {
+                Token::Listener(i) => {
+                    let h = &mut self.nodes[i];
+                    while let Ok((stream, _)) = h.listener.accept() {
+                        h.conns.extend(Conn::new(stream).ok());
+                    }
+                }
+                Token::Conn(i, j) => {
+                    let Hosted { conns, input, .. } = &mut self.nodes[i];
+                    if !conns[j].read_once(counters, |from, msg| input.push(Input::Msg(from, msg)))
+                    {
+                        conns.swap_remove(j);
+                    }
+                }
+                Token::Link(i) => self.nodes[i].net.resume(now),
+            }
         }
     }
 
-    /// Feeds the drained inbox, then the expired timers, to the node
-    /// under one lock acquisition. Leaves the delayed sends in `fired`.
-    fn run_node(&mut self, events: &mut Vec<Event>, fired: &mut Vec<Pending>) {
-        let msgs: usize = events.iter().map(|ev| ev.msgs.len()).sum();
-        self.inbox
-            .processed
-            .fetch_add(msgs as u64, Ordering::Relaxed);
-        let timers = fired.iter().any(|p| matches!(p, Pending::Timer(_)));
+    /// Hands node `i` its input under one lock acquisition, then routes
+    /// what its handlers asked for.
+    fn run_node(&mut self, i: usize) {
+        let h = &mut self.nodes[i];
+        let id = h.seat.id;
         // Crashed: deliveries are dropped on the floor and timers
         // consumed silently, like the sim dropping those events.
-        if (msgs > 0 || timers) && !self.shared.is_crashed(self.id) {
-            let mut n = self.node.lock().expect("node lock");
-            for Event { from, msgs } in events.drain(..) {
-                for msg in msgs {
-                    let now = self.shared.now_us();
-                    probe_deliver(now, from, self.id, &msg);
-                    self.ctx.set_now(now);
-                    n.on_message(&mut self.ctx, from, msg);
+        if self.shared.is_crashed(id) {
+            h.input.clear();
+        } else {
+            // Held elsewhere (an ops scrape, `with_node`): the input
+            // waits, the reactor's other nodes do not.
+            let mut actor = match h.seat.actor.try_lock() {
+                Ok(actor) => actor,
+                Err(TryLockError::WouldBlock) => {
+                    h.lock_missed = true;
+                    let msgs = h.input.iter().filter(|i| matches!(i, Input::Msg(..)));
+                    h.seat.backlog.store(msgs.count() as u64, Ordering::Relaxed);
+                    return;
                 }
-            }
-            for p in fired.iter() {
-                if let Pending::Timer(token) = *p {
-                    self.ctx.set_now(self.shared.now_us());
-                    n.on_timer(&mut self.ctx, token);
+                Err(TryLockError::Poisoned(_)) => panic!("node {id} panicked under its lock"),
+            };
+            for input in h.input.drain(..) {
+                let now = self.shared.now_us();
+                h.ctx.set_now(now);
+                match input {
+                    Input::Msg(from, msg) => {
+                        probe_deliver(now, from, id, &msg);
+                        actor.on_message(&mut h.ctx, from, msg);
+                    }
+                    Input::Timer(token) => actor.on_timer(&mut h.ctx, token),
+                    Input::Start => actor.on_start(&mut h.ctx),
                 }
             }
         }
-        events.clear();
-        fired.retain(|p| matches!(p, Pending::Send(..)));
+        if std::mem::take(&mut h.lock_missed) {
+            h.seat.backlog.store(0, Ordering::Relaxed);
+        }
+        self.route(i);
     }
 
-    /// The send half of a turn: routes the delayed sends that fired and
-    /// the commands the handlers left behind — all under one clock
-    /// stamp, so a turn's frames to one peer come due together — then
-    /// writes out whatever is due by now.
-    fn route_and_flush(&mut self, fired: &mut Vec<Pending>) {
+    /// Routes the commands node `i`'s handlers left behind, all under one
+    /// clock stamp, so a turn's frames to one peer come due together.
+    fn route(&mut self, i: usize) {
         let stamp = self.shared.now_us();
-        for p in fired.drain(..) {
-            if let Pending::Send(dst, msg) = p {
-                // Route-time crash gating happens inside send.
-                self.send(&[dst], &msg, stamp);
-            }
-        }
-        for cmd in self.ctx.take_commands() {
+        for cmd in self.nodes[i].ctx.take_commands() {
             match cmd {
-                Command::Send { dst, msg } => self.send(&[dst], &msg, stamp),
-                Command::SendMany { dsts, msg } => self.send(&dsts, &msg, stamp),
+                Command::Send { dst, msg } => self.send(i, &[dst], &msg, stamp),
+                Command::SendMany { dsts, msg } => self.send(i, &dsts, &msg, stamp),
                 Command::SetTimer { delay, token } => {
-                    self.wheel
-                        .insert(stamp.saturating_add(delay), Pending::Timer(token));
+                    let at = stamp.saturating_add(delay);
+                    self.wheel.insert(at, (i, Pending::Timer(token)));
                 }
                 // Real CPU is spent by actually running the handlers; the
                 // virtual cost model would double-count it.
                 Command::SpendCpu(_) => {}
                 Command::SendAfter { delay, dst, msg } => {
-                    self.wheel
-                        .insert(stamp.saturating_add(delay), Pending::Send(dst, msg));
+                    let at = stamp.saturating_add(delay);
+                    self.wheel.insert(at, (i, Pending::Send(dst, msg)));
                 }
             }
         }
-        self.net.flush(self.shared.now_us());
     }
 
-    /// Encodes `msg` once and routes the frame to every destination,
-    /// recording each departure with the shared send probe.
-    fn send(&mut self, dsts: &[NodeId], msg: &Msg, stamp: Time) {
+    /// Encodes `msg` once and routes the frame from node `i` to every
+    /// destination, recording each departure with the shared send probe.
+    /// A send to itself is the node's own next input.
+    fn send(&mut self, i: usize, dsts: &[NodeId], msg: &Msg, stamp: Time) {
         let Ok(frame) = encode_frame(msg) else {
             debug_assert!(false, "protocol produced unencodable message");
             return;
         };
+        let h = &mut self.nodes[i];
+        let src = h.seat.id;
         for &dst in dsts {
-            if dst != self.id {
-                let is_wan = self.shared.topo.is_wan(self.id, dst);
-                probe_send(stamp, self.id, dst, is_wan, msg);
-                self.net.send(dst, frame.clone(), stamp);
-            } else if !self.shared.is_crashed(self.id) {
-                // Decode round-trips the frame; loopback traffic is rare (the
-                // protocol broadcasts exclude self) so the cost is negligible
-                // and the path stays uniform with remote delivery.
-                if let Ok(m) = decode_msg(&frame.slice(FRAME_HEADER..)) {
-                    self.inbox.enqueued.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.self_tx.send(Event {
-                        from: self.id,
-                        msgs: vec![m],
-                    });
-                }
+            if dst != src {
+                let is_wan = self.shared.topo.is_wan(src, dst);
+                probe_send(stamp, src, dst, is_wan, msg);
+                h.net.send(dst, frame.clone(), stamp);
+            } else if !self.shared.is_crashed(src) {
+                h.input.push(Input::Msg(src, msg.clone()));
             }
         }
     }

@@ -802,6 +802,15 @@ impl FrameBuffer {
         self.end - self.start
     }
 
+    /// Takes `N` raw bytes off the front, once that many are buffered:
+    /// what a connection sends ahead of its first frame (the hello naming
+    /// the sender), reassembled over read boundaries like any frame.
+    pub fn take_prefix<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<N>().copied()?;
+        self.start += N;
+        Some(prefix)
+    }
+
     /// Extracts the next complete frame body, if one is fully buffered.
     /// The body is copied out of the reassembly buffer into its own
     /// [`Bytes`] allocation exactly once; all payload fields decoded

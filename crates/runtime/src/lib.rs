@@ -2,8 +2,8 @@
 //!
 //! The simulator (`massbft-sim-net`) runs the sans-io [`Node`] actors
 //! over a virtual-time event heap; this crate runs the *same* actors
-//! over real `std::net` TCP connections with real threads and a real
-//! clock — the repo's first wall-clock throughput numbers come from
+//! over real `std::net` TCP connections with a few reactor threads and a
+//! real clock — the repo's first wall-clock throughput numbers come from
 //! here (`BENCH_wallclock.json`, see `crates/bench/src/bin/sweep.rs`).
 //!
 //! Architecture (DESIGN.md §5f):
@@ -11,16 +11,17 @@
 //!   simulator's byte-accounting model (`massbft_core::wire`) exactly,
 //!   with zero-copy [`bytes::Bytes`] payload paths.
 //! - [`wheel`]: hierarchical timer wheel driving protocol timers and
-//!   delayed sends per reactor thread.
-//! - [`net`]: connection manager — the reactor-owned outbound plane
-//!   (one due-time-gated FIFO per peer, one coalesced write per peer
-//!   per turn, no writer threads), per-node acceptor plus
-//!   per-connection reader threads batching a read's messages into one
-//!   inbox event, and netem-style injected latency with the
-//!   cluster-wide `massbft_sim_net::FaultState` deciding each frame's
-//!   fate.
-//! - [`cluster`]: thread-per-node reactors behind a wall-clock
-//!   `Driver`, and [`cluster::Cluster`] — the harness of
+//!   delayed sends, one per reactor thread.
+//! - [`net`]: connection plane, all sockets non-blocking — a node's
+//!   outbound links (one due-time-gated FIFO per peer, one coalesced
+//!   write per peer per turn, the unwritten tail of a full socket kept at
+//!   the head), its accepted connections (one read, every frame it
+//!   completed), and netem-style injected latency with the cluster-wide
+//!   `massbft_sim_net::FaultState` deciding each frame's fate.
+//! - [`cluster`]: M nodes on N reactor threads (N = cores) behind a
+//!   wall-clock `Driver` — one thread waits in `massbft_accel::poll`,
+//!   reads, runs the node's handlers to completion and writes — and
+//!   [`cluster::Cluster`], the harness of
 //!   `massbft_core::cluster::Cluster` over it, so experiments and
 //!   fault schedules run unchanged on either driver.
 //! - [`ops`]: the live ops plane (ISSUE 9) — per-process HTTP/1.0
@@ -33,13 +34,15 @@
 //!
 //! [`Node`]: massbft_core::protocol::Node
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod frame;
 pub mod net;
 pub mod ops;
 pub mod wheel;
 
-pub use cluster::{Cluster, HostSpec, TcpDriver};
+pub use cluster::{Cluster, HostSpec, Reactors, Seat, TcpDriver};
 pub use frame::{decode_msg, encode_frame, FrameBuffer, FrameError, MAX_FRAME};
 pub use ops::{http_get, OpsConfig, OpsHandle};
 pub use wheel::TimerWheel;

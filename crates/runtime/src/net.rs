@@ -1,7 +1,9 @@
-//! TCP connection manager: shared cluster state, the reactor-owned
-//! outbound plane (one due-time-gated FIFO per peer, flushed with one
-//! coalesced write per peer per reactor turn), and inbound reader
-//! threads handing every message of a read to the reactor as one batch.
+//! TCP connection plane: shared cluster state, a node's outbound links
+//! ([`NetHandle`]: one due-time-gated FIFO per peer, one coalesced write
+//! per peer per reactor turn) and its accepted connections ([`Conn`]: one
+//! read, then every frame it completed). Every socket is non-blocking and
+//! belongs to the reactor hosting the node ([`crate::cluster`]); nothing
+//! here spawns a thread or waits.
 //!
 //! Latency injection happens at the *connection layer*, netem-style:
 //! every frame gets a due instant `turn stamp + topology latency (+
@@ -12,19 +14,21 @@
 //! route time by the cluster-wide [`FaultState`] — the same
 //! [`FaultState::route`] the simulator asks.
 //!
-//! Thread model: a node's reactor owns every outbound socket of that
-//! node and alone writes to them; each accepted inbound connection has
-//! one reader thread that only does `read` → decode → push to the
-//! reactor's unbounded inbox. Writes block, and that cannot deadlock:
-//! a reader never waits on its reactor, so a peer's receive buffer
-//! always drains, however busy, crashed or blocked that peer's reactor
-//! is — a slow reactor accumulates inbox depth (`/status`), not socket
-//! backpressure.
+//! Backpressure lives in the sender's FIFO. What a full socket does not
+//! take of a write stays at the head of the FIFO, and the link asks its
+//! reactor for writability ([`NetHandle::blocked`]) instead of waiting; a
+//! head without progress for [`WRITE_STALL`] closes the link. No reactor
+//! ever blocks on a socket, so every reactor always comes back to read,
+//! so every receive buffer drains and no cycle of peers waiting on each
+//! other can form — whatever a node is doing (crashed, executing a long
+//! batch, its lock held elsewhere), frames sent to it are read, decoded
+//! and kept as its pending input.
 //!
-//! The measured surface is unchanged by the I/O-plane rework: names and
-//! meanings of `net.syscalls_read`/`write`, `net.tcp_bytes_in`/`out`,
-//! `net.frames_in`/`out`, `net.coalesced_writes` (writes that carried
-//! >= 2 frames) and the per-link `net.queue.*` depth gauges.
+//! The measured surface keeps its names and meanings: `net.syscalls_read`
+//! / `net.syscalls_write` (`read(2)` / `write(2)` calls, nothing else),
+//! `net.tcp_bytes_in`/`out`, `net.frames_in`/`out`, `net.coalesced_writes`
+//! (writes that carried >= 2 frames) and the per-link `net.queue.*` depth
+//! gauges; `net.syscalls_poll` counts the reactors' readiness waits.
 
 use crate::frame::{decode_msg, FrameBuffer, FRAME_HEADER};
 use bytes::Bytes;
@@ -32,63 +36,29 @@ use massbft_core::protocol::Msg;
 use massbft_sim_net::{DenseIndex, FaultRng, FaultState, NodeId, Routing, Time, Topology};
 use massbft_telemetry::registry::{self, Counter, Gauge};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Coalescing buffer: a flush packs a peer's due small frames into one
-/// write up to this size. Also the most a reader asks of one `read`.
+/// write up to this size. Also the most a connection asks of one `read`.
 const COALESCE_BYTES: usize = 256 << 10;
 /// Frames at or above this size are written directly from their own
 /// refcounted buffer instead of being copied into the coalescing buffer.
 const LARGE_FRAME: usize = 64 << 10;
-/// Stack size for I/O threads; a 4x8 cluster runs a few hundred of
-/// them, so the default 8 MiB reservation would be wasteful.
-const IO_STACK: usize = 256 << 10;
 /// Connect attempts per peer, [`CONNECT_RETRY_US`] apart (~5 s): peers
 /// bind their listeners before any reactor runs in-process, but
 /// multi-process clusters start children at slightly different times.
 const CONNECT_ATTEMPTS: u32 = 50;
 /// Pause between connect attempts to one peer.
 const CONNECT_RETRY_US: Time = 100_000;
-/// Hard bound on one blocking write. Readers always drain (module
-/// docs), so only a peer *process* that is stopped or gone can hit it;
-/// its link is then closed like any other failed write.
-const WRITE_STALL: Duration = Duration::from_secs(5);
-
-/// What a reactor finds in its inbox: every message decoded from one
-/// read of a peer's connection (or one loopback send), in stream order
-/// — one channel send and one wake-up per read, not per frame. An empty
-/// batch is the teardown wake-up.
-pub struct Event {
-    /// Sending node.
-    pub from: NodeId,
-    /// The messages.
-    pub msgs: Vec<Msg>,
-}
-
-/// Inbox accounting for one reactor: messages enqueued by readers (and
-/// loopback sends) minus messages the reactor has consumed. The ops
-/// plane reports `depth()` as the reactor's backlog.
-#[derive(Default)]
-pub struct InboxStats {
-    /// Messages pushed into the reactor's channel.
-    pub enqueued: AtomicU64,
-    /// Messages the reactor has taken out (processed or dropped-as-crashed).
-    pub processed: AtomicU64,
-}
-
-impl InboxStats {
-    /// Current queue depth.
-    pub fn depth(&self) -> u64 {
-        self.enqueued
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.processed.load(Ordering::Relaxed))
-    }
-}
+/// How long the head of a FIFO may sit on a full socket without a byte
+/// of progress. Receive buffers always drain (module docs), so only a
+/// peer *process* that is stopped or gone can hit it; its link is then
+/// closed like any other failed write.
+const WRITE_STALL: Time = 5_000_000;
 
 /// Transport metrics, registered in the global telemetry registry.
 pub struct NetCounters {
@@ -102,10 +72,12 @@ pub struct NetCounters {
     pub frames_out: Counter,
     /// Writes that packed 2+ frames into one syscall.
     pub coalesced_writes: Counter,
-    /// `read(2)` calls issued by reader threads.
+    /// `read(2)` calls on inbound connections.
     pub syscalls_read: Counter,
-    /// `write(2)` calls issued by reactors flushing their peers.
+    /// `write(2)` calls flushing peers.
     pub syscalls_write: Counter,
+    /// Readiness waits (`ppoll(2)` calls), one per reactor turn.
+    pub syscalls_poll: Counter,
 }
 
 impl NetCounters {
@@ -118,6 +90,7 @@ impl NetCounters {
             coalesced_writes: registry::counter("net.coalesced_writes"),
             syscalls_read: registry::counter("net.syscalls_read"),
             syscalls_write: registry::counter("net.syscalls_write"),
+            syscalls_poll: registry::counter("net.syscalls_poll"),
         }
     }
 }
@@ -132,10 +105,10 @@ pub struct Shared {
     pub addrs: Vec<SocketAddr>,
     index: DenseIndex,
     /// Scripted + runtime fault state. Crashed nodes neither send nor
-    /// receive (their reactors drop inbound events and timers), but
+    /// receive (their reactors drop inbound messages and timers), but
     /// state is retained.
     pub faults: RwLock<FaultState>,
-    /// Set once at teardown; all threads poll it and exit.
+    /// Set once at teardown; every reactor sees it within one wait.
     pub shutdown: AtomicBool,
     start: Instant,
     /// Transport metrics (global telemetry registry).
@@ -187,7 +160,8 @@ impl Shared {
         self.faults.read().expect("faults lock").is_crashed(id)
     }
 
-    fn shutting_down(&self) -> bool {
+    /// Whether teardown has begun.
+    pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
 }
@@ -201,13 +175,17 @@ struct Peer {
     stream: Option<TcpStream>,
     /// FIFO of `(due, frame)`. Only the head gates: under jitter a
     /// later frame with an earlier due instant waits behind it, like the
-    /// sim's per-link FIFO.
+    /// sim's per-link FIFO. The unwritten tail of a partial write goes
+    /// back to the front, due at once.
     q: VecDeque<(Time, Bytes)>,
     /// Connect attempts left; 0 with no stream means the link is closed
     /// (connect gave up or a write failed) and its frames are dropped.
     attempts_left: u32,
     /// Earliest instant of the next connect attempt.
     retry_at: Time,
+    /// Since when the head has sat on a full socket without a byte going
+    /// out. While set, the link waits for writability, not for `flush`.
+    blocked: Option<Time>,
     depth: Gauge,
 }
 
@@ -219,21 +197,25 @@ impl Peer {
     fn close(&mut self) {
         self.stream = None;
         self.attempts_left = 0;
+        self.blocked = None;
         self.q.clear();
     }
 
-    /// When this link next needs the reactor: its head frame coming due,
-    /// or the connect retry that frame is waiting for.
+    /// When this link next needs a flush: its head frame coming due, the
+    /// connect retry that frame is waiting for, or — blocked — the
+    /// instant its stall becomes a failure.
     fn next_due(&self) -> Option<Time> {
-        self.q.front().map(|&(due, _)| due.max(self.retry_at))
+        match self.blocked {
+            Some(since) => Some(since + WRITE_STALL),
+            None => self.q.front().map(|&(due, _)| due.max(self.retry_at)),
+        }
     }
 
     /// One connect attempt plus the hello that names `src` to the
-    /// reader side. Loopback connects succeed or are refused at once.
+    /// accepting side. Loopback connects succeed or are refused at once,
+    /// and a fresh socket's empty send buffer takes the 8 bytes whole.
     fn connect(&mut self, src: NodeId, now: Time, c: &NetCounters) {
-        let mut hello = [0u8; 8];
-        hello[..4].copy_from_slice(&src.group.to_le_bytes());
-        hello[4..].copy_from_slice(&src.node.to_le_bytes());
+        let hello = [src.group.to_le_bytes(), src.node.to_le_bytes()].concat();
         self.attempts_left -= 1;
         self.retry_at = now + CONNECT_RETRY_US;
         let Ok(mut stream) = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500))
@@ -244,19 +226,19 @@ impl Peer {
             return;
         };
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(WRITE_STALL));
         match write_counted(&mut stream, &hello, c) {
-            Ok(()) => {
+            Ok(8) if stream.set_nonblocking(true).is_ok() => {
                 self.stream = Some(stream);
                 self.retry_at = 0;
             }
-            Err(_) => self.close(),
+            _ => self.close(),
         }
     }
 
-    /// Pops every due frame off the head of the FIFO and writes them:
-    /// small frames packed into `coalesce` and sent in one write, a
-    /// large or lone frame streamed straight from its refcounted buffer.
+    /// Writes the due frames at the head of the FIFO until none is due or
+    /// the socket is full: small frames packed into `coalesce` and sent in
+    /// one write, a large or lone frame straight from its refcounted
+    /// buffer. What a full socket did not take goes back to the head.
     fn write_due(
         &mut self,
         now: Time,
@@ -264,65 +246,66 @@ impl Peer {
         c: &NetCounters,
     ) -> std::io::Result<()> {
         let stream = self.stream.as_mut().expect("flush connects first");
-        let mut packed = 0usize;
-        let head_due = |q: &VecDeque<(Time, Bytes)>| q.front().is_some_and(|&(due, _)| due <= now);
-        while head_due(&self.q) {
+        let since = self.blocked.take();
+        let mut progress = false;
+        while self.q.front().is_some_and(|&(due, _)| due <= now) {
             let (_, frame) = self.q.pop_front().expect("front checked");
-            let large = frame.len() >= LARGE_FRAME;
-            if packed > 0 && (large || coalesce.len() + frame.len() > COALESCE_BYTES) {
-                write_packed(stream, coalesce, &mut packed, c)?;
+            coalesce.clear();
+            let (mut packed, mut size) = (1u32, frame.len());
+            while let Some((_, next)) = self.q.front().filter(|(due, next)| {
+                *due <= now
+                    && frame.len().max(next.len()) < LARGE_FRAME
+                    && size + next.len() <= COALESCE_BYTES
+            }) {
+                if packed == 1 {
+                    coalesce.extend_from_slice(&frame);
+                }
+                coalesce.extend_from_slice(next);
+                (packed, size) = (packed + 1, size + next.len());
+                self.q.pop_front();
             }
-            if large || (packed == 0 && !head_due(&self.q)) {
-                write_counted(stream, &frame, c)?;
-            } else {
-                coalesce.extend_from_slice(&frame);
-                packed += 1;
+            let out: &[u8] = if packed == 1 { &frame } else { coalesce };
+            if packed >= 2 {
+                c.coalesced_writes.inc();
             }
-        }
-        if packed > 0 {
-            write_packed(stream, coalesce, &mut packed, c)?;
+            let n = write_counted(stream, out, c)?;
+            progress |= n > 0;
+            if n < out.len() {
+                let tail = match packed {
+                    1 => frame.slice(n..),
+                    _ => Bytes::copy_from_slice(&out[n..]),
+                };
+                self.q.push_front((0, tail));
+                self.blocked = Some(since.filter(|_| !progress).unwrap_or(now));
+                break;
+            }
         }
         Ok(())
     }
 }
 
-fn write_packed(
-    stream: &mut TcpStream,
-    coalesce: &mut Vec<u8>,
-    packed: &mut usize,
-    c: &NetCounters,
-) -> std::io::Result<()> {
-    if *packed >= 2 {
-        c.coalesced_writes.inc();
-    }
-    *packed = 0;
-    let res = write_counted(stream, coalesce, c);
-    coalesce.clear();
-    res
-}
-
-fn write_counted(stream: &mut TcpStream, mut buf: &[u8], c: &NetCounters) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        let n = stream.write(buf)?;
-        if n == 0 {
-            return Err(std::io::ErrorKind::WriteZero.into());
+/// One `write(2)`: how much of `buf` the socket took — less than all of
+/// it, possibly nothing, exactly when its send buffer is full.
+fn write_counted(stream: &mut TcpStream, buf: &[u8], c: &NetCounters) -> std::io::Result<usize> {
+    c.syscalls_write.inc();
+    match stream.write(buf) {
+        Ok(0) => Err(ErrorKind::WriteZero.into()),
+        Ok(n) => {
+            c.tcp_bytes_out.add(n as u64);
+            Ok(n)
         }
-        c.syscalls_write.inc();
-        c.tcp_bytes_out.add(n as u64);
-        buf = &buf[n..];
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(0),
+        Err(e) => Err(e),
     }
-    Ok(())
 }
 
-/// A reactor's outbound plane: the per-peer FIFOs and sockets, and the
+/// A node's outbound plane: the per-peer FIFOs and sockets, and the
 /// sender-side fault RNG. Used by exactly one thread.
 pub struct NetHandle {
     src: NodeId,
     shared: Arc<Shared>,
-    /// Links opened so far, in first-use order.
-    peers: Vec<Peer>,
-    /// Dense node index → position in `peers` (`usize::MAX`: none yet).
-    slot: Vec<usize>,
+    /// The link to each node, by dense index, once a frame was routed to it.
+    peers: Vec<Option<Peer>>,
     rng: FaultRng,
     coalesce: Vec<u8>,
 }
@@ -333,9 +316,8 @@ impl NetHandle {
     pub fn new(src: NodeId, shared: Arc<Shared>) -> Self {
         NetHandle {
             src,
-            slot: vec![usize::MAX; shared.addrs.len()],
+            peers: shared.addrs.iter().map(|_| None).collect(),
             shared,
-            peers: Vec::new(),
             rng: FaultRng::new((src.group as u64) << 32 | src.node as u64),
             coalesce: Vec::new(),
         }
@@ -343,17 +325,14 @@ impl NetHandle {
 
     /// Routes an encoded frame to `dst`, applying crash/partition gating,
     /// link-fault drop/dup/jitter, and injected latency on top of
-    /// `sent_at` — the reactor passes one clock read per turn, taken
+    /// `sent_at` — the reactor passes one clock read per node turn, taken
     /// after the handlers ran, so latency is never under-applied and a
     /// turn's frames to one peer come due together. The frame leaves
     /// with the first [`NetHandle::flush`] at or after its due instant.
-    /// `dst` must not be `src` (reactors loop local sends back through
-    /// their own channel, like the sim's immediate loopback delivery).
+    /// `dst` must not be `src` (reactors queue local sends on the node's
+    /// own input, like the sim's immediate loopback delivery).
     pub fn send(&mut self, dst: NodeId, frame: Bytes, sent_at: Time) {
         debug_assert_ne!(dst, self.src, "loopback handled by the reactor");
-        if self.shared.shutting_down() {
-            return;
-        }
         let shared = &self.shared;
         let is_wan = shared.topo.is_wan(self.src, dst);
         let verdict = {
@@ -394,42 +373,40 @@ impl NetHandle {
     }
 
     fn peer(&mut self, dst: NodeId) -> &mut Peer {
-        let idx = self.shared.idx(dst);
-        if self.slot[idx] == usize::MAX {
-            self.slot[idx] = self.peers.len();
-            let src = self.src;
-            self.peers.push(Peer {
-                addr: self.shared.addrs[idx],
-                stream: None,
-                q: VecDeque::new(),
-                attempts_left: CONNECT_ATTEMPTS,
-                retry_at: 0,
-                depth: registry::gauge(&format!(
-                    "net.queue.g{}n{}-g{}n{}",
-                    src.group, src.node, dst.group, dst.node
-                )),
-            });
-        }
-        &mut self.peers[self.slot[idx]]
+        let (src, idx) = (self.src, self.shared.idx(dst));
+        self.peers[idx].get_or_insert_with(|| Peer {
+            addr: self.shared.addrs[idx],
+            stream: None,
+            q: VecDeque::new(),
+            attempts_left: CONNECT_ATTEMPTS,
+            retry_at: 0,
+            blocked: None,
+            depth: registry::gauge(&format!(
+                "net.queue.g{}n{}-g{}n{}",
+                src.group, src.node, dst.group, dst.node
+            )),
+        })
     }
 
     /// The earliest instant any link needs a [`NetHandle::flush`]; the
-    /// reactor folds it into its sleep deadline next to the timer wheel.
+    /// reactor folds it into its wait next to the timer wheel.
     pub fn next_due(&self) -> Option<Time> {
-        self.peers.iter().filter_map(Peer::next_due).min()
+        self.peers.iter().flatten().filter_map(Peer::next_due).min()
     }
 
-    /// Writes out everything that is due at `now`: at most one coalesced
-    /// write per peer (large frames apart). Blocking — see the module
-    /// docs for why that cannot deadlock. A link whose connect gave up
-    /// or whose write failed is closed and its frames dropped.
+    /// Writes out what is due at `now` and the sockets have room for: at
+    /// most one coalesced write per peer (large frames apart), never
+    /// waiting. A link whose connect gave up, whose write failed or whose
+    /// head stalled for [`WRITE_STALL`] is closed and its frames dropped.
     pub fn flush(&mut self, now: Time) {
         let c = &self.shared.counters;
-        for p in &mut self.peers {
+        for p in self.peers.iter_mut().flatten() {
             if p.next_due().is_none_or(|due| due > now) {
                 continue;
             }
-            if p.stream.is_none() {
+            if p.blocked.is_some() {
+                p.close();
+            } else if p.stream.is_none() {
                 p.connect(self.src, now, c);
             }
             if p.stream.is_some() && p.write_due(now, &mut self.coalesce, c).is_err() {
@@ -438,115 +415,86 @@ impl NetHandle {
             p.depth.set(p.q.len() as u64);
         }
     }
-}
 
-/// Spawns the acceptor thread for one node's listener. Each accepted
-/// connection gets its own reader thread feeding `tx`. The acceptor
-/// exits on the first accept after the shutdown flag is set (teardown
-/// pokes it with a throwaway connect); on the way out it shuts every
-/// accepted socket down, which ends the blocking `read` of its reader,
-/// and joins the readers — so joining the acceptor joins them all.
-pub fn spawn_acceptor(
-    shared: Arc<Shared>,
-    id: NodeId,
-    listener: TcpListener,
-    tx: Sender<Event>,
-    inbox: Arc<InboxStats>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("acc-{id}"))
-        .stack_size(IO_STACK)
-        .spawn(move || {
-            let mut readers = Vec::new();
-            for stream in listener.incoming() {
-                if shared.shutting_down() {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let stream = Arc::new(stream);
-                let reader = {
-                    let (shared, stream) = (Arc::clone(&shared), Arc::clone(&stream));
-                    let (tx, inbox) = (tx.clone(), Arc::clone(&inbox));
-                    std::thread::Builder::new()
-                        .name(format!("r-{id}"))
-                        .stack_size(IO_STACK)
-                        .spawn(move || reader_loop(&shared, &stream, &tx, &inbox))
-                };
-                if let Ok(reader) = reader {
-                    readers.push((stream, reader));
-                }
-            }
-            for (stream, reader) in readers {
-                let _ = stream.shutdown(Shutdown::Both);
-                let _ = reader.join();
-            }
-        })
-        .expect("spawn acceptor")
-}
-
-fn reader_loop(shared: &Shared, stream: &TcpStream, tx: &Sender<Event>, inbox: &InboxStats) {
-    let _ = stream.set_nodelay(true);
-    read_frames(shared, stream, tx, inbox);
-    // The acceptor keeps the socket alive for teardown; with its reader
-    // gone nothing drains it, so refuse further bytes — the sender's
-    // next write fails and closes the link instead of blocking on a
-    // full buffer.
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn read_frames(shared: &Shared, mut stream: &TcpStream, tx: &Sender<Event>, inbox: &InboxStats) {
-    // Hello: who is talking.
-    let mut hello = [0u8; 8];
-    if stream.read_exact(&mut hello).is_err() {
-        return;
+    /// The sockets of the links waiting to take output again: the reactor
+    /// polls them for writability and answers with [`NetHandle::resume`].
+    pub fn blocked(&self) -> impl Iterator<Item = &TcpStream> {
+        let blocked = self.peers.iter().flatten().filter(|p| p.blocked.is_some());
+        blocked.filter_map(|p| p.stream.as_ref())
     }
-    shared.counters.syscalls_read.inc();
-    shared.counters.tcp_bytes_in.add(8);
-    let from = NodeId::new(
-        u32::from_le_bytes(hello[..4].try_into().expect("len")),
-        u32::from_le_bytes(hello[4..].try_into().expect("len")),
-    );
-    let mut fb = FrameBuffer::new();
-    // A mis-framed stream is unrecoverable: deliver what decoded before
-    // it, then drop the connection (the sim's equivalent is a dropped
-    // message; a Byzantine-garbage peer loses its link).
-    let mut intact = true;
-    while intact {
-        // Blocks until bytes arrive, the peer closes, or teardown shuts
-        // the socket down (both read as 0 or an error).
-        match fb.fill_from(&mut stream, COALESCE_BYTES) {
-            Ok(0) => return,
-            Ok(n) => {
-                shared.counters.syscalls_read.inc();
-                shared.counters.tcp_bytes_in.add(n as u64);
+
+    /// Retries the blocked links, one of whose sockets reported room (or
+    /// an error, which the write then meets).
+    pub fn resume(&mut self, now: Time) {
+        let c = &self.shared.counters;
+        let blocked = self.peers.iter_mut().flatten();
+        for p in blocked.filter(|p| p.blocked.is_some()) {
+            if p.write_due(now, &mut self.coalesce, c).is_err() {
+                p.close();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
+            p.depth.set(p.q.len() as u64);
         }
-        let mut msgs = Vec::new();
+    }
+}
+
+/// One accepted inbound connection: its non-blocking socket, the sender
+/// its hello named, and the reassembly buffer the hello is the first
+/// state of.
+pub struct Conn {
+    /// The socket, for the reactor's poll set.
+    pub stream: TcpStream,
+    from: Option<NodeId>,
+    fb: FrameBuffer,
+}
+
+impl Conn {
+    /// Takes over an accepted socket.
+    pub fn new(stream: TcpStream) -> std::io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(Conn {
+            stream,
+            from: None,
+            fb: FrameBuffer::new(),
+        })
+    }
+
+    /// One `read(2)`, then every message it completed goes to `deliver`
+    /// with its sender, in stream order. `false` once the connection is
+    /// finished — closed by the peer, failed, or mis-framed, which is
+    /// unrecoverable: what decoded before the bad frame is delivered and
+    /// the caller drops the connection (a Byzantine-garbage peer loses its
+    /// link: its next write fails instead of filling a buffer nobody reads).
+    pub fn read_once(&mut self, c: &NetCounters, mut deliver: impl FnMut(NodeId, Msg)) -> bool {
+        c.syscalls_read.inc();
+        match self.fb.fill_from(&mut self.stream, COALESCE_BYTES) {
+            Ok(0) => return false,
+            Ok(n) => c.tcp_bytes_in.add(n as u64),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                return true
+            }
+            Err(_) => return false,
+        }
+        if self.from.is_none() {
+            let Some(hello) = self.fb.take_prefix::<8>() else {
+                return true;
+            };
+            let word = |at: usize| u32::from_le_bytes(hello[at..at + 4].try_into().expect("len"));
+            self.from = Some(NodeId::new(word(0), word(4)));
+        }
+        let from = self.from.expect("hello read above");
         let mut frames = 0;
-        while intact {
-            match fb.next_frame() {
-                Ok(Some(body)) => {
-                    frames += 1;
-                    match decode_msg(&body) {
-                        Ok(m) => msgs.push(m),
-                        Err(_) => intact = false,
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => intact = false,
-            }
-        }
-        shared.counters.frames_in.add(frames);
-        if msgs.is_empty() {
-            continue;
-        }
-        inbox
-            .enqueued
-            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-        if tx.send(Event { from, msgs }).is_err() {
-            return;
-        }
+        let intact = loop {
+            let msg = match self.fb.next_frame() {
+                Ok(Some(body)) => decode_msg(&body),
+                Ok(None) => break true,
+                Err(_) => break false,
+            };
+            let Ok(msg) = msg else { break false };
+            frames += 1;
+            deliver(from, msg);
+        };
+        c.frames_in.add(frames);
+        intact
     }
 }

@@ -11,7 +11,11 @@
 //!   from the live `Node` states at scrape time, labeled
 //!   `{group="…",node="…"}`.
 //! - `GET /status` — one JSON document with every hosted node's
-//!   [`NodeStatus`] plus transport queue depths.
+//!   [`NodeStatus`] plus transport queue depths: `inbox_depth` (messages
+//!   decoded for the node but not yet handed to it — non-zero only while
+//!   its lock is held elsewhere) and `writer_queue_frames` (frames in its
+//!   outbound FIFOs: not yet due, or waiting for a full socket — which is
+//!   where a receiver whose reactor cannot keep up shows, at its senders).
 //! - `GET /trace?window=N` — the most recent `N` telemetry ring events
 //!   as JSONL (non-destructive; ring loss reported in the
 //!   `X-Ring-Dropped` header, never silently).
@@ -28,7 +32,8 @@
 //! request) so the same [`http_get`] helper serves the bench scraper,
 //! the smoke gate, and the tests.
 
-use crate::net::{InboxStats, Shared};
+use crate::cluster::Seat;
+use crate::net::Shared;
 use massbft_core::protocol::{Node, NodeStatus};
 use massbft_sim_net::NodeId;
 use massbft_telemetry as telemetry;
@@ -91,20 +96,9 @@ impl Default for OpsConfig {
     }
 }
 
-/// The per-node handles the ops plane reads from (shared with the
-/// reactors; locks are held only long enough to copy a status out).
-pub struct NodeHandles {
-    /// Which node.
-    pub id: NodeId,
-    /// Its live state.
-    pub node: Arc<Mutex<Node>>,
-    /// Its reactor inbox accounting.
-    pub inbox: Arc<InboxStats>,
-}
-
 struct OpsState {
     shared: Arc<Shared>,
-    nodes: Vec<NodeHandles>,
+    nodes: Vec<Arc<Seat<Node>>>,
 }
 
 /// Pending anomaly triggers plus dump bookkeeping, shared between the
@@ -152,7 +146,7 @@ impl OpsHandle {
 /// Binds the listener and spawns the server (and monitor) threads.
 pub fn start(
     shared: Arc<Shared>,
-    nodes: Vec<NodeHandles>,
+    nodes: Vec<Arc<Seat<Node>>>,
     cfg: OpsConfig,
 ) -> std::io::Result<Arc<OpsHandle>> {
     let listener = TcpListener::bind(cfg.addr)?;
@@ -302,9 +296,9 @@ fn collect_statuses(state: &OpsState) -> Vec<(NodeStatus, u64, u64)> {
         .nodes
         .iter()
         .map(|nh| {
-            let st = nh.node.lock().expect("node lock").status();
+            let st = nh.actor.lock().expect("node lock").status();
             let wq = writer_queue_frames(nh.id);
-            (st, nh.inbox.depth(), wq)
+            (st, nh.backlog.load(Ordering::Relaxed), wq)
         })
         .collect()
 }

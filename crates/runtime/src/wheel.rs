@@ -1,11 +1,10 @@
-//! Hierarchical timer wheel for the per-node reactor threads.
+//! Hierarchical timer wheel, one per reactor thread, holding the timers
+//! and delayed sends of every node the reactor hosts.
 //!
-//! The simulator orders timers in a global binary heap; a wall-clock
-//! reactor cannot, because it only wakes when its channel does. The
-//! wheel gives O(1) insert and amortized O(1) advance at a 1.024 ms
-//! tick, coarse enough to batch wakeups and fine enough for the
-//! protocol's shortest timers (batch ticks, heartbeats — all ≥ a few
-//! milliseconds).
+//! The simulator orders timers in a global binary heap. The wheel gives
+//! O(1) insert and amortized O(1) advance at a 1.024 ms tick, coarse
+//! enough to batch wakeups and fine enough for the protocol's shortest
+//! timers (batch ticks, heartbeats — all ≥ a few milliseconds).
 //!
 //! Four levels of 64 slots cover deadlines up to 64^4 ticks ≈ 4.7 hours;
 //! anything later is clamped into the top level and re-cascaded, which
@@ -135,7 +134,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Earliest pending deadline in µs, if any. Linear in pending timers;
-    /// reactors hold only a handful (protocol timers + delayed sends).
+    /// a reactor holds a handful per node (protocol timers, delayed sends).
     pub fn next_deadline(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
