@@ -1,12 +1,13 @@
 //! Hardware-accelerated kernels for the MassBFT data plane, and the one
-//! system call the TCP runtime needs that `std` does not wrap.
+//! readiness wait the TCP runtime needs that `std` does not wrap.
 //!
 //! The rest of the workspace is `#![forbid(unsafe_code)]` (`scripts/
 //! check.sh` fails on `unsafe` anywhere else); this crate is the one
 //! deliberate exception, with two modules that each carry their safety
-//! argument in their docs: [`poll`] (a safe readiness wait over
-//! `ppoll(2)`, the only FFI) and `x86`, which quarantines the `unsafe`
-//! needed to call x86-64 SIMD intrinsics behind runtime CPU feature
+//! argument in their docs: [`poll`] (a safe [`Poller`] over `epoll`, the
+//! only FFI: `epoll_create1`, `epoll_ctl` and `epoll_pwait2`, which need
+//! Linux 5.11 and glibc 2.35 or later) and `x86`, which quarantines the
+//! `unsafe` needed to call x86-64 SIMD intrinsics behind runtime CPU feature
 //! detection, so `massbft-crypto` and `massbft-codec` can stay fully safe
 //! while the replication hot path uses the hardware the evaluation
 //! machines actually have:
@@ -36,7 +37,7 @@ pub mod poll;
 mod x86;
 
 #[cfg(unix)]
-pub use poll::{poll, PollFd};
+pub use poll::{Events, Interest, Poller};
 
 /// Cores this process may run on, resolved once per process.
 ///

@@ -1,97 +1,221 @@
-//! Readiness wait over `ppoll(2)`: the one system call the TCP runtime
+//! Readiness kept by the kernel: [`Poller`], the one wait the TCP runtime
 //! needs that `std` does not wrap, and the workspace's only FFI, declared
 //! against the libc `std` already links.
 //!
-//! Safety argument. The kernel reads and writes exactly `n` `struct
-//! pollfd` at `fds`, reads one `struct timespec` (or takes milliseconds by
-//! value) and keeps no pointer once it returns. [`PollFd`] is `repr(C)`
-//! with `pollfd`'s fields (`int`, `short`, `short` on every unix); pointer
-//! and count come from one live `&mut [PollFd]`; the timespec is a local
-//! of two `long`s, the layout of Linux's `ppoll` symbol; the signal mask is
-//! null (unchanged). A descriptor that is closed or was never open is not
-//! a memory-safety matter: the kernel answers `POLLNVAL`, which reads here
-//! as ready, so its owner's next read or write surfaces the error.
+//! A socket is registered once under a token its owner picks, and a wait
+//! reports the ready sockets' tokens and nothing else: it costs what
+//! happened, not what is registered. On Linux the set lives in the kernel
+//! (`epoll_create1`, `epoll_ctl`, `epoll_pwait2`: Linux >= 5.11, glibc >=
+//! 2.35). `epoll_pwait2` keeps microsecond timeouts (`epoll_wait`'s
+//! milliseconds would round a 300 µs LAN delay up to 1 ms); a kernel
+//! without it fails [`Poller::new`], with no fallback. Elsewhere on unix
+//! the set is kept here and each wait scans it with `poll(2)`.
+//!
+//! Safety argument. The kernel keeps no pointer once a call returns. It
+//! reads one local `struct epoll_event` per `epoll_ctl`; writes at most
+//! `maxevents` events into a `Vec`'s spare capacity of that many, whose
+//! length is then set to the count it reported; reads a local `struct
+//! timespec` (two `long`s, Linux's layout) or null, and a null signal
+//! mask; `poll(2)` gets the kept set's live slice and its length.
+//! `RawEvent` is `epoll_event` (packed on x86-64, as the kernel's), `Watch`
+//! is `struct pollfd`; the epoll descriptor is an `OwnedFd` only its
+//! `Poller` closes. A registered socket that is closed is no memory matter
+//! (epoll forgets it, `poll(2)` answers `POLLNVAL`, read as ready), but
+//! owners delete one before closing it, so a reused descriptor number never
+//! inherits its token.
 
 #![allow(unsafe_code)]
 
-use std::ffi::{c_int, c_long, c_void};
-use std::os::fd::AsRawFd;
+use std::ffi::c_int;
+#[cfg(not(target_os = "linux"))]
+use std::ffi::c_uint;
+#[cfg(target_os = "linux")]
+use std::ffi::{c_long, c_void};
+use std::io;
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
-const POLLIN: i16 = 0x01;
-const POLLOUT: i16 = 0x04;
-/// `POLLERR | POLLHUP | POLLNVAL`: reported whatever was asked for.
-const POLLDEAD: i16 = 0x08 | 0x10 | 0x20;
-
-/// One descriptor of a [`poll`] set: what to wait for, and what happened.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    fd: c_int,
-    events: i16,
-    revents: i16,
+/// What a registered socket is waited for, as `EPOLLIN`/`EPOLLOUT` and
+/// `POLLIN`/`POLLOUT` both spell it. Errors and hang-ups are reported
+/// whatever was asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Interest {
+    /// Nothing but errors and hang-ups.
+    None = 0,
+    /// Input: data, a connection to accept, end of stream.
+    Read = 1,
+    /// Room to write again.
+    Write = 4,
 }
 
-impl PollFd {
-    /// Waits for `fd` to take output again if `write`, else to have input
-    /// (data, a connection to accept, end of stream).
-    pub fn new(fd: &impl AsRawFd, write: bool) -> Self {
-        PollFd {
-            fd: fd.as_raw_fd(),
-            events: if write { POLLOUT } else { POLLIN },
-            revents: 0,
-        }
+#[derive(Clone, Copy)]
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+struct RawEvent(u32, u64);
+
+#[cfg(not(target_os = "linux"))]
+#[repr(C)]
+struct Watch(c_int, i16, i16);
+
+/// Room for what one [`Poller::wait`] reports, and after it the report.
+pub struct Events(Vec<RawEvent>);
+
+impl Events {
+    /// Room for `n` ready sockets per wait; more stay ready for the next.
+    pub fn with_capacity(n: usize) -> Events {
+        Events(Vec::with_capacity(n.max(1)))
     }
 
-    /// Whether what was waited for came: the read or write will not block
-    /// (it may return an error, or 0 at end of stream).
-    pub fn is_ready(&self) -> bool {
-        self.revents & (self.events | POLLDEAD) != 0
+    /// The token of every socket the last wait found ready: its owner's
+    /// next read or write will not block (it may fail, or read 0 at EOF).
+    pub fn tokens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().map(|e| e.1)
     }
+}
+
+/// A set of sockets, each registered once under a token, and the wait
+/// that reports which of them are ready (module docs).
+pub struct Poller {
+    #[cfg(target_os = "linux")]
+    epoll: std::os::fd::OwnedFd,
+    /// The registered sockets and, entry for entry, their tokens.
+    #[cfg(not(target_os = "linux"))]
+    set: std::cell::RefCell<(Vec<Watch>, Vec<u64>)>,
 }
 
 #[cfg(target_os = "linux")]
-fn sys_poll(fds: &mut [PollFd], timeout: Option<Duration>) -> c_int {
-    #[repr(C)]
-    struct Timespec(c_long, c_long);
-    extern "C" {
-        fn ppoll(fds: *mut PollFd, n: usize, t: *const Timespec, mask: *const c_void) -> c_int;
-    }
-    let ts = timeout.map(|t| Timespec(t.as_secs() as c_long, t.subsec_nanos() as c_long));
-    let ts = ts.as_ref().map_or(std::ptr::null(), std::ptr::from_ref);
-    // SAFETY: module docs — a live slice, a live or null timespec, no mask.
-    unsafe { ppoll(fds.as_mut_ptr(), fds.len(), ts, std::ptr::null()) }
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut RawEvent) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        at: *mut RawEvent,
+        n: c_int,
+        t: *const [c_long; 2],
+        mask: *const c_void,
+    ) -> c_int;
 }
-
 #[cfg(not(target_os = "linux"))]
-fn sys_poll(fds: &mut [PollFd], timeout: Option<Duration>) -> c_int {
-    extern "C" {
-        fn poll(fds: *mut PollFd, n: std::ffi::c_uint, ms: c_int) -> c_int;
+extern "C" {
+    fn poll(fds: *mut Watch, n: c_uint, ms: c_int) -> c_int;
+}
+// `EPOLL_CTL_*`, and the operations the `poll(2)` set answers.
+const ADD: c_int = 1;
+const DEL: c_int = 2;
+const MOD: c_int = 3;
+
+impl Poller {
+    /// An empty set.
+    pub fn new() -> io::Result<Poller> {
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::fd::FromRawFd;
+            // SAFETY: no pointer (0o2000000 is `EPOLL_CLOEXEC`); then a
+            // descriptor just opened, owned by nothing else.
+            let fd = check(unsafe { epoll_create1(0o2000000) })? as RawFd;
+            let poller = Poller {
+                epoll: unsafe { std::os::fd::OwnedFd::from_raw_fd(fd) },
+            };
+            // A kernel before 5.11 says so here, not in the middle of a run.
+            let probe = poller.sys_wait(&mut Vec::with_capacity(1), Some(Duration::ZERO));
+            probe.map_err(|e| io::Error::new(e.kind(), format!("epoll_pwait2: {e}")))?;
+            Ok(poller)
+        }
+        #[cfg(not(target_os = "linux"))]
+        Ok(Poller {
+            set: Default::default(),
+        })
     }
-    let ms = timeout.map_or(-1, |t| {
-        t.as_nanos().div_ceil(1_000_000).min(1 << 30) as c_int
-    });
-    // SAFETY: module docs — a live slice and its length.
-    unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_uint, ms) }
+
+    /// Registers `fd` under `token`, the number waits report it by.
+    pub fn add(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(ADD, fd.as_raw_fd(), token, interest)
+    }
+
+    /// Changes what the registered `fd` is waited for.
+    pub fn modify(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(MOD, fd.as_raw_fd(), token, interest)
+    }
+
+    /// Unregisters `fd`; done before the socket is closed.
+    pub fn delete(&self, fd: &impl AsRawFd) -> io::Result<()> {
+        self.ctl(DEL, fd.as_raw_fd(), 0, Interest::None)
+    }
+
+    /// Blocks until a registered socket is ready or `timeout` has passed
+    /// (`None` = forever; an empty set just sleeps) and leaves the ready
+    /// sockets' tokens in `events`. Returns how many; an interruption by a
+    /// signal is retried with what is left of the timeout.
+    pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            match self.sys_wait(&mut events.0, left) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                ready => return ready,
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut event = RawEvent(interest as u32, token);
+        // SAFETY: module docs — one live local event.
+        check(unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut event) }).map(drop)
+    }
+
+    #[cfg(target_os = "linux")]
+    fn sys_wait(&self, buf: &mut Vec<RawEvent>, timeout: Option<Duration>) -> io::Result<usize> {
+        let ts = timeout.map(|t| [t.as_secs() as c_long, t.subsec_nanos() as c_long]);
+        let ts = ts.as_ref().map_or(std::ptr::null(), std::ptr::from_ref);
+        buf.clear();
+        let (ep, at, max) = (
+            self.epoll.as_raw_fd(),
+            buf.as_mut_ptr(),
+            buf.capacity().min(1 << 30),
+        );
+        // SAFETY: module docs — room for `max` events, a live or null
+        // timespec, no mask; then the count the kernel filled (<= `max`).
+        unsafe {
+            let ready = check(epoll_pwait2(ep, at, max as c_int, ts, std::ptr::null()))?;
+            buf.set_len(ready);
+            Ok(ready)
+        }
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let (watches, tokens) = &mut *self.set.borrow_mut();
+        match (op, watches.iter().position(|w| w.0 == fd)) {
+            (ADD, None) => drop((
+                watches.push(Watch(fd, interest as i16, 0)),
+                tokens.push(token),
+            )),
+            (MOD, Some(i)) => (watches[i].1, tokens[i]) = (interest as i16, token),
+            (DEL, Some(i)) => drop((watches.swap_remove(i), tokens.swap_remove(i))),
+            _ => return Err(io::ErrorKind::NotFound.into()),
+        }
+        Ok(())
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn sys_wait(&self, buf: &mut Vec<RawEvent>, timeout: Option<Duration>) -> io::Result<usize> {
+        let (watches, tokens) = &mut *self.set.borrow_mut();
+        let ms = timeout.map_or(-1, |t| {
+            t.as_nanos().div_ceil(1_000_000).min(1 << 30) as c_int
+        });
+        // SAFETY: module docs — the kept set's live slice and its length.
+        check(unsafe { poll(watches.as_mut_ptr(), watches.len() as c_uint, ms) })?;
+        buf.clear();
+        let ready = watches.iter().zip(tokens.iter()).filter(|(w, _)| w.2 != 0);
+        buf.extend(ready.map(|(w, &token)| RawEvent(w.2 as u32, token)));
+        Ok(buf.len())
+    }
 }
 
-/// Blocks until a descriptor of `fds` is ready or `timeout` has passed
-/// (microsecond resolution on Linux; `None` = forever; an empty set just
-/// sleeps). Returns how many entries are ready; an interruption by a
-/// signal is retried with what is left of the timeout.
-pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
-    let deadline = timeout.map(|t| Instant::now() + t);
-    loop {
-        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let ready = sys_poll(fds, left);
-        if ready >= 0 {
-            return Ok(ready as usize);
-        }
-        let err = std::io::Error::last_os_error();
-        if err.kind() != std::io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
+/// A C call's result: negative means `errno` says why.
+fn check(ret: c_int) -> io::Result<usize> {
+    usize::try_from(ret).map_err(|_| io::Error::last_os_error())
 }
 
 #[cfg(test)]
@@ -99,6 +223,15 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Every test that opens a descriptor (a socket, an epoll set) holds
+    /// this, so that the descriptor one of them closes is the lowest free
+    /// one when it opens the next.
+    fn alone() -> MutexGuard<'static, ()> {
+        static SOCKETS: Mutex<()> = Mutex::new(());
+        SOCKETS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn pair() -> (TcpStream, TcpStream) {
         let l = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -107,80 +240,100 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn timeout_has_microsecond_floor_and_no_millisecond_ceiling() {
-        let (a, _b) = pair();
-        let mut fds = [PollFd::new(&a, false)];
-        let t = Instant::now();
-        assert_eq!(
-            poll(&mut fds, Some(Duration::from_millis(2))).expect("poll"),
-            0
-        );
-        let took = t.elapsed();
-        assert!(took >= Duration::from_millis(2), "returned early: {took:?}");
-        assert!(took < Duration::from_millis(20), "overslept: {took:?}");
-        assert!(!fds[0].is_ready());
+    fn wait(p: &Poller, timeout: Duration) -> Vec<u64> {
+        let mut events = Events::with_capacity(8);
+        let n = p.wait(&mut events, Some(timeout)).expect("wait");
+        let tokens: Vec<u64> = events.tokens().collect();
+        assert_eq!(n, tokens.len());
+        tokens
     }
 
-    #[test]
-    fn empty_set_just_sleeps() {
-        let t = Instant::now();
-        assert_eq!(
-            poll(&mut [], Some(Duration::from_micros(500))).expect("poll"),
-            0
-        );
-        assert!(t.elapsed() >= Duration::from_micros(500));
-    }
+    const SOON: Duration = Duration::from_secs(5);
 
     #[test]
-    fn socket_turns_readable_after_its_peer_writes() {
+    fn readable_after_the_peer_writes_and_again_at_end_of_stream() {
+        let _alone = alone();
         let (mut a, b) = pair();
-        let mut fds = [PollFd::new(&b, false)];
-        assert_eq!(poll(&mut fds, Some(Duration::ZERO)).expect("poll"), 0);
+        let p = Poller::new().expect("poller");
+        p.add(&b, 7, Interest::Read).expect("add");
+        assert!(wait(&p, Duration::ZERO).is_empty());
         a.write_all(b"x").expect("write");
-        assert_eq!(
-            poll(&mut fds, Some(Duration::from_secs(5))).expect("poll"),
-            1
-        );
-        assert!(fds[0].is_ready());
-        // End of stream is input too: the owner must see the 0-byte read.
-        drop(a);
+        assert_eq!(wait(&p, SOON), [7]);
+        // Level-triggered: still ready until read.
+        assert_eq!(wait(&p, Duration::ZERO), [7]);
         let mut byte = [0u8; 1];
         (&b).read_exact(&mut byte).expect("the byte");
-        assert_eq!(
-            poll(&mut fds, Some(Duration::from_secs(5))).expect("poll"),
-            1
-        );
-        assert!(fds[0].is_ready());
+        assert!(wait(&p, Duration::ZERO).is_empty());
+        // End of stream is input too: the owner must see the 0-byte read.
+        drop(a);
+        assert_eq!(wait(&p, SOON), [7]);
     }
 
     #[test]
-    fn writability_is_withdrawn_on_a_full_buffer_and_returns_after_a_read() {
+    fn write_interest_is_silent_on_a_full_buffer_and_fires_after_a_drain() {
+        let _alone = alone();
         let (mut a, mut b) = pair();
         a.set_nonblocking(true).expect("nonblocking");
-        let mut fds = [PollFd::new(&a, true)];
-        assert_eq!(poll(&mut fds, Some(Duration::ZERO)).expect("poll"), 1);
-        assert!(fds[0].is_ready());
+        let p = Poller::new().expect("poller");
+        p.add(&a, 1, Interest::None).expect("add");
+        assert!(wait(&p, Duration::ZERO).is_empty(), "room, but not asked");
+        p.modify(&a, 1, Interest::Write).expect("modify");
+        assert_eq!(wait(&p, Duration::ZERO), [1]);
         let chunk = [0u8; 64 << 10];
         let mut sent = 0usize;
         loop {
             match a.write(&chunk) {
                 Ok(n) => sent += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => panic!("write: {e}"),
             }
         }
-        assert_eq!(
-            poll(&mut fds, Some(Duration::from_millis(5))).expect("poll"),
-            0
-        );
-        assert!(!fds[0].is_ready());
+        assert!(wait(&p, Duration::from_millis(5)).is_empty());
         let mut sink = vec![0u8; sent];
         b.read_exact(&mut sink).expect("drain");
-        assert_eq!(
-            poll(&mut fds, Some(Duration::from_secs(5))).expect("poll"),
-            1
-        );
-        assert!(fds[0].is_ready());
+        assert_eq!(wait(&p, SOON), [1]);
+    }
+
+    #[test]
+    fn timeout_has_microsecond_floor_and_no_millisecond_ceiling() {
+        let _alone = alone();
+        let (a, _b) = pair();
+        let p = Poller::new().expect("poller");
+        p.add(&a, 1, Interest::Read).expect("add");
+        let t = Instant::now();
+        assert!(wait(&p, Duration::from_millis(2)).is_empty());
+        let took = t.elapsed();
+        assert!(took >= Duration::from_millis(2), "returned early: {took:?}");
+        assert!(took < Duration::from_millis(20), "overslept: {took:?}");
+    }
+
+    #[test]
+    fn empty_set_just_sleeps() {
+        let _alone = alone();
+        let p = Poller::new().expect("poller");
+        let t = Instant::now();
+        assert!(wait(&p, Duration::from_micros(500)).is_empty());
+        assert!(t.elapsed() >= Duration::from_micros(500));
+    }
+
+    #[test]
+    fn a_reused_descriptor_reports_only_its_new_token() {
+        let _alone = alone();
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = l.local_addr().expect("addr");
+        let _a = TcpStream::connect(addr).expect("connect");
+        let (b, _) = l.accept().expect("accept");
+        let p = Poller::new().expect("poller");
+        p.add(&b, 1, Interest::Read).expect("add");
+        let fd = b.as_raw_fd();
+        p.delete(&b).expect("delete");
+        drop(b);
+        let c = TcpStream::connect(addr).expect("connect");
+        assert_eq!(c.as_raw_fd(), fd, "the lowest free descriptor is reused");
+        let (mut d, _) = l.accept().expect("accept");
+        p.add(&c, 2, Interest::Read).expect("add under a new token");
+        d.write_all(b"x").expect("write");
+        assert_eq!(wait(&p, SOON), [2]);
+        assert!(p.delete(&d).is_err(), "never registered");
     }
 }

@@ -83,21 +83,23 @@ impl Sha256 {
     }
 
     /// Finishes and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // careful: update() bumped total_len; we captured bit_len first.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // silence further counting; length goes below
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+    ///
+    /// The padding — `0x80`, zeros, the 64-bit big-endian bit length — is
+    /// written once after the buffered tail into a local two-block array,
+    /// which is compressed as one block, or as two when fewer than the
+    /// length's 8 bytes fit after the `0x80`.
+    pub fn finalize(self) -> [u8; 32] {
+        let mut tail = [0u8; 128];
+        let n = self.buf_len;
+        tail[..n].copy_from_slice(&self.buf[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        let mut state = self.state;
+        compress_blocks(&mut state, &tail[..len]);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
+        for (i, word) in state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
@@ -245,18 +247,47 @@ mod tests {
         );
     }
 
+    /// Every length across the padding's one- and two-block cases, fed in
+    /// one piece, byte by byte, split at every block boundary, in 13-byte
+    /// pieces and as a Merkle inner node's 1 + 32 + rest, against FIPS
+    /// 180-4's padded message built out longhand and compressed without
+    /// `finalize`. The last two top up a part-full buffer, compress it and
+    /// keep a leftover within one `update`.
     #[test]
-    fn exactly_55_56_63_64_65_bytes() {
-        // Padding edge cases around the block boundary: compare streaming
-        // in odd pieces against one-shot.
-        for n in [55usize, 56, 63, 64, 65, 119, 120, 127, 128] {
-            let data: Vec<u8> = (0..n as u32).map(|i| (i * 7 + 3) as u8).collect();
-            let oneshot = sha256(&data);
-            let mut h = Sha256::new();
-            for piece in data.chunks(13) {
-                h.update(piece);
+    fn every_length_to_300_pads_like_the_standard() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for n in 0..=300 {
+            let msg = &data[..n];
+            let mut padded = msg.to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
             }
-            assert_eq!(h.finalize(), oneshot, "n={n}");
+            padded.extend_from_slice(&(n as u64 * 8).to_be_bytes());
+            let mut state = H0;
+            compress_blocks(&mut state, &padded);
+            let standard: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+
+            let mut bytewise = Sha256::new();
+            msg.iter()
+                .for_each(|b| bytewise.update(std::slice::from_ref(b)));
+            let mut blockwise = Sha256::new();
+            msg.chunks(64).for_each(|block| blockwise.update(block));
+            let mut thirteens = Sha256::new();
+            msg.chunks(13).for_each(|piece| thirteens.update(piece));
+            let mut node = Sha256::new();
+            let (tag, rest) = msg.split_at(n.min(1));
+            let (left, right) = rest.split_at(rest.len().min(32));
+            [tag, left, right].iter().for_each(|part| node.update(part));
+            for (how, digest) in [
+                ("one-shot", sha256(msg)),
+                ("byte-at-a-time", bytewise.finalize()),
+                ("block-split", blockwise.finalize()),
+                ("13-byte pieces", thirteens.finalize()),
+                ("1 + 32 + rest", node.finalize()),
+            ] {
+                assert_eq!(digest[..], standard[..], "{how}, {n} bytes");
+            }
         }
     }
 
@@ -274,15 +305,5 @@ mod tests {
                 assert_eq!(batched[l], solo, "lanes={lanes} bpl={bpl} lane={l}");
             }
         }
-    }
-
-    #[test]
-    fn streaming_matches_oneshot_bytewise() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let mut h = Sha256::new();
-        for b in &data {
-            h.update(std::slice::from_ref(b));
-        }
-        assert_eq!(h.finalize(), sha256(&data));
     }
 }

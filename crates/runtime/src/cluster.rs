@@ -22,25 +22,28 @@
 //! Hosted node *i* lives on reactor *i mod N*, N =
 //! [`massbft_accel::host_cores`] capped by the number of nodes. A reactor
 //! owns its nodes' listeners, accepted connections and outbound links —
-//! all non-blocking — and one timer wheel, and alone reads, runs and
-//! writes for them. Its *turn*: wait in one `ppoll` until a socket is
-//! ready or the earliest of wheel deadline, due outbound frame and 20 ms →
-//! accept → read each readable socket once, its complete frames onto the
-//! destination node's input → expire timers → run every node that has
-//! input, under `try_lock`, and route its handlers' commands under one
-//! clock stamp → write what is due until the sockets are full. A node
-//! whose lock is held elsewhere (an ops scrape, `with_node`) keeps its
-//! input for a later turn instead of stalling its neighbours; no step
-//! blocks on a socket ([`crate::net`] has why that rules out deadlock).
+//! all non-blocking, each registered once with the reactor's [`Poller`]
+//! under a [`token`] that names it for life — and one timer wheel, and
+//! alone reads, runs and writes for them. Its *turn*: wait in one
+//! `epoll_pwait2` until a socket is ready or the earliest of wheel
+//! deadline, due outbound frame and 20 ms → for each reported socket, and
+//! no other, accept, read once (its complete frames onto the destination
+//! node's input) or let a blocked link write → expire timers → run every
+//! node that has input, under `try_lock`, and route its handlers'
+//! commands under one clock stamp → write what is due until the sockets
+//! are full. A node whose lock is held elsewhere (an ops scrape,
+//! `with_node`) keeps its input for a later turn instead of stalling its
+//! neighbours; no step blocks on a socket ([`crate::net`] has why that
+//! rules out deadlock).
 //! Every message handed to a node or routed is recorded with the probes
 //! the simulator calls (`massbft_sim_net::fault`), so a `/trace` scrape
 //! stitches into the same cross-node picture as a simulator trace.
 
 use crate::frame::encode_frame;
-use crate::net::{Conn, NetHandle, Shared};
+use crate::net::{Conn, NetCounters, NetHandle, Shared};
 use crate::ops::{self, OpsConfig, OpsHandle};
 use crate::wheel::TimerWheel;
-use massbft_accel::PollFd;
+use massbft_accel::{Events, Interest, Poller};
 use massbft_core::adversary::FaultEvent;
 use massbft_core::cluster::{ClusterConfig, Driver, Harness, Report, Traffic};
 use massbft_core::protocol::{Msg, Node};
@@ -58,6 +61,19 @@ const REACTOR_POLL_US: u64 = 20_000;
 /// How soon a reactor offers a node its input again after finding the
 /// node's lock held elsewhere.
 const LOCK_RETRY_US: u64 = 1_000;
+/// Most events one wait reports; sockets past it stay ready for the next.
+const EVENTS: usize = 256;
+/// A [`token`]'s low half: the listener, `LINK + d` for the outbound link
+/// to dense node `d`, or below `LINK` an accepted connection's slot.
+const LISTENER: u32 = u32::MAX;
+const LINK: u32 = 1 << 31;
+
+/// The token of socket `socket` (the low half) of the reactor's node `i`:
+/// the listener's from seating, a connection's from its accept, a link's
+/// from its connect, each until the socket leaves the interest set.
+fn token(i: usize, socket: u32) -> u64 {
+    (i as u64) << 32 | u64::from(socket)
+}
 
 /// Which part of the cluster this OS process hosts (multi-process
 /// mode). The default, [`HostSpec::all`], hosts everything in-process
@@ -374,12 +390,19 @@ impl Reactors {
     {
         let n = n.clamp(1, seats.len().max(1));
         let mut hosted: Vec<Vec<Hosted<A>>> = (0..n).map(|_| Vec::new()).collect();
+        let pollers: Vec<Poller> = (0..n)
+            .map(|_| Poller::new().expect("an epoll instance per reactor"))
+            .collect();
         for (i, (seat, listener)) in seats.into_iter().enumerate() {
+            let (nodes, poller) = (&mut hosted[i % n], &pollers[i % n]);
             listener
                 .set_nonblocking(true)
                 .expect("non-blocking listener");
-            hosted[i % n].push(Hosted {
-                net: NetHandle::new(seat.id, Arc::clone(&shared)),
+            let at = nodes.len();
+            let add = poller.add(&listener, token(at, LISTENER), Interest::Read);
+            shared.counters.ctl(add).expect("listener registered");
+            nodes.push(Hosted {
+                net: NetHandle::new(seat.id, Arc::clone(&shared), token(at, LINK)),
                 ctx: Ctx::new_driver(shared.now_us(), seat.id),
                 seat,
                 listener,
@@ -388,13 +411,14 @@ impl Reactors {
                 lock_missed: false,
             });
         }
-        let threads = hosted.into_iter().enumerate().map(|(k, nodes)| {
+        let threads = hosted.into_iter().zip(pollers).enumerate();
+        let threads = threads.map(|(k, (nodes, poller))| {
             let reactor = Reactor {
                 wheel: TimerWheel::new(shared.now_us()),
                 shared: Arc::clone(&shared),
                 nodes,
-                fds: Vec::new(),
-                tokens: Vec::new(),
+                poller,
+                events: Events::with_capacity(EVENTS),
             };
             std::thread::Builder::new()
                 .name(format!("reactor-{k}"))
@@ -432,19 +456,13 @@ enum Input {
     Timer(u64),
 }
 
-/// Whose descriptor an entry of the poll set is.
-enum Token {
-    Listener(usize),
-    Conn(usize, usize),
-    /// Any blocked outbound link of the node.
-    Link(usize),
-}
-
 /// A seated actor and everything only its reactor touches.
 struct Hosted<A> {
     seat: Arc<Seat<A>>,
     listener: TcpListener,
-    conns: Vec<Conn>,
+    /// Accepted connections by slot, their tokens' low half; a deleted
+    /// connection's slot is `None` until an accept takes it again.
+    conns: Vec<Option<Conn>>,
     net: NetHandle,
     ctx: Ctx<Msg>,
     input: Vec<Input>,
@@ -452,14 +470,46 @@ struct Hosted<A> {
     lock_missed: bool,
 }
 
+impl<A> Hosted<A> {
+    /// Accepts what waits on node `i`'s listener, each connection
+    /// registered for input under its slot's token.
+    fn accept(&mut self, i: usize, poller: &Poller, c: &NetCounters) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            let Ok(conn) = Conn::new(stream) else {
+                continue;
+            };
+            let slot = self.conns.iter().position(Option::is_none);
+            let slot = slot.unwrap_or_else(|| {
+                self.conns.push(None);
+                self.conns.len() - 1
+            });
+            let add = poller.add(&conn.stream, token(i, slot as u32), Interest::Read);
+            if c.ctl(add).is_ok() {
+                self.conns[slot] = Some(conn);
+            }
+        }
+    }
+
+    /// One read of the connection in `slot`, its frames onto the node's
+    /// input; a finished connection leaves the interest set, then its slot.
+    fn read(&mut self, slot: usize, poller: &Poller, c: &NetCounters) {
+        let Hosted { conns, input, .. } = self;
+        let conn = conns[slot].as_mut().expect("events name registered slots");
+        if !conn.read_once(c, |from, msg| input.push(Input::Msg(from, msg))) {
+            let _ = c.ctl(poller.delete(&conn.stream));
+            conns[slot] = None;
+        }
+    }
+}
+
 /// One event loop over its share of the process's nodes.
 struct Reactor<A> {
     shared: Arc<Shared>,
     nodes: Vec<Hosted<A>>,
     wheel: TimerWheel<(usize, Pending)>,
-    /// The poll set of the current turn and, entry for entry, its owners.
-    fds: Vec<PollFd>,
-    tokens: Vec<Token>,
+    /// The interest set of every socket of `nodes`.
+    poller: Poller,
+    events: Events,
 }
 
 impl<A: Actor<Msg = Msg>> Reactor<A> {
@@ -467,7 +517,8 @@ impl<A: Actor<Msg = Msg>> Reactor<A> {
         let mut fired = Vec::new();
         loop {
             let now = self.shared.now_us();
-            self.nodes.iter_mut().for_each(|h| h.net.flush(now));
+            let poller = &self.poller;
+            self.nodes.iter_mut().for_each(|h| h.net.flush(now, poller));
             if self.shared.shutting_down() {
                 return;
             }
@@ -499,9 +550,7 @@ impl<A: Actor<Msg = Msg>> Reactor<A> {
             .map(|d| d.saturating_sub(now))
             .unwrap_or(REACTOR_POLL_US)
             .clamp(100, REACTOR_POLL_US);
-        self.fds.clear();
-        self.tokens.clear();
-        for (i, h) in self.nodes.iter().enumerate() {
+        for h in &self.nodes {
             if let Some(due) = h.net.next_due() {
                 wait = wait.min(due.saturating_sub(now));
             }
@@ -509,47 +558,21 @@ impl<A: Actor<Msg = Msg>> Reactor<A> {
             if !h.input.is_empty() {
                 wait = wait.min(if h.lock_missed { LOCK_RETRY_US } else { 0 });
             }
-            self.fds.push(PollFd::new(&h.listener, false));
-            self.tokens.push(Token::Listener(i));
-            for (j, conn) in h.conns.iter().enumerate() {
-                self.fds.push(PollFd::new(&conn.stream, false));
-                self.tokens.push(Token::Conn(i, j));
-            }
-            for stream in h.net.blocked() {
-                self.fds.push(PollFd::new(stream, true));
-                self.tokens.push(Token::Link(i));
-            }
         }
-        let counters = &self.shared.counters;
+        let (counters, poller) = (&self.shared.counters, &self.poller);
         counters.syscalls_poll.inc();
-        let ready = massbft_accel::poll(&mut self.fds, Some(Duration::from_micros(wait)))
-            .expect("ppoll over the reactor's own descriptors");
-        if ready == 0 {
-            return;
-        }
+        let timeout = Some(Duration::from_micros(wait));
+        poller
+            .wait(&mut self.events, timeout)
+            .expect("epoll wait on the reactor's own set");
         let now = self.shared.now_us();
-        // Last polled first: a finished connection is `swap_remove`d on the
-        // spot, and what moves into its place was already looked at (or
-        // was accepted this turn, past every polled index).
-        for (fd, token) in self.fds.iter().zip(&self.tokens).rev() {
-            if !fd.is_ready() {
-                continue;
-            }
-            match *token {
-                Token::Listener(i) => {
-                    let h = &mut self.nodes[i];
-                    while let Ok((stream, _)) = h.listener.accept() {
-                        h.conns.extend(Conn::new(stream).ok());
-                    }
-                }
-                Token::Conn(i, j) => {
-                    let Hosted { conns, input, .. } = &mut self.nodes[i];
-                    if !conns[j].read_once(counters, |from, msg| input.push(Input::Msg(from, msg)))
-                    {
-                        conns.swap_remove(j);
-                    }
-                }
-                Token::Link(i) => self.nodes[i].net.resume(now),
+        for token in self.events.tokens() {
+            let (i, socket) = ((token >> 32) as usize, token as u32);
+            let h = &mut self.nodes[i];
+            match socket {
+                LISTENER => h.accept(i, poller, counters),
+                LINK.. => h.net.ready((socket - LINK) as usize, now, poller),
+                slot => h.read(slot as usize, poller, counters),
             }
         }
     }

@@ -19,8 +19,9 @@
 //!   completed), and netem-style injected latency with the cluster-wide
 //!   `massbft_sim_net::FaultState` deciding each frame's fate.
 //! - [`cluster`]: M nodes on N reactor threads (N = cores) behind a
-//!   wall-clock `Driver` — one thread waits in `massbft_accel::poll`,
-//!   reads, runs the node's handlers to completion and writes — and
+//!   wall-clock `Driver` — one thread waits in its `massbft_accel::Poller`
+//!   (epoll: every socket registered once, a wait reports only the ready
+//!   ones), reads, runs the node's handlers to completion and writes — and
 //!   [`cluster::Cluster`], the harness of
 //!   `massbft_core::cluster::Cluster` over it, so experiments and
 //!   fault schedules run unchanged on either driver.

@@ -15,9 +15,11 @@
 //! [`FaultState::route`] the simulator asks.
 //!
 //! Backpressure lives in the sender's FIFO. What a full socket does not
-//! take of a write stays at the head of the FIFO, and the link asks its
-//! reactor for writability ([`NetHandle::blocked`]) instead of waiting; a
-//! head without progress for [`WRITE_STALL`] closes the link. No reactor
+//! take of a write stays at the head of the FIFO, and the link's socket,
+//! registered with its reactor's [`massbft_accel::Poller`] when it
+//! connects, gains write interest until it drains ([`NetHandle::ready`])
+//! instead of waiting; a head without progress for [`WRITE_STALL`] closes
+//! the link. A socket leaves the interest set before it closes. No reactor
 //! ever blocks on a socket, so every reactor always comes back to read,
 //! so every receive buffer drains and no cycle of peers waiting on each
 //! other can form — whatever a node is doing (crashed, executing a long
@@ -28,10 +30,12 @@
 //! / `net.syscalls_write` (`read(2)` / `write(2)` calls, nothing else),
 //! `net.tcp_bytes_in`/`out`, `net.frames_in`/`out`, `net.coalesced_writes`
 //! (writes that carried >= 2 frames) and the per-link `net.queue.*` depth
-//! gauges; `net.syscalls_poll` counts the reactors' readiness waits.
+//! gauges; `net.syscalls_poll` counts the reactors' readiness waits and
+//! `net.syscalls_ctl` the changes to their interest sets.
 
 use crate::frame::{decode_msg, FrameBuffer, FRAME_HEADER};
 use bytes::Bytes;
+use massbft_accel::{Interest, Poller};
 use massbft_core::protocol::Msg;
 use massbft_sim_net::{DenseIndex, FaultRng, FaultState, NodeId, Routing, Time, Topology};
 use massbft_telemetry::registry::{self, Counter, Gauge};
@@ -76,8 +80,11 @@ pub struct NetCounters {
     pub syscalls_read: Counter,
     /// `write(2)` calls flushing peers.
     pub syscalls_write: Counter,
-    /// Readiness waits (`ppoll(2)` calls), one per reactor turn.
+    /// Readiness waits (`epoll_pwait2(2)` calls), one per reactor turn.
     pub syscalls_poll: Counter,
+    /// Interest-set changes (`epoll_ctl(2)` calls): a socket registered,
+    /// switched to or from write interest, or deleted.
+    pub syscalls_ctl: Counter,
 }
 
 impl NetCounters {
@@ -91,7 +98,14 @@ impl NetCounters {
             syscalls_read: registry::counter("net.syscalls_read"),
             syscalls_write: registry::counter("net.syscalls_write"),
             syscalls_poll: registry::counter("net.syscalls_poll"),
+            syscalls_ctl: registry::counter("net.syscalls_ctl"),
         }
+    }
+
+    /// Counts one interest-set change, and passes on its result.
+    pub(crate) fn ctl(&self, change: std::io::Result<()>) -> std::io::Result<()> {
+        self.syscalls_ctl.inc();
+        change
     }
 }
 
@@ -186,6 +200,8 @@ struct Peer {
     /// Since when the head has sat on a full socket without a byte going
     /// out. While set, the link waits for writability, not for `flush`.
     blocked: Option<Time>,
+    /// What the stream is registered under with the reactor's poller.
+    token: u64,
     depth: Gauge,
 }
 
@@ -194,8 +210,10 @@ impl Peer {
         self.stream.is_none() && self.attempts_left == 0
     }
 
-    fn close(&mut self) {
-        self.stream = None;
+    fn close(&mut self, poller: &Poller, c: &NetCounters) {
+        if let Some(stream) = self.stream.take() {
+            let _ = c.ctl(poller.delete(&stream));
+        }
         self.attempts_left = 0;
         self.blocked = None;
         self.q.clear();
@@ -212,37 +230,44 @@ impl Peer {
     }
 
     /// One connect attempt plus the hello that names `src` to the
-    /// accepting side. Loopback connects succeed or are refused at once,
-    /// and a fresh socket's empty send buffer takes the 8 bytes whole.
-    fn connect(&mut self, src: NodeId, now: Time, c: &NetCounters) {
+    /// accepting side, then the registration, for errors only until a
+    /// write blocks. Loopback connects succeed or are refused at once, and
+    /// a fresh socket's empty send buffer takes the 8 bytes whole.
+    fn connect(&mut self, src: NodeId, now: Time, poller: &Poller, c: &NetCounters) {
         let hello = [src.group.to_le_bytes(), src.node.to_le_bytes()].concat();
         self.attempts_left -= 1;
         self.retry_at = now + CONNECT_RETRY_US;
         let Ok(mut stream) = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500))
         else {
             if self.attempts_left == 0 {
-                self.close();
+                self.close(poller, c);
             }
             return;
         };
         let _ = stream.set_nodelay(true);
-        match write_counted(&mut stream, &hello, c) {
-            Ok(8) if stream.set_nonblocking(true).is_ok() => {
-                self.stream = Some(stream);
-                self.retry_at = 0;
-            }
-            _ => self.close(),
+        let add = |s: &TcpStream| c.ctl(poller.add(s, self.token, Interest::None));
+        if matches!(write_counted(&mut stream, &hello, c), Ok(8))
+            && stream.set_nonblocking(true).is_ok()
+            && add(&stream).is_ok()
+        {
+            self.stream = Some(stream);
+            self.retry_at = 0;
+        } else {
+            self.close(poller, c);
         }
     }
 
     /// Writes the due frames at the head of the FIFO until none is due or
     /// the socket is full: small frames packed into `coalesce` and sent in
     /// one write, a large or lone frame straight from its refcounted
-    /// buffer. What a full socket did not take goes back to the head.
+    /// buffer. What a full socket did not take goes back to the head, and
+    /// the registration follows: write interest from the write that
+    /// blocks, errors only from the one that drains.
     fn write_due(
         &mut self,
         now: Time,
         coalesce: &mut Vec<u8>,
+        poller: &Poller,
         c: &NetCounters,
     ) -> std::io::Result<()> {
         let stream = self.stream.as_mut().expect("flush connects first");
@@ -280,6 +305,10 @@ impl Peer {
                 break;
             }
         }
+        if since.is_some() != self.blocked.is_some() {
+            let interest = self.blocked.map_or(Interest::None, |_| Interest::Write);
+            c.ctl(poller.modify(stream, self.token, interest))?;
+        }
         Ok(())
     }
 }
@@ -306,17 +335,21 @@ pub struct NetHandle {
     shared: Arc<Shared>,
     /// The link to each node, by dense index, once a frame was routed to it.
     peers: Vec<Option<Peer>>,
+    /// The link to dense node `d` is registered under token `links + d`.
+    links: u64,
     rng: FaultRng,
     coalesce: Vec<u8>,
 }
 
 impl NetHandle {
-    /// A handle for node `src`. The RNG seed differs per node so fault
-    /// draws are independent streams.
-    pub fn new(src: NodeId, shared: Arc<Shared>) -> Self {
+    /// A handle for node `src` whose link to dense node `d` registers its
+    /// socket under token `links + d`. The RNG seed differs per node so
+    /// fault draws are independent streams.
+    pub fn new(src: NodeId, shared: Arc<Shared>, links: u64) -> Self {
         NetHandle {
             src,
             peers: shared.addrs.iter().map(|_| None).collect(),
+            links,
             shared,
             rng: FaultRng::new((src.group as u64) << 32 | src.node as u64),
             coalesce: Vec::new(),
@@ -381,6 +414,7 @@ impl NetHandle {
             attempts_left: CONNECT_ATTEMPTS,
             retry_at: 0,
             blocked: None,
+            token: self.links + idx as u64,
             depth: registry::gauge(&format!(
                 "net.queue.g{}n{}-g{}n{}",
                 src.group, src.node, dst.group, dst.node
@@ -398,42 +432,35 @@ impl NetHandle {
     /// most one coalesced write per peer (large frames apart), never
     /// waiting. A link whose connect gave up, whose write failed or whose
     /// head stalled for [`WRITE_STALL`] is closed and its frames dropped.
-    pub fn flush(&mut self, now: Time) {
+    pub fn flush(&mut self, now: Time, poller: &Poller) {
         let c = &self.shared.counters;
         for p in self.peers.iter_mut().flatten() {
             if p.next_due().is_none_or(|due| due > now) {
                 continue;
             }
             if p.blocked.is_some() {
-                p.close();
+                p.close(poller, c);
             } else if p.stream.is_none() {
-                p.connect(self.src, now, c);
+                p.connect(self.src, now, poller, c);
             }
-            if p.stream.is_some() && p.write_due(now, &mut self.coalesce, c).is_err() {
-                p.close();
+            if p.stream.is_some() && p.write_due(now, &mut self.coalesce, poller, c).is_err() {
+                p.close(poller, c);
             }
             p.depth.set(p.q.len() as u64);
         }
     }
 
-    /// The sockets of the links waiting to take output again: the reactor
-    /// polls them for writability and answers with [`NetHandle::resume`].
-    pub fn blocked(&self) -> impl Iterator<Item = &TcpStream> {
-        let blocked = self.peers.iter().flatten().filter(|p| p.blocked.is_some());
-        blocked.filter_map(|p| p.stream.as_ref())
-    }
-
-    /// Retries the blocked links, one of whose sockets reported room (or
-    /// an error, which the write then meets).
-    pub fn resume(&mut self, now: Time) {
+    /// Answers the poller's event for the link to dense node `d`. Blocked,
+    /// it has room again (or an error, which the write then meets) and
+    /// writes what is due. Not blocked, it waited for nothing but an error
+    /// or a hang-up, so it is closed: its next write would fail.
+    pub fn ready(&mut self, d: usize, now: Time, poller: &Poller) {
         let c = &self.shared.counters;
-        let blocked = self.peers.iter_mut().flatten();
-        for p in blocked.filter(|p| p.blocked.is_some()) {
-            if p.write_due(now, &mut self.coalesce, c).is_err() {
-                p.close();
-            }
-            p.depth.set(p.q.len() as u64);
+        let p = self.peers[d].as_mut().expect("a registered link");
+        if p.blocked.is_none() || p.write_due(now, &mut self.coalesce, poller, c).is_err() {
+            p.close(poller, c);
         }
+        p.depth.set(p.q.len() as u64);
     }
 }
 
@@ -441,7 +468,7 @@ impl NetHandle {
 /// its hello named, and the reassembly buffer the hello is the first
 /// state of.
 pub struct Conn {
-    /// The socket, for the reactor's poll set.
+    /// The socket, for the reactor's interest set.
     pub stream: TcpStream,
     from: Option<NodeId>,
     fb: FrameBuffer,

@@ -22,8 +22,8 @@ if grep -rn "available_parallelism" crates/*/src | grep -v "^crates/accel/src/li
 fi
 
 # `unsafe` lives in one crate, next to its safety arguments: the SIMD
-# kernels and the ppoll(2) binding of crates/accel. Everywhere else it is
-# a gate, not a convention (comments and forbid(unsafe_code) may say the
+# kernels and the epoll binding of crates/accel. Everywhere else it is a
+# gate, not a convention (comments and forbid(unsafe_code) may say the
 # word).
 echo "==> unsafe only under crates/accel/src"
 if grep -rnE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|extern\b|trait\b)|allow\(unsafe_code\)' \
@@ -51,6 +51,19 @@ for limit in crates/core/src:1000 crates/bench/src:600 crates/runtime/src:850; d
   done < <(find "$dir" -name '*.rs' -print0)
 done
 ((oversized == 0)) || exit 1
+
+# The reactors wait on an interest set the kernel keeps (epoll); the
+# per-turn scan of every descriptor it replaced does not come back.
+echo "==> no ppoll under crates/"
+if grep -rn "ppoll" crates/; then
+  echo "error: the reactors wait in massbft_accel::Poller (epoll), not ppoll" >&2
+  exit 1
+fi
+
+# The alternating-pairs summariser (medians, quartiles, wins, the rule a
+# claimed gain must meet) on inline synthetic data: no build, no run.
+echo "==> scripts/pairs.sh --selftest"
+scripts/pairs.sh --selftest
 
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release (tier-1)"
