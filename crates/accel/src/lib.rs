@@ -31,12 +31,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub mod poll;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub use poll::{Events, Interest, Poller};
 
 /// Cores this process may run on, resolved once per process.

@@ -4,40 +4,32 @@
 //!
 //! A socket is registered once under a token its owner picks, and a wait
 //! reports the ready sockets' tokens and nothing else: it costs what
-//! happened, not what is registered. On Linux the set lives in the kernel
+//! happened, not what is registered. The set lives in the kernel
 //! (`epoll_create1`, `epoll_ctl`, `epoll_pwait2`: Linux >= 5.11, glibc >=
-//! 2.35). `epoll_pwait2` keeps microsecond timeouts (`epoll_wait`'s
-//! milliseconds would round a 300 µs LAN delay up to 1 ms); a kernel
-//! without it fails [`Poller::new`], with no fallback. Elsewhere on unix
-//! the set is kept here and each wait scans it with `poll(2)`.
+//! 2.35), so the module is Linux-only. `epoll_pwait2` keeps microsecond
+//! timeouts (`epoll_wait`'s milliseconds would round a 300 µs LAN delay up
+//! to 1 ms); a kernel without it fails [`Poller::new`], with no fallback.
 //!
 //! Safety argument. The kernel keeps no pointer once a call returns. It
 //! reads one local `struct epoll_event` per `epoll_ctl`; writes at most
 //! `maxevents` events into a `Vec`'s spare capacity of that many, whose
 //! length is then set to the count it reported; reads a local `struct
 //! timespec` (two `long`s, Linux's layout) or null, and a null signal
-//! mask; `poll(2)` gets the kept set's live slice and its length.
-//! `RawEvent` is `epoll_event` (packed on x86-64, as the kernel's), `Watch`
-//! is `struct pollfd`; the epoll descriptor is an `OwnedFd` only its
-//! `Poller` closes. A registered socket that is closed is no memory matter
-//! (epoll forgets it, `poll(2)` answers `POLLNVAL`, read as ready), but
-//! owners delete one before closing it, so a reused descriptor number never
-//! inherits its token.
+//! mask. `RawEvent` is `epoll_event` (packed on x86-64, as the kernel's);
+//! the epoll descriptor is an `OwnedFd` only its `Poller` closes. A
+//! registered socket that is closed is no memory matter (epoll forgets
+//! it), but owners delete one before closing it, so a reused descriptor
+//! number never inherits its token.
 
 #![allow(unsafe_code)]
 
-use std::ffi::c_int;
-#[cfg(not(target_os = "linux"))]
-use std::ffi::c_uint;
-#[cfg(target_os = "linux")]
-use std::ffi::{c_long, c_void};
+use std::ffi::{c_int, c_long, c_void};
 use std::io;
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::time::{Duration, Instant};
 
-/// What a registered socket is waited for, as `EPOLLIN`/`EPOLLOUT` and
-/// `POLLIN`/`POLLOUT` both spell it. Errors and hang-ups are reported
-/// whatever was asked for.
+/// What a registered socket is waited for, as `EPOLLIN`/`EPOLLOUT` spell
+/// it. Errors and hang-ups are reported whatever was asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interest {
     /// Nothing but errors and hang-ups.
@@ -52,10 +44,6 @@ pub enum Interest {
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 struct RawEvent(u32, u64);
-
-#[cfg(not(target_os = "linux"))]
-#[repr(C)]
-struct Watch(c_int, i16, i16);
 
 /// Room for what one [`Poller::wait`] reports, and after it the report.
 pub struct Events(Vec<RawEvent>);
@@ -76,14 +64,9 @@ impl Events {
 /// A set of sockets, each registered once under a token, and the wait
 /// that reports which of them are ready (module docs).
 pub struct Poller {
-    #[cfg(target_os = "linux")]
-    epoll: std::os::fd::OwnedFd,
-    /// The registered sockets and, entry for entry, their tokens.
-    #[cfg(not(target_os = "linux"))]
-    set: std::cell::RefCell<(Vec<Watch>, Vec<u64>)>,
+    epoll: OwnedFd,
 }
 
-#[cfg(target_os = "linux")]
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut RawEvent) -> c_int;
@@ -95,11 +78,7 @@ extern "C" {
         mask: *const c_void,
     ) -> c_int;
 }
-#[cfg(not(target_os = "linux"))]
-extern "C" {
-    fn poll(fds: *mut Watch, n: c_uint, ms: c_int) -> c_int;
-}
-// `EPOLL_CTL_*`, and the operations the `poll(2)` set answers.
+// `EPOLL_CTL_*`.
 const ADD: c_int = 1;
 const DEL: c_int = 2;
 const MOD: c_int = 3;
@@ -107,24 +86,16 @@ const MOD: c_int = 3;
 impl Poller {
     /// An empty set.
     pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::fd::FromRawFd;
-            // SAFETY: no pointer (0o2000000 is `EPOLL_CLOEXEC`); then a
-            // descriptor just opened, owned by nothing else.
-            let fd = check(unsafe { epoll_create1(0o2000000) })? as RawFd;
-            let poller = Poller {
-                epoll: unsafe { std::os::fd::OwnedFd::from_raw_fd(fd) },
-            };
-            // A kernel before 5.11 says so here, not in the middle of a run.
-            let probe = poller.sys_wait(&mut Vec::with_capacity(1), Some(Duration::ZERO));
-            probe.map_err(|e| io::Error::new(e.kind(), format!("epoll_pwait2: {e}")))?;
-            Ok(poller)
-        }
-        #[cfg(not(target_os = "linux"))]
-        Ok(Poller {
-            set: Default::default(),
-        })
+        // SAFETY: no pointer (0o2000000 is `EPOLL_CLOEXEC`); then a
+        // descriptor just opened, owned by nothing else.
+        let fd = check(unsafe { epoll_create1(0o2000000) })? as RawFd;
+        let poller = Poller {
+            epoll: unsafe { OwnedFd::from_raw_fd(fd) },
+        };
+        // A kernel before 5.11 says so here, not in the middle of a run.
+        let probe = poller.sys_wait(&mut Vec::with_capacity(1), Some(Duration::ZERO));
+        probe.map_err(|e| io::Error::new(e.kind(), format!("epoll_pwait2: {e}")))?;
+        Ok(poller)
     }
 
     /// Registers `fd` under `token`, the number waits report it by.
@@ -157,14 +128,12 @@ impl Poller {
         }
     }
 
-    #[cfg(target_os = "linux")]
     fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         let mut event = RawEvent(interest as u32, token);
         // SAFETY: module docs — one live local event.
         check(unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut event) }).map(drop)
     }
 
-    #[cfg(target_os = "linux")]
     fn sys_wait(&self, buf: &mut Vec<RawEvent>, timeout: Option<Duration>) -> io::Result<usize> {
         let ts = timeout.map(|t| [t.as_secs() as c_long, t.subsec_nanos() as c_long]);
         let ts = ts.as_ref().map_or(std::ptr::null(), std::ptr::from_ref);
@@ -181,35 +150,6 @@ impl Poller {
             buf.set_len(ready);
             Ok(ready)
         }
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let (watches, tokens) = &mut *self.set.borrow_mut();
-        match (op, watches.iter().position(|w| w.0 == fd)) {
-            (ADD, None) => drop((
-                watches.push(Watch(fd, interest as i16, 0)),
-                tokens.push(token),
-            )),
-            (MOD, Some(i)) => (watches[i].1, tokens[i]) = (interest as i16, token),
-            (DEL, Some(i)) => drop((watches.swap_remove(i), tokens.swap_remove(i))),
-            _ => return Err(io::ErrorKind::NotFound.into()),
-        }
-        Ok(())
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn sys_wait(&self, buf: &mut Vec<RawEvent>, timeout: Option<Duration>) -> io::Result<usize> {
-        let (watches, tokens) = &mut *self.set.borrow_mut();
-        let ms = timeout.map_or(-1, |t| {
-            t.as_nanos().div_ceil(1_000_000).min(1 << 30) as c_int
-        });
-        // SAFETY: module docs — the kept set's live slice and its length.
-        check(unsafe { poll(watches.as_mut_ptr(), watches.len() as c_uint, ms) })?;
-        buf.clear();
-        let ready = watches.iter().zip(tokens.iter()).filter(|(w, _)| w.2 != 0);
-        buf.extend(ready.map(|(w, &token)| RawEvent(w.2 as u32, token)));
-        Ok(buf.len())
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::{
     adversary::{AdversarySpec, FaultEvent, FaultSchedule, ScheduledFault, Strategy},
+    ledger::Mismatch,
     protocol::{Node, Protocol, ProtocolParams},
     stats::Throughput,
 };
@@ -269,7 +270,20 @@ pub trait Driver {
     fn traffic(&self) -> Traffic;
 
     /// Hook: the consistency check found two live ledgers that disagree.
-    fn diverged(&self) {}
+    fn diverged(&self, _at: &Divergence) {}
+}
+
+/// Where two live ledgers first disagree ([`Harness::first_divergence`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divergence {
+    /// The node with the longest ledger, which every other is compared to.
+    pub reference: NodeId,
+    /// The node whose ledger disagrees with it.
+    pub node: NodeId,
+    /// The first height at which their blocks differ.
+    pub height: u64,
+    /// What differs in the blocks at that height.
+    pub field: Mismatch,
 }
 
 /// A running cluster experiment over either driver: the scripted fault
@@ -455,28 +469,38 @@ impl<D: Driver> Harness<D> {
     /// Agreement (Theorem V.6) across the hosted, non-crashed nodes: every
     /// ledger is a prefix of the longest one or equal to it — entry ids,
     /// entry digests and post-execution state fingerprints, block by
-    /// block. A wall-clock cluster keeps running meanwhile, bar the two
-    /// nodes being compared; ledgers only grow, which keeps the
-    /// comparison sound.
-    pub fn check_consistency(&self) -> bool {
+    /// block. The first node found to disagree is reported, and the
+    /// driver's [`Driver::diverged`] hook runs. A wall-clock cluster keeps
+    /// running meanwhile, bar the two nodes being compared; ledgers only
+    /// grow, which keeps the comparison sound.
+    pub fn first_divergence(&self) -> Option<Divergence> {
         let d = &self.driver;
         let is_live = |id: &NodeId| d.hosts(*id) && !d.is_crashed(*id);
         let live = || self.nodes.iter().copied().filter(is_live);
         let height = |id: NodeId| d.with_node(id, |n| n.ledger().height());
-        let Some(longest) = live().max_by_key(|&id| height(id)) else {
-            return true;
-        };
+        let reference = live().max_by_key(|&id| height(id))?;
         // The longest is held while each other node is read in turn
         // (never itself: a TCP node sits behind a plain mutex).
-        let consistent = d.with_node(longest, |reference| {
-            live()
-                .filter(|&id| id != longest)
-                .all(|id| d.with_node(id, |n| n.ledger().prefix_consistent(reference.ledger())))
+        let found = d.with_node(reference, |longest| {
+            live().filter(|&id| id != reference).find_map(|node| {
+                let mismatch = d.with_node(node, |n| n.ledger().first_mismatch(longest.ledger()));
+                mismatch.map(|(height, field)| Divergence {
+                    reference,
+                    node,
+                    height,
+                    field,
+                })
+            })
         });
-        if !consistent {
-            d.diverged();
+        if let Some(at) = &found {
+            d.diverged(at);
         }
-        consistent
+        found
+    }
+
+    /// Whether [`Harness::first_divergence`] finds none.
+    pub fn check_consistency(&self) -> bool {
+        self.first_divergence().is_none()
     }
 }
 
@@ -558,7 +582,7 @@ mod tests {
         Advance(Time),
         Fault(FaultEvent),
         OpenWindow,
-        Diverged,
+        Diverged(Divergence),
     }
 
     /// An in-memory driver: a clock that jumps, real nodes that nobody
@@ -607,8 +631,8 @@ mod tests {
         fn traffic(&self) -> Traffic {
             self.traffic
         }
-        fn diverged(&self) {
-            self.log.borrow_mut().push(Call::Diverged);
+        fn diverged(&self, at: &Divergence) {
+            self.log.borrow_mut().push(Call::Diverged(*at));
         }
     }
 
@@ -784,13 +808,54 @@ mod tests {
         append(REP1, 1..=1, 0);
         append(REP1, 2..=2, 0xBAD);
         assert!(!h.check_consistency());
-        assert_eq!(h.driver().take_log(), [Call::Diverged]);
+        let at = Divergence {
+            reference: REP0,
+            node: REP1,
+            height: 2,
+            field: Mismatch::StateFingerprint,
+        };
+        assert_eq!(h.driver().take_log(), [Call::Diverged(at)]);
         assert!(!h.close_window().all_nodes_consistent);
         // A crashed node's ledger is not the cluster's problem.
         h.apply_fault(FaultEvent::Crash(REP1));
         h.driver().take_log();
         assert!(h.check_consistency());
         assert_eq!(h.driver().take_log(), []);
+    }
+
+    #[test]
+    fn a_divergence_names_the_pair_the_height_and_what_differs() {
+        let honest = |seq: u64| (EntryId::new(0, seq), Digest::of(&seq.to_le_bytes()), 0);
+        let (entry, digest, state) = honest(3);
+        for (third, field) in [
+            ((EntryId::new(1, 3), digest, state), Mismatch::EntryId),
+            ((entry, Digest::of(b"other"), state), Mismatch::EntryDigest),
+            ((entry, digest, 0xBAD), Mismatch::StateFingerprint),
+        ] {
+            let mut h = fake(|cfg| cfg);
+            let chains = [
+                (REP0, (1..=4).map(honest).collect()),
+                (REP1, vec![honest(1), honest(2), third]),
+            ];
+            for (id, blocks) in chains {
+                let ledger = h.driver_mut().node_mut(id).measured_mut().3;
+                for (entry, digest, state) in blocks {
+                    ledger.append(entry, digest, state);
+                }
+            }
+            let at = Divergence {
+                reference: REP0,
+                node: REP1,
+                height: 3,
+                field,
+            };
+            assert_eq!(h.first_divergence(), Some(at));
+            assert_eq!(
+                h.driver().take_log(),
+                [Call::Diverged(at)],
+                "the hook hears it"
+            );
+        }
     }
 
     fn small(protocol: Protocol) -> ClusterConfig {

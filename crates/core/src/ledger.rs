@@ -112,9 +112,37 @@ impl Ledger {
     /// Whether `other` is a prefix of `self` or vice versa — the
     /// Agreement check between two replicas' ledgers.
     pub fn prefix_consistent(&self, other: &Ledger) -> bool {
-        let k = self.blocks.len().min(other.blocks.len());
-        self.blocks[..k] == other.blocks[..k]
+        self.first_mismatch(other).is_none()
     }
+
+    /// The first height at which `self` and `other` hold different blocks,
+    /// and what differs there; `None` when one is a prefix of the other.
+    /// Below that height both chains agree, so a block built by
+    /// [`Ledger::append`] differs in entry id, entry digest or state
+    /// fingerprint.
+    pub(crate) fn first_mismatch(&self, other: &Ledger) -> Option<(u64, Mismatch)> {
+        let mut pairs = self.blocks.iter().zip(&other.blocks);
+        let (a, b) = pairs.find(|(a, b)| a != b)?;
+        let field = if a.entry != b.entry {
+            Mismatch::EntryId
+        } else if a.entry_digest != b.entry_digest {
+            Mismatch::EntryDigest
+        } else {
+            Mismatch::StateFingerprint
+        };
+        Some((a.height, field))
+    }
+}
+
+/// What two blocks at the same height disagree on, checked in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mismatch {
+    /// Different entries executed at that height.
+    EntryId,
+    /// The same entry with different content.
+    EntryDigest,
+    /// The same content, a different database state after it.
+    StateFingerprint,
 }
 
 fn block_hash(

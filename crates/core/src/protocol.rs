@@ -196,6 +196,21 @@ impl ProtocolParams {
         NodeId::new(g, 0)
     }
 
+    /// Whom `asker` pulls a missing entry from (Lemma V.1: "it can request
+    /// the entry from G_j if group G_i crashes"): its own group's
+    /// representative first (LAN), then every other group's (WAN).
+    pub(crate) fn repair_targets(&self, asker: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let own = std::iter::once(self.leader_of(asker.group));
+        own.chain(other_reps(asker, self))
+            .filter(move |&t| t != asker)
+    }
+
+    /// Whether [`ProtocolParams::repair_targets`] ever names `node` — the
+    /// one thing that decides whether a node archives executed content.
+    pub(crate) fn serves_repair(&self, node: NodeId) -> bool {
+        node == self.leader_of(node.group)
+    }
+
     /// Wire size of a certificate of group `g` (2f+1 signatures).
     pub fn cert_size(&self, g: u32) -> usize {
         crate::wire::cert_wire(quorum(self.group_sizes[g as usize]))
@@ -397,6 +412,9 @@ pub struct NodeStatus {
     pub in_flight: usize,
     /// Representative VTS clock (0 on non-reps).
     pub clock: u64,
+    /// Content bytes of executed entries kept to serve repair (0 on a node
+    /// that serves none).
+    pub archive_bytes: u64,
 }
 
 /// Mean per-entry latency breakdown at a representative (Fig. 11).
@@ -428,7 +446,7 @@ impl Node {
             dissemination: Dissemination::new(id, params.clone(), registry),
             global: (local.is_rep()).then(|| GlobalLayer::new(id, params.clone())),
             local,
-            store: EntryStore::new(params.ng()),
+            store: EntryStore::new(params.ng(), params.serves_repair(id)),
             sequencer,
             params,
         }
@@ -501,6 +519,7 @@ impl Node {
             held_appends: self.global.as_ref().map_or(0, |g| g.held_appends()),
             in_flight: self.local.in_flight(),
             clock: self.global.as_ref().map_or(0, |g| g.clock()),
+            archive_bytes: self.store.archive_bytes(),
         }
     }
 
@@ -754,16 +773,12 @@ impl Node {
     }
 
     /// Repair tick: if the execution queue has been stalled on the same
-    /// missing entry across two ticks, pull it from peers (Lemma V.1).
+    /// missing entry across two ticks, pull it from the repair servers
+    /// (Lemma V.1) — whoever has it replies. The one place a node asks.
     fn on_repair_timer(&mut self, ctx: &mut Ctx<Msg>) {
         if let Some(id) = self.sequencer.repair_tick(&self.store) {
-            // Ask our own representative first (LAN), then one node of
-            // every other group (WAN) — whoever has it replies.
-            let own = self.params.leader_of(self.id.group);
-            for target in std::iter::once(own).chain(other_reps(self.id, &self.params)) {
-                if target != self.id {
-                    ctx.send(target, Msg::EntryRequest { id });
-                }
+            for target in self.params.repair_targets(self.id) {
+                ctx.send(target, Msg::EntryRequest { id });
             }
         }
         ctx.set_timer(REPAIR_INTERVAL_US, T_REPAIR);
@@ -1066,46 +1081,82 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_request_is_served_from_the_store_and_repair_asks_every_representative() {
+    fn every_repair_target_serves_repair() {
+        for sizes in [&[4, 4, 4][..], &[4, 7, 4], &[4; 12]] {
+            let params = ProtocolParams::new(Protocol::MassBft, sizes);
+            let groups = sizes.iter().zip(0u32..);
+            let nodes = groups.flat_map(|(&n, g)| (0..n as u32).map(move |i| NodeId::new(g, i)));
+            let mut servers = 0;
+            for asker in nodes {
+                let targets: Vec<NodeId> = params.repair_targets(asker).collect();
+                let serves = params.serves_repair(asker);
+                servers += usize::from(serves);
+                assert_eq!(targets.len(), sizes.len() - usize::from(serves));
+                assert!(
+                    targets
+                        .iter()
+                        .all(|&t| t != asker && params.serves_repair(t)),
+                    "{asker:?} asks {targets:?}"
+                );
+            }
+            assert_eq!(servers, sizes.len(), "one per group");
+        }
+    }
+
+    #[test]
+    fn repair_asks_the_representatives_and_only_they_serve_an_executed_entry() {
         let params = ProtocolParams::new(Protocol::Steward, &[4, 4, 4]);
         let registry = KeyRegistry::generate(params.seed, &params.group_sizes);
-        let me = NodeId::new(1, 2);
-        let mut node = Node::new(me, params, registry.clone());
         let id = EntryId::new(0, 1);
         let asker = NodeId::new(2, 0);
-        assert!(handle(&mut node, 0, asker, Msg::EntryRequest { id }).is_empty());
-        // A committed entry whose content never arrives stalls the queue;
-        // the second repair tick that sees it asks around, own group first.
-        let events = vec![FeedEvent::Committed(id)];
-        handle(&mut node, 0, NodeId::new(1, 0), Msg::Feed { events });
-        assert_eq!((node.status().exec_queue, node.executed_entries()), (1, 0));
-        let mut ctx = Ctx::new_driver(0, me);
-        let mut asked = Vec::new();
-        for _ in 0..2 {
-            node.on_timer(&mut ctx, T_REPAIR);
-            for cmd in ctx.take_commands() {
-                if let Command::Send {
-                    dst,
-                    msg: Msg::EntryRequest { id: wanted },
-                } = cmd
-                {
-                    asked.push((dst, wanted));
-                }
-            }
-        }
-        let reps = [1, 0, 2].map(|g| (NodeId::new(g, 0), id));
-        assert_eq!(asked, reps);
-        // The reply unblocks execution, and the entry is then served to
-        // whoever asks.
         let bytes: Bytes = encode_batch(id, &[]).into();
         let signers = (0..3).map(|i| massbft_crypto::keys::NodeId::new(0, i));
         let cert = QuorumCert::assemble(entry_digest(&bytes), 0, &registry, signers);
-        let copy = Msg::Entry { id, bytes, cert };
-        handle(&mut node, 0, NodeId::new(0, 0), copy);
-        assert_eq!(node.executed_entries(), 1);
-        let reply = handle(&mut node, 0, asker, Msg::EntryRequest { id });
-        assert!(
-            matches!(&reply[..], [Command::Send { dst, msg: Msg::Entry { .. } }] if *dst == asker)
-        );
+        for (me, asks) in [
+            (NodeId::new(1, 2), &[1, 0, 2][..]),
+            (NodeId::new(1, 0), &[0, 2]),
+        ] {
+            let mut node = Node::new(me, params.clone(), registry.clone());
+            assert!(handle(&mut node, 0, asker, Msg::EntryRequest { id }).is_empty());
+            // A committed entry whose content never arrives stalls the
+            // queue; the second repair tick that sees it asks around, own
+            // group's representative first.
+            let events = vec![FeedEvent::Committed(id)];
+            handle(&mut node, 0, NodeId::new(1, 0), Msg::Feed { events });
+            assert_eq!((node.status().exec_queue, node.executed_entries()), (1, 0));
+            let mut ctx = Ctx::new_driver(0, me);
+            let mut asked = Vec::new();
+            for _ in 0..2 {
+                node.on_timer(&mut ctx, T_REPAIR);
+                for cmd in ctx.take_commands() {
+                    if let Command::Send {
+                        dst,
+                        msg: Msg::EntryRequest { id: wanted },
+                    } = cmd
+                    {
+                        asked.push((dst, wanted));
+                    }
+                }
+            }
+            let reps: Vec<_> = asks.iter().map(|&g| (NodeId::new(g, 0), id)).collect();
+            assert_eq!(asked, reps, "{me:?}");
+            // The reply unblocks execution; only a representative, which
+            // is asked, keeps the entry to serve whoever asks next.
+            let copy = Msg::Entry {
+                id,
+                bytes: bytes.clone(),
+                cert: cert.clone(),
+            };
+            handle(&mut node, 0, NodeId::new(0, 0), copy);
+            assert_eq!(node.executed_entries(), 1);
+            let reply = handle(&mut node, 0, asker, Msg::EntryRequest { id });
+            let served = matches!(
+                &reply[..],
+                [Command::Send { dst, msg: Msg::Entry { .. } }] if *dst == asker
+            );
+            assert_eq!(served, params.serves_repair(me), "{me:?}");
+            let kept = node.status().archive_bytes;
+            assert_eq!(kept, if served { bytes.len() as u64 } else { 0 });
+        }
     }
 }

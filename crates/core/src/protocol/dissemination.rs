@@ -365,7 +365,7 @@ mod tests {
         let (mut master, registry, mut ctx) = part(Protocol::Steward, leader);
         let id = EntryId::new(2, 1);
         let (bytes, cert) = certified(id, &registry);
-        let store = EntryStore::new(SIZES.len());
+        let store = EntryStore::new(SIZES.len(), true);
         let (rec, relayed) =
             (master.on_copy(&mut ctx, &store, forwarder, id, bytes, &cert)).expect("accepted");
         assert!(relayed && rec.id() == id);
@@ -378,7 +378,7 @@ mod tests {
     fn a_copy_is_accepted_once_and_only_if_it_is_what_it_claims_to_be() {
         let me = NodeId::new(0, 1);
         let (mut part, registry, mut ctx) = part(Protocol::Baseline, me);
-        let mut store = EntryStore::new(SIZES.len());
+        let mut store = EntryStore::new(SIZES.len(), false);
         let id = EntryId::new(1, 4);
         let (bytes, cert) = certified(id, &registry);
         let wan = NodeId::new(1, 0);
@@ -420,7 +420,7 @@ mod tests {
     fn reshare_off_keeps_a_wan_chunk_to_itself_and_still_rebuilds() {
         let me = NodeId::new(0, 1);
         let id = EntryId::new(2, 9);
-        let store = EntryStore::new(SIZES.len());
+        let store = EntryStore::new(SIZES.len(), false);
         let run = |reshare: bool| {
             let (mut part, registry, mut ctx) = part(Protocol::MassBft, me);
             let (bytes, cert) = certified(id, &registry);

@@ -610,7 +610,7 @@ mod tests {
         let sequencer = Sequencer::new(ME, &params);
         (
             global,
-            EntryStore::new(3),
+            EntryStore::new(3, true),
             sequencer,
             Ctx::new_driver(0, ME),
         )

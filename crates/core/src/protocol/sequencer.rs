@@ -351,7 +351,7 @@ mod tests {
         let sequencer = Sequencer::new(ME, &params);
         (
             sequencer,
-            EntryStore::new(groups.len()),
+            EntryStore::new(groups.len(), true),
             Ctx::new_driver(0, ME),
         )
     }

@@ -3,8 +3,15 @@
 //! has come and — on a representative — what the global layer counted and
 //! stamped for it. A record lives from the first the node hears of the
 //! entry until the entry executes; what executed is remembered per group as
-//! a frontier, and a bounded run of executed entries stays on to serve pull
-//! repair (Lemma V.1). The store records and answers; it sends nothing.
+//! a frontier. The store records and answers; it sends nothing.
+//!
+//! Pull repair (Lemma V.1) asks only the nodes
+//! [`ProtocolParams::serves_repair`](super::ProtocolParams::serves_repair)
+//! names — each group's original representative — so only their stores
+//! are built to archive: a bounded run of executed entries stays on there,
+//! content and certificate, to answer an `EntryRequest`. Elsewhere an
+//! executed entry leaves nothing but the frontier, which answers every
+//! query but [`EntryStore::serve`] as the archived record would.
 
 use crate::entry::{EntryId, EntryRecord};
 use bytes::Bytes;
@@ -12,7 +19,8 @@ use massbft_crypto::{Digest, QuorumCert};
 use massbft_db::hash::FastMap;
 use std::collections::{BTreeSet, VecDeque};
 
-/// Executed entries kept for pull repair, oldest evicted first.
+/// Executed entries an archiving store keeps for pull repair, oldest
+/// evicted first.
 const ARCHIVE_DEPTH: usize = 2048;
 
 /// Everything this node knows of one entry.
@@ -53,14 +61,23 @@ pub(super) struct EntryStore {
     executed: Vec<Frontier>,
     /// The executed entries still in `entries`, oldest first.
     retained: VecDeque<EntryId>,
+    /// Whether executed content is retained at all: only on a node that
+    /// serves repair.
+    archive: bool,
+    /// Content bytes of the `retained` records.
+    archive_bytes: u64,
 }
 
 impl EntryStore {
-    pub(super) fn new(ng: usize) -> Self {
+    /// The store of a node in a cluster of `ng` groups; `archive` on a node
+    /// that serves repair.
+    pub(super) fn new(ng: usize, archive: bool) -> Self {
         EntryStore {
             entries: FastMap::default(),
             executed: vec![Frontier::default(); ng],
             retained: VecDeque::new(),
+            archive,
+            archive_bytes: 0,
         }
     }
 
@@ -75,6 +92,12 @@ impl EntryStore {
         self.entries.len() - self.retained.len()
     }
 
+    /// Content bytes held for repair of executed entries: 0 on a node that
+    /// serves none.
+    pub(super) fn archive_bytes(&self) -> u64 {
+        self.archive_bytes
+    }
+
     /// The record of an entry yet to execute, if the node heard of it.
     fn live_mut(&mut self, id: EntryId) -> Option<&mut Record> {
         let executed = self.is_executed(id);
@@ -87,7 +110,7 @@ impl EntryStore {
     /// ([`EntryStore::finish`]), so what trails execution — a slow group's
     /// notice, a retransmitted append, the Raft commit behind an
     /// accept-tally commit — counts as on a fresh record, as it always
-    /// did; past the archive it is ignored.
+    /// did; past the archive, or on a store that keeps none, it is ignored.
     fn record_mut(&mut self, id: EntryId) -> Option<&mut Record> {
         if self.is_executed(id) {
             return self.entries.get_mut(&id);
@@ -134,7 +157,7 @@ impl EntryStore {
     }
 
     /// Bytes and certificate for a repair request, of an entry yet to
-    /// execute or a retained one alike.
+    /// execute or an archived one alike.
     pub(super) fn serve(&self, id: EntryId) -> Option<(Bytes, QuorumCert)> {
         let t = self.entries.get(&id)?;
         Some((t.content.as_ref()?.bytes().clone(), t.cert.clone()?))
@@ -218,11 +241,12 @@ impl EntryStore {
     }
 
     /// The entry executed — its one death. The frontier keeps late chunks
-    /// and copies from resurrecting it, and the record goes; with a
-    /// certificate, a fresh one holding only content and certificate is
-    /// retained for `ARCHIVE_DEPTH` further executions — a node that
-    /// committed an entry it cannot rebuild (origin crashed
-    /// mid-replication) fetches it from a peer that executed it.
+    /// and copies from resurrecting it, and the record goes; on an
+    /// archiving store, with a certificate, a fresh one holding only
+    /// content and certificate is retained for `ARCHIVE_DEPTH` further
+    /// executions — a node that committed an entry it cannot rebuild
+    /// (origin crashed mid-replication) fetches it from a representative
+    /// that executed it.
     pub(super) fn finish(&mut self, rec: EntryRecord) {
         let id = rec.id();
         let of_group = &mut self.executed[id.gid as usize];
@@ -230,9 +254,11 @@ impl EntryStore {
         while of_group.ahead.remove(&(of_group.contiguous + 1)) {
             of_group.contiguous += 1;
         }
-        let Some(cert) = self.entries.remove(&id).and_then(|t| t.cert) else {
+        let record = self.entries.remove(&id);
+        let Some(cert) = record.and_then(|t| t.cert).filter(|_| self.archive) else {
             return;
         };
+        self.archive_bytes += rec.bytes().len() as u64;
         let kept = Record {
             content: Some(rec),
             cert: Some(cert),
@@ -242,7 +268,8 @@ impl EntryStore {
         self.retained.push_back(id);
         if self.retained.len() > ARCHIVE_DEPTH {
             let oldest = self.retained.pop_front().expect("not empty");
-            self.entries.remove(&oldest);
+            let evicted = self.entries.remove(&oldest).and_then(|t| t.content);
+            self.archive_bytes -= evicted.map_or(0, |c| c.bytes().len() as u64);
         }
     }
 }
@@ -274,7 +301,7 @@ mod tests {
     fn an_entry_moves_from_held_to_executed_and_is_served_throughout() {
         let id = EntryId::new(0, 1);
         let (rec, cert) = record(id);
-        let mut s = EntryStore::new(1);
+        let mut s = EntryStore::new(1, true);
         assert!(!s.has(id) && !s.is_safe(id) && s.serve(id).is_none());
         // Commit alone makes it safe, not held; round ordering waits.
         assert!(s.commit(id) && !s.commit(id));
@@ -284,7 +311,7 @@ mod tests {
         assert!(s.round_ready(id) && !s.round_ready(id), "fed exactly once");
         assert_eq!(s.serve(id).expect("live state").0, *rec.bytes());
         assert_eq!((s.live_records(), s.committed_unexecuted()), (1, vec![id]));
-        // Execution takes the content; the retained record keeps serving it
+        // Execution takes the content; the archived record keeps serving it
         // and answers nothing else.
         let taken = s.take_runnable(id).expect("runnable");
         s.finish(taken);
@@ -300,7 +327,7 @@ mod tests {
 
     #[test]
     fn uncommitted_entries_of_a_group_come_out_in_sequence_order() {
-        let mut s = EntryStore::new(3);
+        let mut s = EntryStore::new(3, true);
         for seq in [5, 2, 9, 3] {
             s.hold(record(EntryId::new(1, seq)).0, None);
         }
@@ -315,7 +342,7 @@ mod tests {
 
     #[test]
     fn a_representatives_marks_die_with_the_record_and_start_over_on_a_retained_one() {
-        let mut s = EntryStore::new(5);
+        let mut s = EntryStore::new(5, true);
         let id = EntryId::new(0, 1);
         // Three of five groups hold it: the proposer, group 3, group 1.
         assert!(!s.note_holder(id, 3, 3) && !s.note_holder(id, 3, 3));
@@ -345,7 +372,7 @@ mod tests {
 
     #[test]
     fn the_frontier_is_exact_out_of_order_and_across_a_permanent_gap() {
-        let mut s = EntryStore::new(2);
+        let mut s = EntryStore::new(2, true);
         let of = |seq| EntryId::new(1, seq);
         // Steward's log order after a lost forward: 3 never made the log.
         for seq in [1, 2, 5, 4] {
@@ -373,13 +400,15 @@ mod tests {
 
     #[test]
     fn the_archive_is_bounded_and_evicts_the_oldest() {
-        let mut s = EntryStore::new(4);
+        let mut s = EntryStore::new(4, true);
         let first = EntryId::new(0, 1);
         let cert = record(first).1;
+        let mut sizes = Vec::new();
         for seq in 1..=ARCHIVE_DEPTH as u64 + 1 {
             // Only the id matters to the archive's bookkeeping.
             let id = EntryId::new(0, seq);
             let rec = EntryRecord::hash(encode_batch(id, &[]).into()).expect("entry");
+            sizes.push(rec.bytes().len() as u64);
             s.hold(rec, Some(cert.clone()));
             let taken = s.take_runnable(id).expect("runnable");
             s.finish(taken);
@@ -389,6 +418,11 @@ mod tests {
         assert_eq!(
             (s.entries.len(), s.retained.len()),
             (ARCHIVE_DEPTH, ARCHIVE_DEPTH)
+        );
+        assert_eq!(
+            s.archive_bytes(),
+            sizes[1..].iter().sum(),
+            "the sum follows"
         );
         // Evicted is still executed, and late traffic leaves no record.
         s.hold(record(first).0, None);
@@ -401,5 +435,106 @@ mod tests {
         s.finish(taken);
         assert!(s.is_executed(bare) && s.serve(bare).is_none());
         assert_eq!(s.entries.len(), ARCHIVE_DEPTH);
+    }
+
+    /// One call a node makes on its store.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Content arrives, with its certificate or without.
+        Hold(EntryId, bool),
+        Commit(EntryId),
+        RoundReady(EntryId),
+        /// Another group holds it (a representative's tally, quorum 2).
+        NoteHolder(EntryId, u32),
+        /// Take the content and execute it.
+        Run(EntryId),
+    }
+
+    /// Applies `op`; what it answered, if it answers.
+    fn apply(s: &mut EntryStore, op: Op) -> Option<bool> {
+        match op {
+            Op::Hold(id, certified) => {
+                let (rec, cert) = record(id);
+                s.hold(rec, certified.then_some(cert));
+                None
+            }
+            Op::Commit(id) => Some(s.commit(id)),
+            Op::RoundReady(id) => Some(s.round_ready(id)),
+            Op::NoteHolder(id, group) => Some(s.note_holder(id, group, 2)),
+            Op::Run(id) => Some(s.take_runnable(id).map(|rec| s.finish(rec)).is_some()),
+        }
+    }
+
+    /// What the store answers about `ids` and the two groups.
+    fn answers(s: &EntryStore, ids: &[EntryId]) -> String {
+        let of = |&id| {
+            (
+                s.is_executed(id),
+                s.has(id),
+                s.is_safe(id),
+                s.is_committed(id),
+            )
+        };
+        let per_entry: Vec<_> = ids.iter().map(|id| (of(id), s.digest(*id))).collect();
+        let uncommitted: Vec<_> = (0..2).map(|g| s.uncommitted_of(g)).collect();
+        format!("{per_entry:?} {uncommitted:?} {}", s.live_records())
+    }
+
+    /// The rule that lets a node which serves no repair keep no archive:
+    /// through one run of content, commits, a tally and executions — in
+    /// and out of order, with and without a certificate — and the copies
+    /// and commits that trail execution, both stores answer every call
+    /// alike but `serve` and the representative's own marks
+    /// (`note_holder`, `mark_stamped`, `committed_unexecuted` after
+    /// execution), which only `GlobalLayer` makes, on an archiving store.
+    #[test]
+    fn a_store_without_an_archive_answers_all_but_serve_alike() {
+        let ids = [(0, 1), (0, 2), (1, 1), (1, 2)].map(|(g, seq)| EntryId::new(g, seq));
+        let [a, b, c, d] = ids;
+        use Op::*;
+        let script = [
+            Hold(a, true),
+            Hold(c, true),
+            Commit(d),
+            NoteHolder(a, 1),
+            Commit(a),
+            RoundReady(a),
+            Run(a),
+            // A late copy, commit and round feed.
+            Hold(a, true),
+            Commit(a),
+            RoundReady(a),
+            // d runs ahead of c, then c closes the gap.
+            Hold(d, true),
+            Run(d),
+            Run(c),
+            Commit(c),
+            Hold(c, true),
+            Commit(d),
+            // Executed without a certificate, then trailed.
+            Hold(b, false),
+            Run(b),
+            Hold(b, true),
+            Commit(b),
+        ];
+        let (mut kept, mut none) = (EntryStore::new(2, true), EntryStore::new(2, false));
+        for op in script {
+            assert_eq!(apply(&mut kept, op), apply(&mut none, op), "{op:?}");
+            assert_eq!(answers(&kept, &ids), answers(&none, &ids), "after {op:?}");
+        }
+        assert!(ids
+            .iter()
+            .all(|&id| none.is_executed(id) && none.serve(id).is_none()));
+        let served: Vec<bool> = ids.iter().map(|&id| kept.serve(id).is_some()).collect();
+        assert_eq!(served, [true, false, true, true], "b had no certificate");
+        let bytes = [a, c, d].map(|id| record(id).0.bytes().len() as u64);
+        assert_eq!(
+            (kept.archive_bytes(), none.archive_bytes()),
+            (bytes.iter().sum(), 0)
+        );
+        // Where the two part: what trails execution lands on an archived
+        // record only.
+        assert_eq!(kept.committed_unexecuted(), [a, c, d]);
+        assert!(none.committed_unexecuted().is_empty() && none.entries.is_empty());
     }
 }

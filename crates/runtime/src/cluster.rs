@@ -45,7 +45,7 @@ use crate::ops::{self, OpsConfig, OpsHandle};
 use crate::wheel::TimerWheel;
 use massbft_accel::{Events, Interest, Poller};
 use massbft_core::adversary::FaultEvent;
-use massbft_core::cluster::{ClusterConfig, Driver, Harness, Report, Traffic};
+use massbft_core::cluster::{ClusterConfig, Divergence, Driver, Harness, Report, Traffic};
 use massbft_core::protocol::{Msg, Node};
 use massbft_crypto::KeyRegistry;
 use massbft_sim_net::{probe_deliver, probe_send, Actor, Command, Ctx, NodeId, Time, Topology};
@@ -337,9 +337,20 @@ impl Driver for TcpDriver {
         }
     }
 
-    /// Black-box moment: snapshot everything before the diverged state
-    /// churns further.
-    fn diverged(&self) {
+    /// Black-box moment: the two nodes' status and ledger tails go to
+    /// stderr, and with an ops plane the flight recorder snapshots
+    /// everything, before the diverged state churns further.
+    fn diverged(&self, at: &Divergence) {
+        eprintln!("runtime: ledgers diverged: {at:?}");
+        for id in [at.reference, at.node] {
+            self.with_node(id, |n| {
+                eprintln!("  {id:?} {:?}", n.status());
+                let blocks = n.ledger().blocks();
+                for b in &blocks[blocks.len().saturating_sub(3)..] {
+                    eprintln!("    {b:?}");
+                }
+            });
+        }
         if let Some(h) = &self.ops {
             h.trigger("consistency-failure");
         }

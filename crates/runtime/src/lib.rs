@@ -37,6 +37,10 @@
 
 #![forbid(unsafe_code)]
 
+// The reactors wait in `massbft_accel::Poller`, which exists on Linux only.
+#[cfg(not(target_os = "linux"))]
+compile_error!("massbft-runtime needs Linux 5.11 or later: its reactors wait in epoll_pwait2");
+
 pub mod cluster;
 pub mod frame;
 pub mod net;

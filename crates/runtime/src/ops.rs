@@ -7,7 +7,8 @@
 //! - `GET /health` — liveness probe (`200 ok`).
 //! - `GET /metrics` — Prometheus text exposition of the global
 //!   telemetry registry. Per-node state gauges (`consensus.pbft.view`,
-//!   `core.exec.watermark`, inbox/writer queue depths, …) are refreshed
+//!   `core.exec.watermark`, `core.store.archive_bytes`, inbox/writer queue
+//!   depths, …) are refreshed
 //!   from the live `Node` states at scrape time, labeled
 //!   `{group="…",node="…"}`.
 //! - `GET /status` — one JSON document with every hosted node's
@@ -330,6 +331,7 @@ fn refresh_node_gauges(state: &OpsState) {
         registry::gauge(&format!("core.ledger.height{l}")).set(st.ledger_height);
         registry::gauge(&format!("core.exec.watermark{l}")).set(st.exec_watermark);
         registry::gauge(&format!("core.exec.queue{l}")).set(st.exec_queue as u64);
+        registry::gauge(&format!("core.store.archive_bytes{l}")).set(st.archive_bytes);
         registry::gauge(&format!("ops.inbox.depth{l}")).set(inbox_depth);
         registry::gauge(&format!("ops.writer.queue_frames{l}")).set(wq);
     }
@@ -347,7 +349,7 @@ fn status_obj(st: &NodeStatus, inbox_depth: u64, wq: u64) -> String {
             "\"pbft_seq\":{},\"ledger_height\":{},\"ledger_head\":\"{}\",",
             "\"exec_watermark\":{},\"executed_txns\":{},\"executed_by_group\":[{}],",
             "\"exec_queue\":{},\"held_appends\":{},\"in_flight\":{},\"clock\":{},",
-            "\"inbox_depth\":{},\"writer_queue_frames\":{}}}"
+            "\"archive_bytes\":{},\"inbox_depth\":{},\"writer_queue_frames\":{}}}"
         ),
         st.group,
         st.node,
@@ -363,6 +365,7 @@ fn status_obj(st: &NodeStatus, inbox_depth: u64, wq: u64) -> String {
         st.held_appends,
         st.in_flight,
         st.clock,
+        st.archive_bytes,
         inbox_depth,
         wq,
     )

@@ -62,6 +62,13 @@ fn ops_plane_serves_metrics_traces_and_flight_dumps() {
             > 0),
         "every replica's commit watermark is moving"
     );
+    // Executed content is archived where repair is served — the
+    // representatives, node 0 — and nowhere else.
+    for n in nodes {
+        let field = |k: &str| n.get(k).and_then(|v| v.as_u64()).expect(k);
+        let (id, kept) = ((field("group"), field("node")), field("archive_bytes"));
+        assert_eq!(kept > 0, id.1 == 0, "{id:?} archives {kept} bytes");
+    }
 
     // /metrics: Prometheus text with per-node labeled gauges and the
     // ring-loss counter.
@@ -84,6 +91,12 @@ fn ops_plane_serves_metrics_traces_and_flight_dumps() {
     assert!(views
         .iter()
         .any(|s| s.label("group") == Some("1") && s.label("node") == Some("2")));
+    let archived = exp.series("core_store_archive_bytes");
+    assert_eq!(archived.len(), 6, "one archive gauge per node");
+    for s in archived {
+        let rep = s.label("node") == Some("0");
+        assert_eq!(s.value > 0.0, rep, "{:?} archives {}", s.labels, s.value);
+    }
 
     // /trace: recent ring events as JSONL, stitched into distributed
     // spans. In-process all events share one clock, so every committed

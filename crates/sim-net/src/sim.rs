@@ -314,6 +314,13 @@ impl<A: Actor> Simulation<A> {
         &self.actors[self.idx(id)]
     }
 
+    /// Mutable access to a node's actor (tests that hand it a message
+    /// directly, through a driver `Ctx`).
+    pub fn actor_mut(&mut self, id: NodeId) -> &mut A {
+        let i = self.idx(id);
+        &mut self.actors[i]
+    }
+
     /// Iterates over all actors.
     pub fn actors(&self) -> impl Iterator<Item = (&NodeId, &A)> {
         self.ids.iter().zip(self.actors.iter())

@@ -37,9 +37,12 @@ fi
 # The bench programs share one runner and one flag reader (run.rs,
 # report.rs); a tighter limit there keeps them from forking back into
 # per-program copies. The TCP runtime's largest file is the frame codec
-# (834); the reactor and the connection plane stay well under it.
+# (834); the reactor and the connection plane stay well under it. The
+# unsafe crate's largest file is its SIMD kernels (225); the epoll binding
+# stays under them.
 oversized=0
-for limit in crates/core/src:1000 crates/bench/src:600 crates/runtime/src:850; do
+for limit in crates/core/src:1000 crates/bench/src:600 crates/runtime/src:850 \
+    crates/accel/src:225; do
   dir=${limit%:*} max=${limit#*:}
   echo "==> no file under $dir above $max non-test lines"
   while IFS= read -r -d '' file; do
@@ -51,6 +54,26 @@ for limit in crates/core/src:1000 crates/bench/src:600 crates/runtime/src:850; d
   done < <(find "$dir" -name '*.rs' -print0)
 done
 ((oversized == 0)) || exit 1
+
+# Executed content is archived only on the nodes ProtocolParams::
+# repair_targets names, so a node asks for an entry on one path only:
+# Node::on_repair_timer. A second request path would ask nodes that keep
+# nothing. Patterns (`Msg::EntryRequest { .. } =>`) and unit tests do not
+# count.
+echo "==> Msg::EntryRequest built only in on_repair_timer"
+if find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { counting = 1; name = "" }
+        /^#\[cfg\(test\)\]/ { counting = 0 }
+        counting && /^[[:space:]]*(pub[^ ]* )?fn [a-z_0-9]+/ {
+          name = $0; sub(/^.*fn /, "", name); sub(/[^a-z_0-9].*$/, "", name)
+        }
+        counting && /Msg::EntryRequest \{/ && !/=>/ && name != "on_repair_timer" {
+          print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }'; then
+  echo "error: only Node::on_repair_timer asks for an entry (repair_targets)" >&2
+  exit 1
+fi
 
 # The reactors wait on an interest set the kernel keeps (epoll); the
 # per-turn scan of every descriptor it replaced does not come back.

@@ -44,7 +44,7 @@ fn run_both(cfg: ClusterConfig, secs: u64) -> (u64, Digest, Digest) {
         .iter()
         .map(|b| (b.height, b.hash))
         .collect();
-    assert!(sim.check_consistency(), "simulator replicas diverged");
+    assert_eq!(sim.first_divergence(), None, "simulator replicas diverged");
 
     let mut rt = massbft::runtime::Cluster::new(cfg);
     rt.run_until(secs * SECOND);
@@ -56,7 +56,8 @@ fn run_both(cfg: ClusterConfig, secs: u64) -> (u64, Digest, Digest) {
             .map(|b| (b.height, b.hash))
             .collect()
     });
-    assert!(rt.check_consistency(), "runtime replicas diverged");
+    let divergence = rt.harness_mut().first_divergence();
+    assert_eq!(divergence, None, "runtime replicas diverged");
 
     let h = sim_blocks.len().min(rt_blocks.len());
     assert!(h > 0, "a driver committed no blocks at all");
@@ -163,7 +164,11 @@ fn walk_through_faults<D: Driver>(driver: &str, c: &mut Harness<D>) {
 
     c.run_until(3 * SECOND);
     assert!(c.driver().is_crashed(VICTIM), "{driver}: crash not applied");
-    assert!(c.check_consistency(), "{driver}: diverged under the crash");
+    assert_eq!(
+        c.first_divergence(),
+        None,
+        "{driver}: diverged under the crash"
+    );
 
     c.run_until(8 * SECOND);
     assert!(!c.driver().is_crashed(VICTIM), "{driver}: still crashed");
@@ -176,7 +181,11 @@ fn walk_through_faults<D: Driver>(driver: &str, c: &mut Harness<D>) {
         after > before,
         "{driver}: nothing committed across the script: {before} → {after}"
     );
-    assert!(c.check_consistency(), "{driver}: diverged after the script");
+    assert_eq!(
+        c.first_divergence(),
+        None,
+        "{driver}: diverged after the script"
+    );
 }
 
 /// The seam itself: one [`FaultSchedule`] value and one adversary spec,

@@ -4,8 +4,9 @@
 
 use massbft::core::adversary::FaultEvent;
 use massbft::core::cluster::{Cluster, ClusterConfig};
-use massbft::core::protocol::Protocol;
-use massbft::sim_net::{NodeId, SECOND};
+use massbft::core::entry::entry_digest;
+use massbft::core::protocol::{Msg, Protocol};
+use massbft::sim_net::{Actor, Command, Ctx, NodeId, SECOND};
 use massbft::workloads::WorkloadKind;
 
 fn small(protocol: Protocol) -> ClusterConfig {
@@ -262,4 +263,40 @@ fn per_entry_state_is_flat_in_run_length() {
         );
     }
     assert!(c.check_consistency());
+}
+
+/// Executed content stays where repair is served (Lemma V.1's pull asks
+/// only representatives): after 3 s no other node keeps an executed
+/// entry's bytes, every representative does, and one still answers a pull
+/// for an entry it executed.
+#[test]
+fn only_representatives_keep_executed_content_and_they_serve_it() {
+    let mut c = Cluster::new(small(Protocol::MassBft));
+    c.run_until(3 * SECOND);
+    for id in (0..3).flat_map(|g| (0..4).map(move |i| NodeId::new(g, i))) {
+        let kept = c.node(id).status().archive_bytes;
+        if id.node == 0 {
+            assert!(kept > 0, "representative {id:?} keeps no executed content");
+        } else {
+            assert_eq!(kept, 0, "{id:?} serves no repair but keeps content");
+        }
+    }
+    let (rep, asker) = (NodeId::new(1, 0), NodeId::new(2, 3));
+    let block = c.node(rep).ledger().block(1).expect("executed").clone();
+    let now = c.now();
+    let mut ctx = Ctx::new_driver(now, rep);
+    let request = Msg::EntryRequest { id: block.entry };
+    c.sim_mut()
+        .actor_mut(rep)
+        .on_message(&mut ctx, asker, request);
+    match &ctx.take_commands()[..] {
+        [Command::Send {
+            dst,
+            msg: Msg::Entry { id, bytes, .. },
+        }] => {
+            assert_eq!((*dst, *id), (asker, block.entry));
+            assert_eq!(entry_digest(bytes), block.entry_digest);
+        }
+        other => panic!("no single reply to the pull: {other:?}"),
+    }
 }
