@@ -2,11 +2,12 @@
 //!
 //! Runs the same deterministic cluster once per fault scenario — tampered
 //! chunks, a silent primary, an equivocating primary, withheld WAN shares,
-//! a gray-failure (delaying) representative, a crashed primary, and flaky
-//! WAN links — sampling executed-transaction counts at a fixed cadence so
-//! the dip and recovery are visible in the timeline. Emits
-//! `BENCH_faults.json` and exits non-zero if any scenario fails to recover
-//! or breaks cross-node consistency.
+//! a gray-failure (delaying) representative, a crashed primary, flaky
+//! WAN links, and a partition between two groups that heals — sampling
+//! executed-transaction counts at a fixed cadence so the dip and recovery
+//! are visible in the timeline. Emits `BENCH_faults.json` and exits
+//! non-zero if any scenario fails to recover or breaks cross-node
+//! consistency.
 //!
 //! ```text
 //! cargo run --release -p massbft-bench --bin faults -- \
@@ -23,6 +24,10 @@ use massbft_workloads::WorkloadKind;
 
 /// Sampling cadence for the recovery timelines.
 const SAMPLE_US: Time = 500 * MILLISECOND;
+/// The share of its offered load the affected metric must move at in the
+/// tail for a scenario to count as recovered: what a fault left behind
+/// must be caught up with, not trickle in.
+const RECOVERED_SHARE: f64 = 0.5;
 
 struct Args {
     groups: Vec<usize>,
@@ -85,7 +90,8 @@ struct Outcome {
     consistent: bool,
 }
 
-fn run_scenario(s: Scenario, fault_at: Time, secs: u64) -> Outcome {
+fn run_scenario(s: Scenario, fault_at: Time, secs: u64, group_tps: f64) -> Outcome {
+    let groups = s.cfg.params.ng() as f64;
     let mut c = Cluster::new(s.cfg);
     let end = secs * SECOND;
     // Sample at a node the scenarios never crash or corrupt: the last
@@ -128,9 +134,14 @@ fn run_scenario(s: Scenario, fault_at: Time, secs: u64) -> Outcome {
         }
     }
 
-    // Recovered = the affected metric is moving again in the tail at a
-    // non-trivial rate, and the final sample interval is not stalled.
-    let recovered = tail_tps > 100.0 && run == 0;
+    // Recovered = the affected metric moves again in the tail at
+    // `RECOVERED_SHARE` of what it is offered, and the final sample
+    // interval is not stalled.
+    let offered = match s.affected {
+        Affected::Group(_) => group_tps,
+        Affected::Total => group_tps * groups,
+    };
+    let recovered = tail_tps > RECOVERED_SHARE * offered && run == 0;
     let consistent = c.check_consistency();
     Outcome {
         name: s.name,
@@ -254,6 +265,14 @@ fn main() {
                 )
                 .fault_at(fault_at + 3 * SECOND, FaultEvent::SetWanFault(None)),
         },
+        Scenario {
+            name: "partition_heal",
+            what: "groups 0 and 2 severed for 2 s, then healed",
+            affected: Affected::Total,
+            cfg: base()
+                .fault_at(fault_at, FaultEvent::PartitionGroups(0, 2))
+                .fault_at(fault_at + 2 * SECOND, FaultEvent::HealGroups(0, 2)),
+        },
     ];
 
     eprintln!(
@@ -272,7 +291,7 @@ fn main() {
     );
     for s in scenarios {
         let name = s.name;
-        let o = run_scenario(s, fault_at, args.secs);
+        let o = run_scenario(s, fault_at, args.secs, args.arrival_tps);
         println!(
             "{:<22} {:>10.0} {:>10.0} {:>10} {:>6}",
             name,

@@ -22,7 +22,7 @@ pub(crate) type Pass = (HeldKey, HeldKey);
 pub(crate) struct HeldAppends<M> {
     held: BTreeMap<HeldKey, (usize, M)>,
     /// Blocker → the appends waiting on it, once per occurrence. Looked up
-    /// and removed by key, never iterated.
+    /// and removed by key; iterated only, sorted, by the repair tick.
     waiters: FastMap<EntryId, Vec<HeldKey>>,
     ready: BTreeSet<HeldKey>,
     next_ticket: u64,
@@ -46,6 +46,14 @@ impl<M> HeldAppends<M> {
     /// Appends held, ready or not.
     pub(crate) fn len(&self) -> usize {
         self.held.len()
+    }
+
+    /// The entries some held append still waits on, in order: what pull
+    /// repair fetches for this node.
+    pub(crate) fn blockers(&self) -> Vec<EntryId> {
+        let mut ids: Vec<EntryId> = self.waiters.keys().copied().collect();
+        ids.sort();
+        ids
     }
 
     /// Holds `item` of `instance` until every entry of `blockers` (not
@@ -156,6 +164,23 @@ mod tests {
         assert_eq!(h.len(), 1);
         h.note_safe(e(0, 3));
         assert_eq!(replay(&mut h), vec![(1, "a3")]);
+    }
+
+    #[test]
+    fn the_outstanding_blockers_are_named_once_each_in_order() {
+        let mut h = HeldAppends::new();
+        assert!(h.blockers().is_empty());
+        h.hold(1, vec![e(2, 7), e(0, 3)], "a");
+        h.hold(0, vec![e(0, 3), e(1, 1)], "b");
+        assert_eq!(h.blockers(), [e(0, 3), e(1, 1), e(2, 7)]);
+        // A blocker counted off is no longer wanted, even while its append
+        // is held for another; a ready append names nothing.
+        h.note_safe(e(0, 3));
+        h.note_safe(e(1, 1));
+        assert_eq!(h.blockers(), [e(2, 7)]);
+        assert_eq!((h.len(), replay(&mut h)), (2, vec![(0, "b")]));
+        h.note_safe(e(2, 7));
+        assert!(h.blockers().is_empty());
     }
 
     #[test]

@@ -62,7 +62,7 @@ use massbft_crypto::{cert::quorum, Digest, KeyRegistry, QuorumCert};
 use massbft_sim_net::{Actor, Ctx, NodeId, SimMessage, Time, MILLISECOND};
 use massbft_telemetry as telemetry;
 use massbft_workloads::WorkloadKind;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Protocol selector (Table II of the paper + the Fig. 12 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,6 +348,24 @@ fn span(node: NodeId, at: Time, kind: telemetry::EventKind, id: EntryId, value: 
         entry: (id.gid, id.seq),
         value,
     });
+}
+
+/// Process-wide pull-repair counters, summed across the nodes a process
+/// hosts; both register at a node's first repair tick, so a scrape shows
+/// whether a stalled node is asking and being answered, zeros included.
+struct RepairCounters {
+    /// `core.repair.requested`: entries asked for by repair ticks.
+    requested: telemetry::registry::Counter,
+    /// `core.repair.served`: requests answered with the entry.
+    served: telemetry::registry::Counter,
+}
+
+fn repair_counters() -> &'static RepairCounters {
+    static C: OnceLock<RepairCounters> = OnceLock::new();
+    C.get_or_init(|| RepairCounters {
+        requested: telemetry::registry::counter("core.repair.requested"),
+        served: telemetry::registry::counter("core.repair.served"),
+    })
 }
 
 /// The other members of `me`'s group.
@@ -772,12 +790,20 @@ impl Node {
         }
     }
 
-    /// Repair tick: if the execution queue has been stalled on the same
-    /// missing entry across two ticks, pull it from the repair servers
-    /// (Lemma V.1) — whoever has it replies. The one place a node asks.
+    /// Repair tick: pull every entry this node has been missing for two
+    /// ticks running (Lemma V.1) — ordered without content, or waited on by
+    /// a held append — each from one repair server, and from the next one
+    /// each time it is pulled again. The one place a node asks.
     fn on_repair_timer(&mut self, ctx: &mut Ctx<Msg>) {
-        if let Some(id) = self.sequencer.repair_tick(&self.store) {
-            for target in self.params.repair_targets(self.id) {
+        let held = self.global.as_ref().map(GlobalLayer::held_blockers);
+        let wanted = self
+            .sequencer
+            .repair_tick(&self.store, held.unwrap_or_default());
+        let targets: Vec<NodeId> = self.params.repair_targets(self.id).collect();
+        if !targets.is_empty() {
+            repair_counters().requested.add(wanted.len() as u64);
+            for (id, pulled) in wanted {
+                let target = targets[pulled as usize % targets.len()];
                 ctx.send(target, Msg::EntryRequest { id });
             }
         }
@@ -828,6 +854,7 @@ impl Actor for Node {
             Msg::EntryRequest { id } => {
                 // Serve a repair request from the archive or the live state.
                 if let Some((bytes, cert)) = self.store.serve(id) {
+                    repair_counters().served.add(1);
                     ctx.send(from, Msg::Entry { id, bytes, cert });
                 }
             }
@@ -1119,26 +1146,31 @@ mod tests {
             let mut node = Node::new(me, params.clone(), registry.clone());
             assert!(handle(&mut node, 0, asker, Msg::EntryRequest { id }).is_empty());
             // A committed entry whose content never arrives stalls the
-            // queue; the second repair tick that sees it asks around, own
-            // group's representative first.
+            // queue; the second repair tick that sees it asks one
+            // representative, own group's first, and each tick after it
+            // the next one.
             let events = vec![FeedEvent::Committed(id)];
             handle(&mut node, 0, NodeId::new(1, 0), Msg::Feed { events });
             assert_eq!((node.status().exec_queue, node.executed_entries()), (1, 0));
             let mut ctx = Ctx::new_driver(0, me);
             let mut asked = Vec::new();
-            for _ in 0..2 {
+            for tick in 0..4 {
                 node.on_timer(&mut ctx, T_REPAIR);
+                let mut this_tick = Vec::new();
                 for cmd in ctx.take_commands() {
                     if let Command::Send {
                         dst,
                         msg: Msg::EntryRequest { id: wanted },
                     } = cmd
                     {
-                        asked.push((dst, wanted));
+                        this_tick.push((dst, wanted));
                     }
                 }
+                assert_eq!(this_tick.len(), usize::from(tick > 0), "one target per ask");
+                asked.extend(this_tick);
             }
-            let reps: Vec<_> = asks.iter().map(|&g| (NodeId::new(g, 0), id)).collect();
+            let reps = asks.iter().cycle().take(3);
+            let reps: Vec<_> = reps.map(|&g| (NodeId::new(g, 0), id)).collect();
             assert_eq!(asked, reps, "{me:?}");
             // The reply unblocks execution; only a representative, which
             // is asked, keeps the entry to serve whoever asks next.

@@ -140,6 +140,11 @@ impl GlobalLayer {
         self.held.len()
     }
 
+    /// The entries a withheld append waits on, in order.
+    pub(super) fn held_blockers(&self) -> Vec<EntryId> {
+        self.held.blockers()
+    }
+
     // --- stamping -----------------------------------------------------------
 
     /// Assigns `ts` to `id` on behalf of group `on_behalf_of` — this group
@@ -444,7 +449,13 @@ impl GlobalLayer {
         // Track appended entries to stamp (overlapped VTS) and monitor
         // liveness of the instance leader.
         let mut appended: Vec<EntryId> = Vec::new();
-        if let RaftMsg::AppendEntries { entries, .. } = &rmsg {
+        if let RaftMsg::AppendEntries {
+            prev_index,
+            entries,
+            leader_commit,
+            ..
+        } = &rmsg
+        {
             appended.extend(entries.iter().filter_map(|e| Some(e.data.entry?.0)));
             self.last_append.insert(instance, ctx.now());
             // Accept gating (Lemma V.1): a group must not accept an entry
@@ -457,7 +468,15 @@ impl GlobalLayer {
             // replay when content or the tally arrives; holding the whole
             // append (not just the accept) also keeps stamps from
             // committing ahead of an unsafe entry in the same log.
-            let blockers: Vec<EntryId> = (appended.iter().copied())
+            //
+            // An entry at a log position the leader has committed passes
+            // as it is: a majority accepted it under this very gate, so
+            // pull repair can recover it, as `is_safe` counts a committed
+            // entry. Holding it would only have the leader resend the
+            // whole suffix on every heartbeat to a node catching up.
+            let committed = leader_commit.saturating_sub(*prev_index) as usize;
+            let blockers: Vec<EntryId> = (entries.iter().skip(committed))
+                .filter_map(|e| Some(e.data.entry?.0))
                 .filter(|&id| id.gid != self.me.group && !down.store.is_safe(id))
                 .collect();
             if !blockers.is_empty() {
@@ -470,8 +489,8 @@ impl GlobalLayer {
         };
         let outputs = raft.step(from.group, rmsg);
         if self.stamping() && !appended.is_empty() {
-            // Direct accept broadcast (§V-C): we hold these entries (the
-            // gating above guarantees it), so tell every representative —
+            // Direct accept broadcast (§V-C): these entries are safe here
+            // (the gating above guarantees it), so tell every representative —
             // slow groups use the tally to stamp and order without waiting
             // for their own copies.
             let group = self.me.group;
@@ -870,5 +889,49 @@ mod tests {
             "the log grew in the order the appends arrived"
         );
         assert_eq!(stamps_on_stream(&global, 1), [(first, 0), (second, 0)]);
+    }
+
+    #[test]
+    fn an_append_at_or_below_the_leaders_commit_passes_without_content() {
+        let (mut global, mut store, mut seq, mut ctx) = rep();
+        let (first, second) = (EntryId::new(0, 1), EntryId::new(0, 2));
+        let from = NodeId::new(0, 0);
+        // The leader committed index 1 while this node held neither entry:
+        // the first is accepted and commits here without its content ...
+        global.on_raft_msg(
+            &mut ctx,
+            &mut down(&mut store, &mut seq),
+            from,
+            0,
+            append(first, 1, 1),
+        );
+        let accepted = sent(&mut ctx).into_iter().any(|(dst, m)| {
+            let resp = matches!(
+                m,
+                Msg::Raft {
+                    rmsg: RaftMsg::AppendResp {
+                        success: true,
+                        match_index: 1,
+                        ..
+                    },
+                    ..
+                }
+            );
+            resp && dst == from
+        });
+        assert!(accepted, "the committed entry is accepted");
+        assert!(store.is_committed(first) && !store.has(first));
+        // ... the second, above the leader's commit, still waits for it,
+        // and names what it waits on.
+        global.on_raft_msg(
+            &mut ctx,
+            &mut down(&mut store, &mut seq),
+            from,
+            0,
+            append(second, 2, 1),
+        );
+        assert!(sent(&mut ctx).is_empty());
+        assert_eq!(global.held_appends(), 1);
+        assert_eq!(global.held_blockers(), [second]);
     }
 }

@@ -20,7 +20,7 @@ use massbft_db::hash::FastMap;
 use massbft_sim_net::{Ctx, NodeId, Time, MILLISECOND};
 use massbft_telemetry as telemetry;
 use massbft_workloads::Request;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
 /// Per-transaction execution CPU, virtual microseconds.
@@ -71,9 +71,12 @@ pub(super) struct Sequencer {
     /// Entries in execution order, waiting for content at the front.
     exec_queue: VecDeque<EntryId>,
     pipeline: ExecutionPipeline,
-    /// The exec-queue front observed at the last repair tick; a repeat
-    /// sighting with missing content triggers an `EntryRequest`.
-    last_stalled: Option<EntryId>,
+    /// The entries the last repair tick found missing, with the number of
+    /// ticks running each has been: one seen again is pulled.
+    sighted: BTreeMap<EntryId, u32>,
+    /// The most entries one repair tick looks for: every group's pipeline
+    /// window.
+    repair_bound: usize,
     /// Stage marks of own-group entries in flight, kept only on a
     /// representative (original or acting).
     marks: Option<FastMap<EntryId, Marks>>,
@@ -108,7 +111,8 @@ impl Sequencer {
                 params.retry_aborts,
                 params.exec_fallback,
             ),
-            last_stalled: None,
+            sighted: BTreeMap::new(),
+            repair_bound: params.pipeline_window * ng,
             marks: None,
             executed_txns: 0,
             executed_entries: 0,
@@ -323,16 +327,31 @@ impl Sequencer {
 
     // --- repair -------------------------------------------------------------
 
-    /// Repair tick: the entry to pull from peers, if the exec queue has
-    /// been stalled on the same missing content across two ticks.
-    pub(super) fn repair_tick(&mut self, store: &EntryStore) -> Option<EntryId> {
-        let stalled = self
-            .exec_queue
-            .front()
-            .copied()
-            .filter(|&id| !store.has(id));
-        let wanted = stalled.filter(|_| self.last_stalled == stalled);
-        self.last_stalled = stalled;
+    /// Repair tick: the entries to pull from peers (Lemma V.1), each with
+    /// the number of times it was pulled before. An entry is missing when
+    /// it is ordered without content, or when one of the appends `held` at
+    /// a representative waits on it; the queue's are looked at first, at
+    /// most `repair_bound` in all. One missing at the previous tick too is
+    /// pulled, and pulled again at every tick it still is.
+    pub(super) fn repair_tick(
+        &mut self,
+        store: &EntryStore,
+        held: Vec<EntryId>,
+    ) -> Vec<(EntryId, u32)> {
+        let queued = self.exec_queue.iter().copied();
+        let missing = queued.chain(held).filter(|&id| !store.has(id));
+        let mut sighted = BTreeMap::new();
+        let mut wanted = Vec::new();
+        for id in missing {
+            if sighted.len() == self.repair_bound {
+                break;
+            }
+            let ticks = self.sighted.get(&id).map_or(1, |n| n + 1);
+            if sighted.insert(id, ticks).is_none() && ticks > 1 {
+                wanted.push((id, ticks - 2));
+            }
+        }
+        self.sighted = sighted;
         wanted
     }
 }
@@ -444,16 +463,40 @@ mod tests {
     }
 
     #[test]
-    fn a_queue_stalled_on_the_same_entry_for_two_ticks_wants_it_pulled() {
+    fn every_entry_missing_at_two_ticks_running_is_pulled_and_pulled_again() {
         let (mut seq, mut store, mut ctx) = sequencer(Protocol::Steward, &[4, 4]);
-        let id = EntryId::new(1, 1);
-        assert_eq!(seq.repair_tick(&store), None);
-        seq.ingest(&mut store, vec![FeedEvent::Committed(id)]);
+        let queued = [1, 2, 3].map(|s| EntryId::new(1, s));
+        let held = EntryId::new(0, 9);
+        assert!(seq.repair_tick(&store, vec![]).is_empty());
+        let events = queued.iter().map(|&id| FeedEvent::Committed(id)).collect();
+        seq.ingest(&mut store, events);
         seq.advance(&mut ctx, &mut store);
-        assert_eq!(seq.repair_tick(&store), None, "first sighting");
-        assert_eq!(seq.repair_tick(&store), Some(id));
-        assert_eq!(seq.repair_tick(&store), Some(id), "until it arrives");
-        store.hold(record(id, 1), None);
-        assert_eq!(seq.repair_tick(&store), None);
+        store.hold(record(queued[1], 1), None);
+        assert_eq!(seq.queued(), 3, "stalled on the first");
+        // Nothing on the first sighting; every queued entry without content,
+        // then the held append's blocker, on the second, and again after.
+        assert!(
+            seq.repair_tick(&store, vec![held]).is_empty(),
+            "first sighting"
+        );
+        let pulled = [(queued[0], 0), (queued[2], 0), (held, 0)];
+        assert_eq!(seq.repair_tick(&store, vec![held]), pulled);
+        let again = pulled.map(|(id, asked)| (id, asked + 1));
+        assert_eq!(
+            seq.repair_tick(&store, vec![held]),
+            again,
+            "until it arrives"
+        );
+        // What arrived, or is no longer waited on, is dropped; what comes
+        // back later starts over.
+        store.hold(record(queued[0], 1), None);
+        assert_eq!(seq.repair_tick(&store, vec![]), [(queued[2], 2)]);
+        let pulled = seq.repair_tick(&store, vec![held]);
+        assert_eq!(pulled, [(queued[2], 3)], "the blocker starts over");
+        // At most every group's pipeline window at once.
+        let bound = seq.repair_bound;
+        let many: Vec<EntryId> = (1..=2 * bound as u64).map(|s| EntryId::new(0, s)).collect();
+        seq.repair_tick(&store, many.clone());
+        assert_eq!(seq.repair_tick(&store, many).len(), bound);
     }
 }

@@ -86,6 +86,12 @@ fn ops_plane_serves_metrics_traces_and_flight_dumps() {
     ] {
         assert!(exp.value(progressed) > Some(0.0), "{progressed} is zero");
     }
+    // Pull repair is visible whether or not anything was missing: every
+    // node's repair tick registers both counters.
+    for repair in ["core_repair_requested", "core_repair_served"] {
+        assert_eq!(exp.type_of(repair), Some("counter"), "{repair}");
+        assert!(exp.value(repair).is_some(), "{repair} is not served");
+    }
     let views = exp.series("consensus_pbft_view");
     assert_eq!(views.len(), 6, "one view gauge per node");
     assert!(views
@@ -168,7 +174,13 @@ fn ops_plane_serves_metrics_traces_and_flight_dumps() {
         Some(6)
     );
     assert!(doc.get("events").and_then(|e| e.as_arr()).is_some());
-    assert!(doc.get("registry").is_some());
+    let registry = doc.get("registry").expect("registry");
+    for repair in ["core.repair.requested", "core.repair.served"] {
+        assert!(
+            registry.get(repair).is_some(),
+            "{repair} missing from the dump"
+        );
+    }
     assert_eq!(c.ops().expect("ops running").dumps(), 1);
 
     drop(c);

@@ -27,7 +27,7 @@ use massbft::core::adversary::{AdversarySpec, FaultEvent, FaultSchedule, Strateg
 use massbft::core::cluster::{ClusterConfig, Driver, Harness};
 use massbft::core::protocol::{Node, Protocol};
 use massbft::crypto::Digest;
-use massbft::sim_net::{LinkFault, NodeId, MILLISECOND, SECOND};
+use massbft::sim_net::{LinkFault, NodeId, Time, MILLISECOND, SECOND};
 use massbft::workloads::WorkloadKind;
 
 /// Runs `cfg` for `secs` on both drivers and returns
@@ -119,12 +119,13 @@ const VICTIM: NodeId = NodeId { group: 1, node: 0 };
 /// One scenario with every kind of fault in it, as data: a jittery,
 /// duplicating WAN (no loss — lost frames are never re-sent, ROADMAP
 /// item 1), a follower that delays everything it sends, a representative
-/// crash and recovery, a group partition and heal.
-fn every_fault_kind() -> ClusterConfig {
+/// crash and recovery, a group partition and heal — on workload seed
+/// `seed`, with `jitter_us` of extra WAN jitter while the WAN is noisy.
+fn every_fault_kind(seed: u64, jitter_us: Time) -> ClusterConfig {
     let noisy_wan = LinkFault {
         drop_prob: 0.0,
         dup_prob: 0.05,
-        extra_jitter_us: 5 * MILLISECOND,
+        extra_jitter_us: jitter_us,
     };
     let schedule = FaultSchedule::new()
         .at(SECOND, FaultEvent::SetWanFault(Some(noisy_wan)))
@@ -138,7 +139,7 @@ fn every_fault_kind() -> ClusterConfig {
     };
     ClusterConfig::nationwide(&[4, 4, 4], Protocol::MassBft)
         .workload(WorkloadKind::YcsbA)
-        .seed(42)
+        .seed(seed)
         .arrival_tps(800.0)
         .max_batch(40)
         .fault_schedule(schedule)
@@ -152,9 +153,12 @@ fn every_fault_kind() -> ClusterConfig {
 /// Walks a cluster of either driver through [`every_fault_kind`] and
 /// checks what must hold on any clock: the script's crashes are in force
 /// between their instants, the orphaned group changes view, the cluster
-/// commits across the whole script and never diverges. (Full recovery of
-/// the crashed representative's group is ROADMAP item 1, asserted
-/// nowhere yet.)
+/// commits across the whole script and never diverges. That every live
+/// node but the recovered representative executes again soon after a heal
+/// and ends within a few entries of the observer is asserted in the
+/// simulator, on the benchmark's fault shape
+/// (`tests/fault_tolerance.rs`, `the_cluster_catches_up_within_a_second_and_a_half_of_a_heal`);
+/// the recovered representative rejoining is asserted nowhere yet.
 fn walk_through_faults<D: Driver>(driver: &str, c: &mut Harness<D>) {
     let obs = c.observer();
     c.run_until(2 * SECOND - 100 * MILLISECOND);
@@ -192,9 +196,30 @@ fn walk_through_faults<D: Driver>(driver: &str, c: &mut Harness<D>) {
 /// one generic function, both clusters.
 #[test]
 fn one_fault_script_drives_both_clusters() {
-    let cfg = every_fault_kind();
+    let cfg = every_fault_kind(42, 5 * MILLISECOND);
     let mut sim = massbft::core::cluster::Cluster::new(cfg.clone());
     walk_through_faults("simulator", &mut sim);
     let mut rt = massbft::runtime::Cluster::new(cfg);
     walk_through_faults("runtime", rt.harness_mut());
+}
+
+/// The same script, simulator only, over workload seeds and WAN jitters,
+/// checked every virtual second: the runtime's rare divergence under it has
+/// never shown in the simulator, so a seed that diverges here is a
+/// deterministic reproducer, and none doing so points at what only the
+/// runtime does (crash input drop, duplicate frames, reconnects).
+#[test]
+fn the_fault_script_never_diverges_in_the_simulator() {
+    for seed in 1..=2 {
+        for jitter_ms in [1, 5, 20] {
+            let cfg = every_fault_kind(seed, jitter_ms * MILLISECOND);
+            let mut sim = massbft::core::cluster::Cluster::new(cfg);
+            for secs in 1..=8 {
+                sim.run_until(secs * SECOND);
+                let divergence = sim.first_divergence();
+                let run = format!("seed {seed}, jitter {jitter_ms} ms, at {secs} s");
+                assert_eq!(divergence, None, "{run}");
+            }
+        }
+    }
 }
