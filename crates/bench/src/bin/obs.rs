@@ -75,7 +75,6 @@ struct NodeRow {
     executed_txns: u64,
     executed_by_group: Vec<u64>,
     exec_queue: u64,
-    inbox_depth: u64,
     writer_queue_frames: u64,
 }
 
@@ -97,7 +96,6 @@ fn parse_status(body: &str) -> Option<Vec<NodeRow>> {
                         .map(|a| a.iter().filter_map(|v| v.as_u64()).collect())
                         .unwrap_or_default(),
                     exec_queue: get(n, "exec_queue")?,
-                    inbox_depth: get(n, "inbox_depth")?,
                     writer_queue_frames: get(n, "writer_queue_frames")?,
                 })
             })
@@ -149,7 +147,6 @@ struct Round {
     /// slowest replica, the number a stall-watcher cares about.
     min_watermark: u64,
     exec_queue: u64,
-    inbox_depth: u64,
     writer_queue_frames: u64,
     ring_dropped: u64,
     nodes_seen: usize,
@@ -167,7 +164,6 @@ fn scrape_round(targets: &[SocketAddr], t_secs: f64) -> Round {
         max_view: 0,
         min_watermark: u64::MAX,
         exec_queue: 0,
-        inbox_depth: 0,
         writer_queue_frames: 0,
         ring_dropped: 0,
         nodes_seen: 0,
@@ -193,7 +189,6 @@ fn scrape_round(targets: &[SocketAddr], t_secs: f64) -> Round {
             r.max_view = r.max_view.max(row.pbft_view);
             r.min_watermark = r.min_watermark.min(row.exec_watermark);
             r.exec_queue += row.exec_queue;
-            r.inbox_depth += row.inbox_depth;
             r.writer_queue_frames += row.writer_queue_frames;
         }
         // Commitment truth comes from the first target's first node
@@ -232,14 +227,13 @@ fn print_round(r: &Round, prev: Option<&Round>) {
         _ => r.per_group.iter().map(|_| "-".to_string()).collect(),
     };
     println!(
-        "{:>6.1}s {:>7.2} {:>8.1} {:>8.1} {:>6} {:>6} {:>6} {:>6} {:>5}  [{}]",
+        "{:>6.1}s {:>7.2} {:>8.1} {:>8.1} {:>6} {:>6} {:>6} {:>5}  [{}]",
         r.t_secs,
         ktps,
         r.p50_ms,
         r.p99_ms,
         r.max_view,
         r.exec_queue,
-        r.inbox_depth,
         r.writer_queue_frames,
         r.ring_dropped,
         group_tps.join(" ")
@@ -268,7 +262,6 @@ fn round_json(r: &Round, prev: Option<&Round>) -> Json {
             },
         )
         .set("exec_queue", r.exec_queue)
-        .set("inbox_depth", r.inbox_depth)
         .set("writer_queue_frames", r.writer_queue_frames)
         .set("ring_dropped", r.ring_dropped)
         .set("nodes_seen", r.nodes_seen)
@@ -319,8 +312,8 @@ fn stitch_json(st: &stitch::Stitched) -> Json {
 
 fn header() {
     println!(
-        "{:>7} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>6} {:>5}  [group tps]",
-        "t", "ktps", "p50 ms", "p99 ms", "view", "execq", "inbox", "wq", "drop"
+        "{:>7} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>5}  [group tps]",
+        "t", "ktps", "p50 ms", "p99 ms", "view", "execq", "wq", "drop"
     );
 }
 

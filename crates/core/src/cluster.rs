@@ -260,7 +260,11 @@ pub trait Driver {
         true
     }
 
-    /// Runs `f` against a hosted node's state.
+    /// Runs `f` against a hosted node's state. On a wall-clock driver that
+    /// is under the node's lock, and its reactor waits too: keep `f`
+    /// short; never call `with_node`, or run the cluster, inside `f`. No
+    /// thread then holds two node locks, and none waits on the cluster
+    /// while holding one, which keeps the reactors deadlock-free.
     fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R;
 
     /// Starts a traffic window at the current instant.
@@ -356,7 +360,7 @@ impl<D: Driver> Harness<D> {
         self.driver.now()
     }
 
-    /// Runs `f` against a hosted node's state.
+    /// Runs `f` against a hosted node's state; see [`Driver::with_node`].
     pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
         self.driver.with_node(id, f)
     }
@@ -471,25 +475,24 @@ impl<D: Driver> Harness<D> {
     /// entry digests and post-execution state fingerprints, block by
     /// block. The first node found to disagree is reported, and the
     /// driver's [`Driver::diverged`] hook runs. A wall-clock cluster keeps
-    /// running meanwhile, bar the two nodes being compared; ledgers only
-    /// grow, which keeps the comparison sound.
+    /// running meanwhile: the longest ledger is copied under its node's
+    /// lock, then each other node is compared with the copy under its own,
+    /// one lock at a time. Ledgers only grow and the comparison covers
+    /// the common prefix, which keeps it sound.
     pub fn first_divergence(&self) -> Option<Divergence> {
         let d = &self.driver;
         let is_live = |id: &NodeId| d.hosts(*id) && !d.is_crashed(*id);
         let live = || self.nodes.iter().copied().filter(is_live);
         let height = |id: NodeId| d.with_node(id, |n| n.ledger().height());
         let reference = live().max_by_key(|&id| height(id))?;
-        // The longest is held while each other node is read in turn
-        // (never itself: a TCP node sits behind a plain mutex).
-        let found = d.with_node(reference, |longest| {
-            live().filter(|&id| id != reference).find_map(|node| {
-                let mismatch = d.with_node(node, |n| n.ledger().first_mismatch(longest.ledger()));
-                mismatch.map(|(height, field)| Divergence {
-                    reference,
-                    node,
-                    height,
-                    field,
-                })
+        let longest = d.with_node(reference, |n| n.ledger().clone());
+        let found = live().filter(|&id| id != reference).find_map(|node| {
+            let mismatch = d.with_node(node, |n| n.ledger().first_mismatch(&longest));
+            mismatch.map(|(height, field)| Divergence {
+                reference,
+                node,
+                height,
+                field,
             })
         });
         if let Some(at) = &found {
@@ -574,7 +577,7 @@ mod tests {
     use crate::entry::EntryId;
     use massbft_crypto::Digest;
     use massbft_sim_net::FaultState;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     /// What the harness asked of the [`Fake`] driver, in order.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -586,13 +589,15 @@ mod tests {
     }
 
     /// An in-memory driver: a clock that jumps, real nodes that nobody
-    /// runs (tests write their measurement fields), a log of calls.
+    /// runs (tests write their measurement fields), a log of calls. Like
+    /// a wall-clock driver's node locks, it lends one node at a time.
     struct Fake {
         now: Time,
         nodes: Vec<(NodeId, Node)>,
         faults: FaultState,
         traffic: Traffic,
         log: RefCell<Vec<Call>>,
+        lent: Cell<bool>,
     }
 
     impl Fake {
@@ -622,8 +627,11 @@ mod tests {
             self.faults.is_crashed(id)
         }
         fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
+            assert!(!self.lent.replace(true), "with_node inside with_node");
             let slot = self.nodes.iter().find(|(n, _)| *n == id);
-            f(&slot.expect("node in the fake").1)
+            let r = f(&slot.expect("node in the fake").1);
+            self.lent.set(false);
+            r
         }
         fn open_window(&mut self) {
             self.log.borrow_mut().push(Call::OpenWindow);
@@ -655,6 +663,7 @@ mod tests {
                 faults: FaultState::new(sizes),
                 traffic: Traffic::default(),
                 log: RefCell::default(),
+                lent: Cell::new(false),
             }
         })
     }
@@ -823,9 +832,28 @@ mod tests {
         assert_eq!(h.driver().take_log(), []);
     }
 
+    /// A wall-clock node's reactor waits for its lock, so the check reads
+    /// one node at a time (the fake refuses a second): consistent ledgers
+    /// pass, and each kind of mismatch is still named by pair, height and
+    /// field.
     #[test]
-    fn a_divergence_names_the_pair_the_height_and_what_differs() {
+    fn a_divergence_is_found_one_node_at_a_time() {
+        let h = fake(|cfg| cfg);
+        let nested = || h.with_node(REP0, |_| h.with_node(REP1, |_| ()));
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(nested));
+        assert!(nested.is_err(), "the fake lends one node at a time");
+
         let honest = |seq: u64| (EntryId::new(0, seq), Digest::of(&seq.to_le_bytes()), 0);
+        let mut h = fake(|cfg| cfg);
+        for (id, len) in [(REP0, 4), (OBSERVER, 2), (REP1, 4)] {
+            let ledger = h.driver_mut().node_mut(id).measured_mut().3;
+            for (entry, digest, state) in (1..=len).map(honest) {
+                ledger.append(entry, digest, state);
+            }
+        }
+        assert_eq!(h.first_divergence(), None);
+        assert_eq!(h.driver().take_log(), []);
+
         let (entry, digest, state) = honest(3);
         for (third, field) in [
             ((EntryId::new(1, 3), digest, state), Mismatch::EntryId),

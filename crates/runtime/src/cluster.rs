@@ -29,12 +29,13 @@
 //! deadline, due outbound frame and 20 ms → for each reported socket, and
 //! no other, accept, read once (its complete frames onto the destination
 //! node's input) or let a blocked link write → expire timers → run every
-//! node that has input, under `try_lock`, and route its handlers'
-//! commands under one clock stamp → write what is due until the sockets
-//! are full. A node whose lock is held elsewhere (an ops scrape,
-//! `with_node`) keeps its input for a later turn instead of stalling its
-//! neighbours; no step blocks on a socket ([`crate::net`] has why that
-//! rules out deadlock).
+//! node that has input, under its lock, and route its handlers' commands
+//! under one clock stamp → write what is due until the sockets are full.
+//! No step blocks on a socket ([`crate::net`] has why that rules out
+//! deadlock); the one wait is for a node lock held elsewhere (`with_node`,
+//! an ops scrape), which stalls the reactor's other nodes too. It ends
+//! because no thread holds two node locks, and nobody waits on the
+//! cluster while holding one ([`Driver::with_node`]).
 //! Every message handed to a node or routed is recorded with the probes
 //! the simulator calls (`massbft_sim_net::fault`), so a `/trace` scrape
 //! stitches into the same cross-node picture as a simulator trace.
@@ -50,17 +51,14 @@ use massbft_core::protocol::{Msg, Node};
 use massbft_crypto::KeyRegistry;
 use massbft_sim_net::{probe_deliver, probe_send, Actor, Command, Ctx, NodeId, Time, Topology};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Longest wait of a reactor with nothing due: how soon it notices the
 /// shutdown flag.
 const REACTOR_POLL_US: u64 = 20_000;
-/// How soon a reactor offers a node its input again after finding the
-/// node's lock held elsewhere.
-const LOCK_RETRY_US: u64 = 1_000;
 /// Most events one wait reports; sockets past it stay ready for the next.
 const EVENTS: usize = 256;
 /// A [`token`]'s low half: the listener, `LINK + d` for the outbound link
@@ -191,8 +189,9 @@ impl Cluster {
 
     // The rest is the harness, method for method.
 
-    /// Runs `f` against a node's state (its input waits meanwhile; its
-    /// reactor and the reactor's other nodes do not).
+    /// Runs `f` against a node's state under its lock: its reactor, and
+    /// the reactor's other nodes, wait meanwhile. Keep `f` short; never
+    /// call `with_node`, or run the cluster, inside `f`.
     pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
         self.0.with_node(id, f)
     }
@@ -255,8 +254,7 @@ impl TcpDriver {
                 let listener = TcpListener::bind(addr).expect("bind node listener");
                 addr = listener.local_addr().expect("listener addr");
                 let actor = Mutex::new(Node::new(id, cfg.params.clone(), registry.clone()));
-                let backlog = AtomicU64::new(0);
-                seats.push((Arc::new(Seat { id, actor, backlog }), listener));
+                seats.push((Arc::new(Seat { id, actor }), listener));
             }
             addrs.push(addr);
         }
@@ -371,17 +369,12 @@ impl Drop for TcpDriver {
 }
 
 /// One actor's place on a reactor, shared with whoever else reads the
-/// actor (the harness, the ops plane): its identity, its state, and the
-/// gauge of messages decoded for it but not yet handed over.
+/// actor (the harness, the ops plane): its identity and its state.
 pub struct Seat<A> {
     /// Which node.
     pub id: NodeId,
-    /// Its state; the reactor takes the lock with `try_lock` only.
+    /// Its state, locked by its reactor for a turn, by a reader for a call.
     pub actor: Mutex<A>,
-    /// Messages its reactor has decoded but not yet handed to it —
-    /// `inbox_depth` in `/status`, `ops.inbox.depth` in `/metrics`;
-    /// non-zero only while the lock is held elsewhere ([`crate::ops`]).
-    pub backlog: AtomicU64,
 }
 
 /// The reactor threads of one process. Dropping it stops and joins them;
@@ -419,7 +412,6 @@ impl Reactors {
                 listener,
                 conns: Vec::new(),
                 input: vec![Input::Start],
-                lock_missed: false,
             });
         }
         let threads = hosted.into_iter().zip(pollers).enumerate();
@@ -477,8 +469,6 @@ struct Hosted<A> {
     net: NetHandle,
     ctx: Ctx<Msg>,
     input: Vec<Input>,
-    /// The last turn found the lock held and left `input` waiting.
-    lock_missed: bool,
 }
 
 impl<A> Hosted<A> {
@@ -567,7 +557,7 @@ impl<A: Actor<Msg = Msg>> Reactor<A> {
             }
             // A self-send is input without a socket: next turn, now.
             if !h.input.is_empty() {
-                wait = wait.min(if h.lock_missed { LOCK_RETRY_US } else { 0 });
+                wait = 0;
             }
         }
         let (counters, poller) = (&self.shared.counters, &self.poller);
@@ -598,17 +588,9 @@ impl<A: Actor<Msg = Msg>> Reactor<A> {
         if self.shared.is_crashed(id) {
             h.input.clear();
         } else {
-            // Held elsewhere (an ops scrape, `with_node`): the input
-            // waits, the reactor's other nodes do not.
-            let mut actor = match h.seat.actor.try_lock() {
-                Ok(actor) => actor,
-                Err(TryLockError::WouldBlock) => {
-                    h.lock_missed = true;
-                    let msgs = h.input.iter().filter(|i| matches!(i, Input::Msg(..)));
-                    h.seat.backlog.store(msgs.count() as u64, Ordering::Relaxed);
-                    return;
-                }
-                Err(TryLockError::Poisoned(_)) => panic!("node {id} panicked under its lock"),
+            // Held elsewhere (an ops scrape, `with_node`): wait for it.
+            let Ok(mut actor) = h.seat.actor.lock() else {
+                panic!("node {id} panicked under its lock");
             };
             for input in h.input.drain(..) {
                 let now = self.shared.now_us();
@@ -622,9 +604,6 @@ impl<A: Actor<Msg = Msg>> Reactor<A> {
                     Input::Start => actor.on_start(&mut h.ctx),
                 }
             }
-        }
-        if std::mem::take(&mut h.lock_missed) {
-            h.seat.backlog.store(0, Ordering::Relaxed);
         }
         self.route(i);
     }

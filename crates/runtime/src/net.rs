@@ -23,8 +23,10 @@
 //! ever blocks on a socket, so every reactor always comes back to read,
 //! so every receive buffer drains and no cycle of peers waiting on each
 //! other can form — whatever a node is doing (crashed, executing a long
-//! batch, its lock held elsewhere), frames sent to it are read, decoded
-//! and kept as its pending input.
+//! batch), frames sent to it are read, decoded and kept as its pending
+//! input. The one wait a reactor does make, for a node lock held
+//! elsewhere, ends because the holder waits on nothing of the cluster
+//! ([`crate::cluster`]).
 //!
 //! The measured surface keeps its names and meanings: `net.syscalls_read`
 //! / `net.syscalls_write` (`read(2)` / `write(2)` calls, nothing else),

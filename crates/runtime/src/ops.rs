@@ -7,16 +7,13 @@
 //! - `GET /health` — liveness probe (`200 ok`).
 //! - `GET /metrics` — Prometheus text exposition of the global
 //!   telemetry registry. Per-node state gauges (`consensus.pbft.view`,
-//!   `core.exec.watermark`, `core.store.archive_bytes`, inbox/writer queue
-//!   depths, …) are refreshed
-//!   from the live `Node` states at scrape time, labeled
-//!   `{group="…",node="…"}`.
+//!   `core.exec.watermark`, `core.store.archive_bytes`, writer queue
+//!   depth, …) are refreshed from the live `Node` states at scrape time,
+//!   labeled `{group="…",node="…"}`.
 //! - `GET /status` — one JSON document with every hosted node's
-//!   [`NodeStatus`] plus transport queue depths: `inbox_depth` (messages
-//!   decoded for the node but not yet handed to it — non-zero only while
-//!   its lock is held elsewhere) and `writer_queue_frames` (frames in its
-//!   outbound FIFOs: not yet due, or waiting for a full socket — which is
-//!   where a receiver whose reactor cannot keep up shows, at its senders).
+//!   [`NodeStatus`] plus `writer_queue_frames` (frames in its outbound
+//!   FIFOs: not yet due, or waiting for a full socket — which is where a
+//!   receiver whose reactor cannot keep up shows, at its senders).
 //! - `GET /trace?window=N` — the most recent `N` telemetry ring events
 //!   as JSONL (non-destructive; ring loss reported in the
 //!   `X-Ring-Dropped` header, never silently).
@@ -109,6 +106,16 @@ struct TriggerState {
     dumps: AtomicU64,
 }
 
+impl TriggerState {
+    /// Queues a dump for `reason` unless one is already queued for it.
+    fn raise(&self, reason: &str) {
+        let mut p = self.pending.lock().expect("trigger lock");
+        if !p.iter().any(|r| r == reason) {
+            p.push(reason.to_string());
+        }
+    }
+}
+
 /// A running ops plane. Dropped (or joined) at cluster teardown.
 pub struct OpsHandle {
     /// The bound listener address.
@@ -122,10 +129,7 @@ impl OpsHandle {
     /// flight directory). Used by `Cluster::check_consistency` when
     /// replicas diverge; tests and operators may call it directly.
     pub fn trigger(&self, reason: &str) {
-        let mut p = self.trigger.pending.lock().expect("trigger lock");
-        if !p.iter().any(|r| r == reason) {
-            p.push(reason.to_string());
-        }
+        self.trigger.raise(reason);
     }
 
     /// Flight-recorder dumps written so far.
@@ -292,14 +296,15 @@ fn respond(
     let _ = stream.flush();
 }
 
-fn collect_statuses(state: &OpsState) -> Vec<(NodeStatus, u64, u64)> {
+/// Every hosted node's status and writer queue depth, one node lock at a
+/// time, each held for one `status()` call (its reactor waits that long).
+fn collect_statuses(state: &OpsState) -> Vec<(NodeStatus, u64)> {
     state
         .nodes
         .iter()
         .map(|nh| {
             let st = nh.actor.lock().expect("node lock").status();
-            let wq = writer_queue_frames(nh.id);
-            (st, nh.backlog.load(Ordering::Relaxed), wq)
+            (st, writer_queue_frames(nh.id))
         })
         .collect()
 }
@@ -324,7 +329,7 @@ fn writer_queue_frames(id: NodeId) -> u64 {
 /// read fresh from the live nodes. Label-in-key convention: the prom
 /// renderer splits `name{labels}` registry keys into labeled series.
 fn refresh_node_gauges(state: &OpsState) {
-    for (st, inbox_depth, wq) in collect_statuses(state) {
+    for (st, wq) in collect_statuses(state) {
         let l = format!("{{group=\"{}\",node=\"{}\"}}", st.group, st.node);
         registry::gauge(&format!("consensus.pbft.view{l}")).set(st.pbft_view);
         registry::gauge(&format!("consensus.pbft.seq{l}")).set(st.pbft_seq);
@@ -332,12 +337,11 @@ fn refresh_node_gauges(state: &OpsState) {
         registry::gauge(&format!("core.exec.watermark{l}")).set(st.exec_watermark);
         registry::gauge(&format!("core.exec.queue{l}")).set(st.exec_queue as u64);
         registry::gauge(&format!("core.store.archive_bytes{l}")).set(st.archive_bytes);
-        registry::gauge(&format!("ops.inbox.depth{l}")).set(inbox_depth);
         registry::gauge(&format!("ops.writer.queue_frames{l}")).set(wq);
     }
 }
 
-fn status_obj(st: &NodeStatus, inbox_depth: u64, wq: u64) -> String {
+fn status_obj(st: &NodeStatus, wq: u64) -> String {
     let head: String = st.ledger_head.as_bytes()[..8]
         .iter()
         .map(|b| format!("{b:02x}"))
@@ -349,7 +353,7 @@ fn status_obj(st: &NodeStatus, inbox_depth: u64, wq: u64) -> String {
             "\"pbft_seq\":{},\"ledger_height\":{},\"ledger_head\":\"{}\",",
             "\"exec_watermark\":{},\"executed_txns\":{},\"executed_by_group\":[{}],",
             "\"exec_queue\":{},\"held_appends\":{},\"in_flight\":{},\"clock\":{},",
-            "\"archive_bytes\":{},\"inbox_depth\":{},\"writer_queue_frames\":{}}}"
+            "\"archive_bytes\":{},\"writer_queue_frames\":{}}}"
         ),
         st.group,
         st.node,
@@ -366,7 +370,6 @@ fn status_obj(st: &NodeStatus, inbox_depth: u64, wq: u64) -> String {
         st.in_flight,
         st.clock,
         st.archive_bytes,
-        inbox_depth,
         wq,
     )
 }
@@ -374,7 +377,7 @@ fn status_obj(st: &NodeStatus, inbox_depth: u64, wq: u64) -> String {
 fn status_json(state: &OpsState) -> String {
     let nodes: Vec<String> = collect_statuses(state)
         .iter()
-        .map(|(st, inbox, wq)| status_obj(st, *inbox, *wq))
+        .map(|(st, wq)| status_obj(st, *wq))
         .collect();
     format!(
         "{{\"now_us\":{},\"ring_dropped\":{},\"nodes\":[{}]}}\n",
@@ -423,7 +426,7 @@ fn monitor_loop(state: Arc<OpsState>, trigger: Arc<TriggerState>, cfg: OpsConfig
         let sts = collect_statuses(&state);
         // View-change storm: count view advances across all hosted
         // nodes inside the rolling window.
-        for (i, (st, _, _)) in sts.iter().enumerate() {
+        for (i, (st, _)) in sts.iter().enumerate() {
             if st.pbft_view > last_view[i] {
                 for _ in last_view[i]..st.pbft_view {
                     view_bumps.push_back(now);
@@ -439,25 +442,19 @@ fn monitor_loop(state: Arc<OpsState>, trigger: Arc<TriggerState>, cfg: OpsConfig
         }
         if view_bumps.len() >= cfg.view_storm_threshold {
             view_bumps.clear();
-            let mut p = trigger.pending.lock().expect("trigger lock");
-            if !p.iter().any(|r| r == "view-change-storm") {
-                p.push("view-change-storm".into());
-            }
+            trigger.raise("view-change-storm");
         }
         // Stalled commit: watermark frozen with work queued anywhere in
         // the pipeline — execution backlog, appends held for global
         // ordering, or WAN transfers that never complete (the signature
         // a wedged post-partition cluster leaves behind).
-        for (i, (st, _, _)) in sts.iter().enumerate() {
+        for (i, (st, _)) in sts.iter().enumerate() {
             let queued = st.exec_queue > 0 || st.held_appends > 0 || st.in_flight > 0;
             if st.exec_watermark != wm_since[i].0 {
                 wm_since[i] = (st.exec_watermark, now);
             } else if queued && now.saturating_sub(wm_since[i].1) > cfg.stall_after_us {
                 wm_since[i].1 = now; // re-arm; one dump per stall period
-                let mut p = trigger.pending.lock().expect("trigger lock");
-                if !p.iter().any(|r| r == "stalled-commit") {
-                    p.push("stalled-commit".into());
-                }
+                trigger.raise("stalled-commit");
             }
         }
         // Drain triggers into dump files: at most one dump per tick,
@@ -492,15 +489,12 @@ fn write_dump(
     dir: &PathBuf,
     reason: &str,
     now: u64,
-    sts: &[(NodeStatus, u64, u64)],
+    sts: &[(NodeStatus, u64)],
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let (events, published) = telemetry::peek_recent(DUMP_EVENT_WINDOW);
     let rotated = published.saturating_sub(events.len() as u64);
-    let nodes: Vec<String> = sts
-        .iter()
-        .map(|(st, inbox, wq)| status_obj(st, *inbox, *wq))
-        .collect();
+    let nodes: Vec<String> = sts.iter().map(|(st, wq)| status_obj(st, *wq)).collect();
     // The JSONL exporter emits one JSON object per line; joining them
     // with commas forms the dump's events array.
     let jsonl = export::to_jsonl(&events);

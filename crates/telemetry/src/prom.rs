@@ -71,7 +71,6 @@ fn help_for(base: &str) -> &'static str {
         "consensus.pbft.view" => "Current PBFT view, refreshed from node state at scrape time.",
         "consensus.pbft.seq" => "Highest self-proposed PBFT sequence, refreshed at scrape time.",
         "core.exec.watermark" => "Entries executed (commit watermark), refreshed at scrape time.",
-        "ops.inbox.depth" => "Reactor inbox depth (events enqueued, not yet processed).",
         "ops.writer.queue_bytes" => "Bytes queued across this node's outbound writer connections.",
         "telemetry.ring_dropped" => {
             "Telemetry ring events lost to wraparound before they could be drained."

@@ -83,6 +83,15 @@ if grep -rn "ppoll" crates/; then
   exit 1
 fi
 
+# A reactor waits for its node's lock; no second path works around a held
+# one. Deadlock-freedom rests on readers holding one node at a time
+# (runtime cluster.rs module docs), not on the reactor never waiting.
+echo "==> no try_lock under crates/runtime/src"
+if grep -rnE "try_lock|TryLockError" crates/runtime/src; then
+  echo "error: the reactor takes a node's lock and waits for it" >&2
+  exit 1
+fi
+
 # The alternating-pairs summariser (medians, quartiles, wins, the rule a
 # claimed gain must meet) on inline synthetic data: no build, no run.
 echo "==> scripts/pairs.sh --selftest"
